@@ -197,14 +197,8 @@ class _Space:
         self.PROP = self.PMSG + n * B
         self.AMSG = self.PROP + B
         self.size = self.AMSG + 1
-        self.q1_masks = [
-            m
-            for m in range(1, 1 << n)
-            if qs.is_q1(frozenset(i for i in range(n) if m >> i & 1))
-        ]
-        self.q2_gen_masks = [
-            sum(1 << a for a in g) for g in qs.generators(2)
-        ]
+        self.q1_masks = [m for m in range(1, 1 << n) if qs.is_q1_mask(m)]
+        self.is_q2_mask = qs.is_q2_mask
         self.props = cfg.properties
         self.threshold_kind = qs.kind in _THRESHOLD_KINDS
 
@@ -294,7 +288,7 @@ class _Space:
                 for a in range(n):
                     if am >> ((a * B + b) * V + v) & 1:
                         holders |= 1 << a
-                if holders and any(g & holders == g for g in self.q2_gen_masks):
+                if holders and self.is_q2_mask(holders):
                     found.append((b, v))
         return found
 

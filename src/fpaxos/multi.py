@@ -175,7 +175,6 @@ class Replica:
         send_to_all: bool = False,
         rng: Optional[random.Random] = None,
         latency=None,
-        roles=("acceptor", "proposer", "learner"),
     ):
         self.id = replica_id
         self.qs = qs
@@ -184,7 +183,6 @@ class Replica:
         self.send_to_all = send_to_all
         self.rng = rng
         self.latency = latency
-        self.roles = frozenset(roles)
         # durable acceptor state
         self.promised: Optional[Ballot] = None
         self.accepted: dict = {}  # slot -> (Ballot, value)
@@ -241,8 +239,6 @@ class Replica:
         Returns no messages when the alive set cannot form a phase-1
         quorum; the harness retries after restores.
         """
-        if "proposer" not in self.roles:
-            raise ValueError(f"replica {self.id} has no proposer role")
         self.demote()
         self.electing = True
         self.seen_round += 1
@@ -361,8 +357,6 @@ class Replica:
         return self.submit(m, alive)
 
     def _on_LeaderPrepare(self, m: LeaderPrepare, alive) -> list:
-        if "acceptor" not in self.roles:
-            return []
         self._observe(m.ballot)
         if self.promised is None or m.ballot > self.promised:
             self.promised = m.ballot
@@ -392,8 +386,6 @@ class Replica:
         return []
 
     def _on_SlotPropose(self, m: SlotPropose, alive) -> list:
-        if "acceptor" not in self.roles:
-            return []
         self._observe(m.ballot)
         st = core.AcceptorState(promised=self.promised, accepted=self.accepted.get(m.slot))
         st2, reply = core.acceptor_handle_propose(

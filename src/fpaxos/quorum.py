@@ -22,6 +22,14 @@ Shipped families:
   falsification catalogs.
 
 All predicates are upward closed: any superset of a quorum is a quorum.
+
+Each system compiles once, on first use, to one form per phase: a size
+threshold for threshold kinds (their C(n, k) generators are never
+enumerated), else the generators as frozensets and as bitmasks (bit a is
+acceptor a), in ``generators()`` order.  ``is_q1``/``is_q2`` and
+``select_quorum`` test sets against it; ``is_q1_mask``/``is_q2_mask`` test
+bitmasks, for the simulator's safety check and the checker.  The compiled
+form is derived state, outside equality, hashing and serialization.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 AcceptorId = int
@@ -50,6 +59,31 @@ class UnverifiableError(Exception):
     """An exhaustive check would exceed the configured size limit."""
 
 
+class _Phase:
+    """One phase of a quorum system in compiled form.
+
+    ``threshold`` is set for threshold kinds; otherwise ``gens`` lists the
+    generators and ``masks`` the same sets as bitmasks.
+    """
+
+    __slots__ = ("threshold", "gens", "masks")
+
+    def __init__(self, threshold: Optional[int], gens: tuple = ()):
+        self.threshold = threshold
+        self.gens = gens
+        self.masks = tuple(sum(1 << a for a in g) for g in gens)
+
+    def holds(self, s: frozenset) -> bool:
+        if self.threshold is not None:
+            return len(s) >= self.threshold
+        return any(g <= s for g in self.gens)
+
+    def holds_mask(self, m: int) -> bool:
+        if self.threshold is not None:
+            return m.bit_count() >= self.threshold
+        return any(g & m == g for g in self.masks)
+
+
 @dataclass(frozen=True)
 class QuorumSystem:
     """Immutable description of a phase-1/phase-2 quorum family.
@@ -66,9 +100,25 @@ class QuorumSystem:
     q1_sets: Optional[tuple] = None  # explicit kind only
     q2_sets: Optional[tuple] = None
 
-    @property
+    @cached_property
     def universe(self) -> AcceptorSet:
         return frozenset(range(self.n))
+
+    @cached_property
+    def _phases(self) -> tuple:
+        """The compiled form of phases 1 and 2, built on first use."""
+        if self.kind in _THRESHOLD_KINDS:
+            return (_Phase(self._threshold(1)), _Phase(self._threshold(2)))
+        if self.kind == GRID_FPAXOS:
+            rows = tuple(self.row(r) for r in range(self.rows))
+            cols = tuple(self.col(c) for c in range(self.cols))
+            return (_Phase(None, rows), _Phase(None, cols))
+        if self.kind == GRID_PAXOS:
+            both = _Phase(None, tuple(
+                self.row(r) | self.col(c) for r in range(self.rows) for c in range(self.cols)
+            ))
+            return (both, both)
+        return (_Phase(None, self.q1_sets), _Phase(None, self.q2_sets))
 
     # -- thresholds ---------------------------------------------------
 
@@ -85,21 +135,13 @@ class QuorumSystem:
         """Size of the smallest valid phase-1 quorum."""
         if self.kind in _THRESHOLD_KINDS:
             return self._threshold(1)
-        if self.kind == GRID_FPAXOS:
-            return self.cols
-        if self.kind == GRID_PAXOS:
-            return self.rows + self.cols - 1
-        return min(len(q) for q in self.q1_sets)
+        return min(len(g) for g in self._phases[0].gens)
 
     def min_q2_size(self) -> int:
         """Size of the smallest valid phase-2 quorum."""
         if self.kind in _THRESHOLD_KINDS:
             return self._threshold(2)
-        if self.kind == GRID_FPAXOS:
-            return self.rows
-        if self.kind == GRID_PAXOS:
-            return self.rows + self.cols - 1
-        return min(len(q) for q in self.q2_sets)
+        return min(len(g) for g in self._phases[1].gens)
 
     # -- grid geometry ------------------------------------------------
 
@@ -123,27 +165,19 @@ class QuorumSystem:
 
     def is_q1(self, s) -> bool:
         """True iff ``s`` contains a valid phase-1 quorum."""
-        s = self._check_members(s)
-        if self.kind in _THRESHOLD_KINDS:
-            return len(s) >= self._threshold(1)
-        if self.kind == GRID_FPAXOS:
-            return any(self.row(r) <= s for r in range(self.rows))
-        if self.kind == GRID_PAXOS:
-            return any(self.row(r) <= s for r in range(self.rows)) and any(
-                self.col(c) <= s for c in range(self.cols)
-            )
-        return any(q <= s for q in self.q1_sets)
+        return self._phases[0].holds(self._check_members(s))
 
     def is_q2(self, s) -> bool:
         """True iff ``s`` contains a valid phase-2 quorum."""
-        s = self._check_members(s)
-        if self.kind in _THRESHOLD_KINDS:
-            return len(s) >= self._threshold(2)
-        if self.kind == GRID_FPAXOS:
-            return any(self.col(c) <= s for c in range(self.cols))
-        if self.kind == GRID_PAXOS:
-            return self.is_q1(s)
-        return any(q <= s for q in self.q2_sets)
+        return self._phases[1].holds(self._check_members(s))
+
+    def is_q1_mask(self, m: int) -> bool:
+        """``is_q1`` over a bitmask of acceptor ids; ``m`` must lie in the universe."""
+        return self._phases[0].holds_mask(m)
+
+    def is_q2_mask(self, m: int) -> bool:
+        """``is_q2`` over a bitmask of acceptor ids; ``m`` must lie in the universe."""
+        return self._phases[1].holds_mask(m)
 
     def is_quorum(self, phase: int, s) -> bool:
         return self.is_q1(s) if phase == 1 else self.is_q2(s)
@@ -155,28 +189,13 @@ class QuorumSystem:
             k = self._threshold(phase)
             for combo in itertools.combinations(range(self.n), k):
                 yield frozenset(combo)
-        elif self.kind == GRID_FPAXOS:
-            if phase == 1:
-                for r in range(self.rows):
-                    yield self.row(r)
-            else:
-                for c in range(self.cols):
-                    yield self.col(c)
-        elif self.kind == GRID_PAXOS:
-            for r in range(self.rows):
-                for c in range(self.cols):
-                    yield self.row(r) | self.col(c)
         else:
-            yield from (self.q1_sets if phase == 1 else self.q2_sets)
+            yield from self._phases[phase - 1].gens
 
     def generator_count(self, phase: int) -> int:
         if self.kind in _THRESHOLD_KINDS:
             return math.comb(self.n, self._threshold(phase))
-        if self.kind == GRID_FPAXOS:
-            return self.rows if phase == 1 else self.cols
-        if self.kind == GRID_PAXOS:
-            return self.rows * self.cols
-        return len(self.q1_sets if phase == 1 else self.q2_sets)
+        return len(self._phases[phase - 1].gens)
 
     # -- serialization --------------------------------------------------
 
@@ -434,9 +453,11 @@ def select_quorum(
         raise ValueError("strategy 'random' needs a seeded rng")
     if strategy == "fastest" and latency is None:
         raise ValueError("strategy 'fastest' needs a latency map")
-    alive = sorted(qs._check_members(alive))
-    if qs.kind in _THRESHOLD_KINDS:
-        k = qs._threshold(phase)
+    alive_set = qs._check_members(alive)
+    compiled = qs._phases[phase - 1]
+    if compiled.threshold is not None:
+        k = compiled.threshold
+        alive = sorted(alive_set)
         if len(alive) < k:
             return None
         if strategy == "first":
@@ -447,8 +468,7 @@ def select_quorum(
         if strategy == "random":
             return frozenset(rng.sample(alive, k))
         return frozenset(sorted(alive, key=lambda a: (latency[a], a))[:k])
-    alive_set = frozenset(alive)
-    candidates = [g for g in qs.generators(phase) if g <= alive_set]
+    candidates = [g for g in compiled.gens if g <= alive_set]
     if not candidates:
         return None
     if strategy == "first":

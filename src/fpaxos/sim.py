@@ -17,10 +17,14 @@ fixed window of requests outstanding and submits a new one per response.
 Client links have zero latency and never fail, so protocol messages and
 client messages can be accounted separately.
 
-Safety is checked online: after every delivery that can extend a
-phase-2 quorum the world recomputes the learner rule for that slot over
-all replicas, and any slot that ever resolves to two different values
-aborts the run with the trace as counterexample.
+Safety is checked online.  Only a propose delivery changes what an
+acceptor holds, and then only for the recipient's slot, so it is the one
+(ballot, value) pair the recipient now holds there that can newly reach a
+phase-2 quorum (a memory-wiping crash only removes holders).  The world
+collects that pair's holders as a bitmask over the replicas and asks the
+quorum system's compiled phase-2 predicate; the first pair to qualify is
+the slot's decision, and any later pair with another value aborts the run
+with the trace as counterexample.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from . import core, multi
+from . import multi
 from .multi import CLIENT, NOOP, Replica
 from .quorum import QuorumSystem
 
@@ -305,6 +309,7 @@ class World:
         ]
         self.alive = set(range(n))
         self.partition = None  # id -> group index, or None when healed
+        self._reachable = {}  # id -> reachable(id); cleared on crash, restore, partition
         self.heap = []
         self.seq = 0
         self.now = 0
@@ -344,13 +349,23 @@ class World:
         if self.cfg.record_trace:
             self.trace.append({"t": self.now, "ev": ev, **fields})
 
+    def _trace_msg(self, ev: str, m, **fields) -> None:
+        """Like ``_trace`` with a trailing ``msg`` field, encoded only when recorded."""
+        if self.cfg.record_trace:
+            self.trace.append({"t": self.now, "ev": ev, **fields, "msg": multi.message_json(m)})
+
     def _same_side(self, a, b) -> bool:
         if self.partition is None:
             return True
         return self.partition.get(a) == self.partition.get(b)
 
     def reachable(self, r: int) -> frozenset:
-        return frozenset(a for a in self.alive if self._same_side(r, a))
+        got = self._reachable.get(r)
+        if got is None:
+            got = self._reachable[r] = frozenset(
+                a for a in self.alive if self._same_side(r, a)
+            )
+        return got
 
     # -- run loop -------------------------------------------------------
 
@@ -418,17 +433,17 @@ class World:
             self.req_msgs[m.req_id] += 1
         elif isinstance(m, multi.Response):
             self.slot_client[m.slot] += self.req_msgs[m.req_id] + 1
-        self._trace("send", msg=multi.message_json(m))
+        self._trace_msg("send", m)
         if m.src == CLIENT or m.dst == CLIENT:
             self._schedule(self.now, "deliver", m)  # co-located, lossless
             return
         if not self._same_side(m.src, m.dst):
             self.drops += 1
-            self._trace("drop", why="partition", msg=multi.message_json(m))
+            self._trace_msg("drop", m, why="partition")
             return
         if cfg.loss and self.rng.random() < cfg.loss:
             self.drops += 1
-            self._trace("drop", why="loss", msg=multi.message_json(m))
+            self._trace_msg("drop", m, why="loss")
             return
         d = self.lat[m.src][m.dst]
         self._schedule(self.now + d, "deliver", m)
@@ -453,15 +468,15 @@ class World:
             return
         if m.dst not in self.alive:
             self.drops += 1
-            self._trace("drop", why="crashed", msg=multi.message_json(m))
+            self._trace_msg("drop", m, why="crashed")
             return
         self.recv[m.dst] += 1
-        self._trace("deliver", msg=multi.message_json(m))
+        self._trace_msg("deliver", m)
         rep = self.replicas[m.dst]
         out = rep.on_message(m, self.reachable(m.dst))
         self._dispatch(out, owner=rep)
         if isinstance(m, multi.SlotPropose):
-            self._check_slot(m.slot)
+            self._check_slot(m.slot, rep.accepted.get(m.slot))
         if isinstance(m, multi.LeaderPromise) and rep.leading and self.leader_id != rep.id:
             self._leader_established(rep.id)
 
@@ -469,6 +484,7 @@ class World:
         if ev.replica not in self.alive:
             return  # double crash is idempotent
         self.alive.discard(ev.replica)
+        self._reachable.clear()
         self.replicas[ev.replica].crash(lose_memory=ev.lose_memory)
         self._trace("crash", replica=ev.replica, wipe=ev.lose_memory)
         if self.leader_id == ev.replica:
@@ -478,6 +494,7 @@ class World:
         if ev.replica in self.alive:
             return
         self.alive.add(ev.replica)
+        self._reachable.clear()
         self._trace("restore", replica=ev.replica)
 
     def _on_election(self, r: int) -> None:
@@ -523,6 +540,7 @@ class World:
                     self.partition[a] = gi
         else:
             self.partition = None
+        self._reachable.clear()
         self._trace("partition", groups=[list(g) for g in groups])
 
     # -- leader / client ---------------------------------------------------
@@ -564,21 +582,25 @@ class World:
 
     # -- online safety ------------------------------------------------------
 
-    def _check_slot(self, slot: int) -> None:
-        states = {
-            i: core.AcceptorState(promised=rep.promised, accepted=rep.accepted.get(slot))
-            for i, rep in enumerate(self.replicas)
-        }
-        pairs = core.decided_proposals(states, self.cfg.quorum)
-        for b, v in pairs:
-            prev = self.registry.get(slot)
-            if prev is None:
-                self.registry[slot] = v
-                self.decided_at[slot] = (self.now, v)
-                self._trace("decide", slot=slot, ballot=b.json(), value=v)
-            elif prev != v:
-                self._trace("violation", slot=slot, values=[prev, v])
-                raise SafetyViolationError(slot, [prev, v], self.trace)
+    def _check_slot(self, slot: int, pair) -> None:
+        """Record or refute ``pair``, the (ballot, value) a propose recipient holds at ``slot``."""
+        if pair is None:
+            return
+        holders = 0
+        for i, rep in enumerate(self.replicas):
+            if rep.accepted.get(slot) == pair:
+                holders |= 1 << i
+        if not self.cfg.quorum.is_q2_mask(holders):
+            return
+        b, v = pair
+        prev = self.registry.get(slot)
+        if prev is None:
+            self.registry[slot] = v
+            self.decided_at[slot] = (self.now, v)
+            self._trace("decide", slot=slot, ballot=b.json(), value=v)
+        elif prev != v:
+            self._trace("violation", slot=slot, values=[prev, v])
+            raise SafetyViolationError(slot, [prev, v], self.trace)
 
     # -- metrics -------------------------------------------------------------
 

@@ -166,6 +166,110 @@ def test_grid_membership_monotone():
         assert qs.is_q1(base | {0, 5})
 
 
+# ------------------------------------- compiled form against the definitions
+
+
+@st.composite
+def small_quorum_systems(draw):
+    """Every kind over n <= 6, with random explicit families."""
+    kind = draw(
+        st.sampled_from(["majority", "improved", "simple", "grid-paxos", "grid-fpaxos", "explicit"])
+    )
+    if kind.startswith("grid"):
+        rows = draw(st.integers(1, 3))
+        cols = draw(st.integers(1, 6 // rows))
+        return make_grid(rows, cols, mode=kind[5:])
+    n = draw(st.integers(1, 6))
+    if kind == "majority":
+        return make_majority(n)
+    if kind == "improved":
+        return make_majority(n, improved=True)
+    if kind == "simple":
+        return make_simple(n, draw(st.integers(1, n)))
+    family = st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=5)
+    return make_explicit(n, draw(family), draw(family))
+
+
+def plain_generators(qs, phase):
+    """Minimal quorums straight from each kind's definition, or None for thresholds."""
+    if qs.kind in ("majority", "even-improved-majority", "simple"):
+        return None
+    if qs.kind == "explicit":
+        return list(qs.q1_sets if phase == 1 else qs.q2_sets)
+    rows = [frozenset(r * qs.cols + c for c in range(qs.cols)) for r in range(qs.rows)]
+    cols = [frozenset(r * qs.cols + c for r in range(qs.rows)) for c in range(qs.cols)]
+    if qs.kind == "grid-paxos":
+        return [row | col for row in rows for col in cols]
+    return rows if phase == 1 else cols
+
+
+def plain_is_quorum(qs, phase, s):
+    gens = plain_generators(qs, phase)
+    if gens is None:
+        return len(s) >= (qs.min_q1_size() if phase == 1 else qs.min_q2_size())
+    return any(g <= s for g in gens)
+
+
+def plain_select(qs, phase, alive, strategy, tick, rng, latency):
+    """The selection rule of each strategy over the definitions above."""
+    gens = plain_generators(qs, phase)
+    if gens is None:
+        k = qs.min_q1_size() if phase == 1 else qs.min_q2_size()
+        alive = sorted(alive)
+        if len(alive) < k:
+            return None
+        if strategy == "first":
+            return frozenset(alive[:k])
+        if strategy == "rotating":
+            return frozenset(alive[(tick + i) % len(alive)] for i in range(k))
+        if strategy == "random":
+            return frozenset(rng.sample(alive, k))
+        return frozenset(sorted(alive, key=lambda a: (latency[a], a))[:k])
+    candidates = [g for g in gens if g <= alive]
+    if not candidates:
+        return None
+    if strategy == "first":
+        return candidates[0]
+    if strategy == "rotating":
+        return candidates[tick % len(candidates)]
+    if strategy == "random":
+        return rng.choice(candidates)
+    return min(candidates, key=lambda g: max(latency[a] for a in g))
+
+
+@settings(deadline=None, max_examples=150)
+@given(qs=small_quorum_systems(), data=st.data())
+def test_compiled_predicates_match_definitions(qs, data):
+    import random
+
+    n = qs.n
+    tick = data.draw(st.integers(0, 50))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    latency = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    for mask in range(1 << n):
+        s = frozenset(a for a in range(n) if mask >> a & 1)
+        for phase, is_q, is_q_mask in ((1, qs.is_q1, qs.is_q1_mask), (2, qs.is_q2, qs.is_q2_mask)):
+            want = plain_is_quorum(qs, phase, s)
+            assert is_q(s) == want
+            assert is_q_mask(mask) == want
+            assert qs.is_quorum(phase, s) == want
+            for strategy in ("first", "rotating", "random", "fastest"):
+                got = select_quorum(
+                    qs, phase, s, strategy=strategy, tick=tick,
+                    rng=random.Random(seed), latency=latency,
+                )
+                assert got == plain_select(
+                    qs, phase, s, strategy, tick, random.Random(seed), latency
+                )
+    for bad in ({n}, {-1}, {0, n + 3}):
+        for call in (qs.is_q1, qs.is_q2, lambda b: select_quorum(qs, 1, b)):
+            with pytest.raises(ValueError):
+                call(bad)
+    # the compiled form is derived state: an uncompiled twin is equal
+    twin = QuorumSystem.from_json(qs.to_json())
+    assert twin == qs and hash(twin) == hash(qs) and twin.to_json() == qs.to_json()
+
+
 # ------------------------------------------------- cross-phase intersection
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -181,6 +182,27 @@ def test_leader_crash_failover_preserves_log_values():
     assert commits_between(trace, 2600, 5000) > 0  # service resumes under new leader
 
 
+def test_faulty_run_metrics_do_not_depend_on_tracing():
+    cfg = quick(
+        make_majority(5),
+        duration_ms=4000,
+        latency=Latency(5.0, 25.0),
+        loss=0.05,
+        duplicate=0.05,
+        seed=21,
+        crashes=(CrashEvent(1000, 0), CrashEvent(1200, 4)),
+        elections=(ElectionEvent(1300, 1),),
+        restores=(RestoreEvent(2000, 0), RestoreEvent(2100, 4)),
+        partitions=(PartitionEvent(2500, ((0, 1), (2, 3, 4))), PartitionEvent(3000, ())),
+    )
+    traced, trace = run(cfg)
+    untraced, no_trace = run(replace(cfg, record_trace=False))
+    assert untraced == traced
+    assert no_trace == []
+    assert traced.drops > 0 and traced.committed > 0
+    assert any(l["ev"] == "decide" for l in trace)
+
+
 def test_post_run_structural_invariants():
     from fpaxos.sim import World
 
@@ -225,6 +247,35 @@ def amnesia_config(wipe: bool) -> SimConfig:
     )
 
 
+def test_reachable_cache_tracks_crash_restore_and_partition():
+    from fpaxos.sim import World
+
+    world = World(quick(make_majority(5)))
+
+    def check():
+        for r in range(5):
+            side = None if world.partition is None else world.partition.get(r)
+            fresh = frozenset(
+                a for a in world.alive
+                if world.partition is None or world.partition.get(a) == side
+            )
+            assert world.reachable(r) == fresh
+
+    check()
+    world.inject_crash(1)
+    check()
+    world._on_partition(((0, 1), (2, 3, 4)))
+    check()
+    world.restore(1)
+    check()
+    world.inject_crash(3)
+    check()
+    world._on_partition(())
+    check()
+    world.restore(3)
+    check()
+
+
 def test_inject_crash_is_idempotent_and_restore_reverses():
     from fpaxos.sim import World
 
@@ -243,6 +294,13 @@ def test_memory_loss_crash_manufactures_safety_violation():
         run(amnesia_config(wipe=True))
     assert len(err.value.values) == 2
     assert any(l["ev"] == "violation" for l in err.value.trace)
+
+
+def test_memory_loss_violation_is_caught_without_a_trace():
+    with pytest.raises(SafetyViolationError) as err:
+        run(replace(amnesia_config(wipe=True), record_trace=False))
+    assert len(err.value.values) == 2
+    assert err.value.trace == []
 
 
 def test_same_schedule_with_durable_state_is_safe():
