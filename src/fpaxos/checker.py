@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple
 
 from .core import (
@@ -102,23 +102,26 @@ def value_names(k: int):
 
 
 def check_config_from_json(d: dict) -> CheckConfig:
-    if "q1_sets" in d or "q2_sets" in d:
-        qs = make_explicit(d["n"], d["q1_sets"], d["q2_sets"])
+    """Decode a check configuration; absent keys keep the ``CheckConfig`` defaults.
+
+    The quorum is a ``quorum`` entry in ``QuorumSystem.to_json`` form or,
+    failing that, an explicit family given flat as ``n``/``q1_sets``/``q2_sets``.
+    ``values`` is a list of names or a count; ``properties`` is not accepted.
+    """
+    flat = ("n", "q1_sets", "q2_sets")
+    kw = {k: v for k, v in d.items() if k not in flat}
+    known = {f.name for f in fields(CheckConfig)} - {"properties"}
+    unknown = sorted(set(kw) - known)
+    if unknown:
+        raise ValueError(f"unknown check config key(s): {', '.join(unknown)}")
+    if "quorum" in d:
+        kw["quorum"] = QuorumSystem.from_json(d["quorum"])
     else:
-        qs = QuorumSystem.from_json(d["quorum"])
-    values = d.get("values", 2)
-    if isinstance(values, int):
-        values = value_names(values)
-    else:
-        values = tuple(values)
-    return CheckConfig(
-        quorum=qs,
-        ballots=d.get("ballots", 2),
-        values=values,
-        proposers=d.get("proposers", 2),
-        max_states=d.get("max_states", 2_000_000),
-        symmetry=d.get("symmetry", False),
-    )
+        kw["quorum"] = make_explicit(d["n"], d["q1_sets"], d["q2_sets"])
+    if "values" in kw:
+        values = kw["values"]
+        kw["values"] = value_names(values) if isinstance(values, int) else tuple(values)
+    return CheckConfig(**kw)
 
 
 @dataclass(frozen=True)

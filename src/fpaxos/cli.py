@@ -11,6 +11,10 @@ Subcommands:
 Exit codes: 0 success/safe, 1 safety violation found, 2 usage error.
 All output is a pure function of flags plus the seed; the default seed
 comes from ``FPAXOS_SEED`` when set.
+
+Run options are declared once, as ``SimConfig``/``CheckConfig`` fields:
+flags given on the command line override ``--config``/``--spec`` entries,
+and what neither gives keeps the dataclass default.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import checker as chk
 from . import scenarios, sim
@@ -35,9 +40,10 @@ from .quorum import (
 
 USAGE_ERROR = 2
 
-
-def default_seed() -> int:
-    return int(os.environ.get("FPAXOS_SEED", "0"))
+# Config keys a flag may set: a flag's dest is the key it overrides.
+SIM_KEYS = frozenset(f.name for f in fields(sim.SimConfig))
+SWEEP_KEYS = SIM_KEYS | {"q2_list", "seeds", "out", "format"}
+CHECK_KEYS = frozenset(f.name for f in fields(chk.CheckConfig))
 
 
 # -- shared quorum flags --------------------------------------------------
@@ -67,6 +73,26 @@ def quorum_from_args(args) -> QuorumSystem:
             raise ValueError("--kind grid requires --rows and --cols")
         return make_grid(args.rows, args.cols, mode=args.mode)
     raise ValueError("no quorum system given (use --kind)")
+
+
+def merge_entries(path, args, keys, quorum=None) -> dict:
+    """The JSON object at ``path`` (if any), overridden by the flags given.
+
+    A flag counts when its dest is in ``keys`` and it was on the command
+    line.  A quorum from the quorum flags (or ``quorum``) replaces the file's.
+    """
+    d = {}
+    if path:
+        with open(path) as f:
+            d = json.load(f)
+        if not isinstance(d, dict):
+            raise ValueError(f"{path}: expected a JSON object")
+    d.update((k, v) for k, v in vars(args).items() if k in keys)
+    if quorum is None and (args.kind is not None or not {"quorum", "q1_sets"} & d.keys()):
+        quorum = quorum_from_args(args)  # without --kind: "no quorum system given"
+    if quorum is not None:
+        d["quorum"] = quorum.to_json()
+    return d
 
 
 # -- quorum analyze -------------------------------------------------------
@@ -115,7 +141,8 @@ def cmd_quorum_analyze(args) -> int:
 
 def cmd_check(args) -> int:
     if args.sweep is not None:
-        report = chk.quorum_safety_sweep(args.sweep, max_states=args.max_states)
+        max_states = getattr(args, "max_states", chk.CheckConfig.max_states)
+        report = chk.quorum_safety_sweep(args.sweep, max_states=max_states)
         for e in report:
             verdict = "violation" if e.violation_found else "safe"
             agree = "" if e.consistent else "  << INCONSISTENT"
@@ -127,24 +154,12 @@ def cmd_check(args) -> int:
         print("sweep:", "consistent" if ok else "INCONSISTENT")
         return 0 if ok else 1
 
-    if args.config:
-        with open(args.config) as f:
-            cfg = chk.check_config_from_json(json.load(f))
-    else:
-        if args.custom_q1 or args.custom_q2:
-            if not (args.custom_q1 and args.custom_q2 and args.n):
-                raise ValueError("--custom-q1/--custom-q2 require each other and --n")
-            qs = make_explicit(args.n, json.loads(args.custom_q1), json.loads(args.custom_q2))
-        else:
-            qs = quorum_from_args(args)
-        cfg = chk.CheckConfig(
-            quorum=qs,
-            ballots=args.ballots,
-            values=chk.value_names(args.values),
-            proposers=args.proposers,
-            max_states=args.max_states,
-            symmetry=args.symmetry,
-        )
+    qs = None
+    if args.custom_q1 or args.custom_q2:
+        if not (args.custom_q1 and args.custom_q2 and args.n):
+            raise ValueError("--custom-q1/--custom-q2 require each other and --n")
+        qs = make_explicit(args.n, json.loads(args.custom_q1), json.loads(args.custom_q2))
+    cfg = chk.check_config_from_json(merge_entries(args.config, args, CHECK_KEYS, qs))
     res = chk.explore(cfg)
     print(f"states explored : {res.states}")
     if res.complete:
@@ -172,75 +187,43 @@ def cmd_check(args) -> int:
 # -- simulate ---------------------------------------------------------------
 
 
-def _parse_timed(text: str, what: str):
-    fields = {}
-    flags = []
-    for part in text.split(","):
-        part = part.strip()
-        if "=" in part:
-            k, v = part.split("=", 1)
-            fields[k.strip()] = float(v)
-        elif part:
-            flags.append(part)
-    if "t" not in fields or ("r" not in fields and what != "partition"):
-        raise ValueError(f"--{what} needs t=<ms>,r=<replica>")
-    return fields, flags
+def _timed_row(crash: bool):
+    """argparse type: ``t=MS,r=ID`` (crashes: ``[,wipe]``) as a schedule row."""
+
+    def parse(text: str) -> list:
+        given = {}
+        flags = []
+        for part in text.split(","):
+            part = part.strip()
+            if "=" in part:
+                k, v = part.split("=", 1)
+                given[k.strip()] = float(v)
+            elif part:
+                flags.append(part)
+        if "t" not in given or "r" not in given:
+            raise argparse.ArgumentTypeError("needs t=<ms>,r=<replica>")
+        row = [given["t"], int(given["r"])]
+        return row + ["wipe" in flags] if crash else row
+
+    return parse
 
 
-def _parse_partition(text: str) -> sim.PartitionEvent:
-    if ";" not in text:
-        raise ValueError('--partition format: "t=<ms>;0,1|2,3" (empty groups heal)')
-    head, groups_text = text.split(";", 1)
-    fields, _ = _parse_timed(head + ",", "partition")
-    groups = tuple(
-        tuple(int(x) for x in g.split(",") if x.strip() != "")
-        for g in groups_text.split("|")
-        if g.strip() != ""
-    )
-    return sim.PartitionEvent(fields["t"], groups)
+def _partition_row(text: str) -> list:
+    head, sep, groups = text.partition(";")
+    key, _, t = head.partition("=")
+    if not sep or key.strip() != "t":
+        raise argparse.ArgumentTypeError('format: "t=<ms>;0,1|2,3" (empty groups heal)')
+    groups = [g for g in groups.split("|") if g.strip()]
+    return [float(t), [[int(x) for x in g.split(",") if x.strip()] for g in groups]]
 
 
 def sim_config_from_args(args) -> sim.SimConfig:
-    if args.config:
-        with open(args.config) as f:
-            base = sim.SimConfig.from_json(json.load(f))
-        if args.seed is not None:
-            base = sim.SimConfig.from_json({**base.to_json(), "seed": args.seed})
-        return base
-    qs = quorum_from_args(args)
-    crashes = []
-    for text in args.crash or []:
-        fields, flags = _parse_timed(text, "crash")
-        crashes.append(sim.CrashEvent(fields["t"], int(fields["r"]), "wipe" in flags))
-    restores = [
-        sim.RestoreEvent(f["t"], int(f["r"]))
-        for f, _ in (_parse_timed(t, "restore") for t in args.restore or [])
-    ]
-    elections = [
-        sim.ElectionEvent(f["t"], int(f["r"]))
-        for f, _ in (_parse_timed(t, "elect") for t in args.elect or [])
-    ]
-    partitions = [_parse_partition(t) for t in args.partition or []]
-    return sim.SimConfig(
-        quorum=qs,
-        seed=args.seed if args.seed is not None else default_seed(),
-        latency=sim.Latency.parse(args.latency),
-        loss=args.loss,
-        duplicate=args.duplicate,
-        crashes=tuple(crashes),
-        restores=tuple(restores),
-        elections=tuple(elections),
-        partitions=tuple(partitions),
-        request_size=args.request_size,
-        window=args.window,
-        duration_ms=args.duration_ms,
-        warmup_ms=args.warmup_ms,
-        cooldown_ms=args.cooldown_ms,
-        strategy=args.strategy,
-        send_to_all=args.send_to_all,
-        initial_leader=args.leader,
-        record_trace=bool(args.trace) or args.force_trace,
-    )
+    """``--config`` entries, then the flags given; seed falls back to ``$FPAXOS_SEED``."""
+    d = merge_entries(args.config, args, SIM_KEYS)
+    if "seed" not in d:
+        d["seed"] = int(os.environ.get("FPAXOS_SEED", "0"))
+    d["record_trace"] = bool(args.trace)
+    return sim.SimConfig.from_json(d)
 
 
 def _write(path: str, text: str) -> None:
@@ -291,36 +274,15 @@ def cmd_simulate(args) -> int:
 
 
 def build_sweep(args):
-    """Expand sweep flags (or a JSON spec) into a run list."""
-    if args.spec:
-        with open(args.spec) as f:
-            spec = json.load(f)
-        base = {k: v for k, v in spec.items() if k not in ("q2_list", "seeds", "out", "format")}
-        q2_list = spec.get("q2_list")
-        seeds = spec.get("seeds", 1)
-        out = spec.get("out", args.out)
-        fmt = spec.get("format", args.format)
-    else:
-        base = {
-            "quorum": quorum_from_args(args).to_json(),
-            "latency": args.latency,
-            "loss": args.loss,
-            "duplicate": args.duplicate,
-            "request_size": args.request_size,
-            "window": args.window,
-            "duration_ms": args.duration_ms,
-            "warmup_ms": args.warmup_ms,
-            "cooldown_ms": args.cooldown_ms,
-            "strategy": args.strategy,
-            "send_to_all": args.send_to_all,
-        }
-        q2_list = [int(x) for x in args.q2_list.split(",")] if args.q2_list else None
-        seeds = args.seeds
-        out, fmt = args.out, args.format
+    """Expand a JSON spec, overridden by the flags given, into a run list."""
+    d = merge_entries(args.spec, args, SWEEP_KEYS)
+    q2_list = d.pop("q2_list", None)
+    seeds = d.pop("seeds", 1)
+    out = d.pop("out", None)
+    fmt = d.pop("format", "csv")
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     configs = []
     for q2 in q2_list or [None]:
-        d = dict(base)
         if q2 is not None:
             d["quorum"] = {**d["quorum"], "kind": "simple", "q2_size": q2}
         for seed in seed_list:
@@ -348,7 +310,12 @@ def cmd_sweep(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _int_list(text: str) -> list:
+    return [int(x) for x in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
+    S = argparse.SUPPRESS
     p = argparse.ArgumentParser(prog="fpaxos", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -363,60 +330,57 @@ def build_parser() -> argparse.ArgumentParser:
     add_quorum_args(pc)
     pc.add_argument("--custom-q1", help="explicit phase-1 sets as JSON, e.g. '[[0]]'")
     pc.add_argument("--custom-q2", help="explicit phase-2 sets as JSON, e.g. '[[1]]'")
-    pc.add_argument("--ballots", type=int, default=2, help="distinct ballots to explore")
-    pc.add_argument("--values", type=int, default=2, help="distinct proposable values")
-    pc.add_argument("--proposers", type=int, default=2, help="ballot owners")
-    pc.add_argument("--max-states", type=int, default=2_000_000)
-    pc.add_argument("--symmetry", action="store_true", help="canonicalize symmetric states")
+    pc.add_argument("--ballots", type=int, default=S, help="distinct ballots to explore")
+    pc.add_argument("--values", type=int, default=S, help="distinct proposable values")
+    pc.add_argument("--proposers", type=int, default=S, help="ballot owners")
+    pc.add_argument("--max-states", type=int, default=S)
+    pc.add_argument("--symmetry", action="store_true", default=S,
+                    help="canonicalize symmetric states")
     pc.add_argument("--counterexample", metavar="PATH", help="write violating action trace here")
     pc.add_argument("--config", metavar="PATH", help="JSON check configuration")
     pc.add_argument("--sweep", type=int, metavar="N_MAX",
                     help="run the constructor/falsification catalog up to n=N_MAX")
     pc.set_defaults(func=cmd_check)
 
-    ps = sub.add_parser("simulate", help="deterministic simulation run")
+    # Run-shape flags shared by simulate and sweep.
+    run = argparse.ArgumentParser(add_help=False, argument_default=S)
+    run.add_argument("--latency", help="one-way ms: fixed '10' or uniform '5:25'")
+    run.add_argument("--loss", type=float)
+    run.add_argument("--duplicate", type=float)
+    run.add_argument("--request-size", type=int)
+    run.add_argument("--window", type=int)
+    run.add_argument("--duration-ms", type=float)
+    run.add_argument("--warmup-ms", type=float)
+    run.add_argument("--cooldown-ms", type=float)
+    run.add_argument("--strategy", choices=["first", "rotating", "random", "fastest"])
+    run.add_argument("--send-to-all", action="store_true", help="broadcast instead of quorum sends")
+
+    ps = sub.add_parser("simulate", parents=[run], help="deterministic simulation run")
     add_quorum_args(ps)
     ps.add_argument("--scenario", choices=scenarios.SCENARIOS, help="scripted execution")
-    ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--latency", default="10", help="one-way ms: fixed '10' or uniform '5:25'")
-    ps.add_argument("--loss", type=float, default=0.0)
-    ps.add_argument("--duplicate", type=float, default=0.0)
-    ps.add_argument("--crash", action="append", metavar="t=MS,r=ID[,wipe]")
-    ps.add_argument("--restore", action="append", metavar="t=MS,r=ID")
-    ps.add_argument("--elect", action="append", metavar="t=MS,r=ID")
-    ps.add_argument("--partition", action="append", metavar="t=MS;0,1|2,3")
-    ps.add_argument("--request-size", type=int, default=64)
-    ps.add_argument("--window", type=int, default=10)
-    ps.add_argument("--duration-ms", type=float, default=120_000.0)
-    ps.add_argument("--warmup-ms", type=float, default=10_000.0)
-    ps.add_argument("--cooldown-ms", type=float, default=10_000.0)
-    ps.add_argument("--strategy", choices=["first", "rotating", "random", "fastest"], default="first")
-    ps.add_argument("--send-to-all", action="store_true", help="broadcast instead of quorum sends")
-    ps.add_argument("--leader", type=int, default=0, help="initially elected replica")
+    ps.add_argument("--seed", type=int, default=S)
+    for flag, dest in (("crash", "crashes"), ("restore", "restores"), ("elect", "elections")):
+        wipe = flag == "crash"
+        ps.add_argument(f"--{flag}", dest=dest, type=_timed_row(wipe), action="append",
+                        default=S, metavar="t=MS,r=ID" + "[,wipe]" * wipe)
+    ps.add_argument("--partition", dest="partitions", type=_partition_row, action="append",
+                    default=S, metavar="t=MS;0,1|2,3")
+    ps.add_argument("--leader", dest="initial_leader", type=int, default=S, metavar="ID",
+                    help="initially elected replica")
     ps.add_argument("--trace", metavar="PATH", help="write JSON-lines trace here")
     ps.add_argument("--metrics", metavar="PATH", help="write metrics JSON here")
     ps.add_argument("--csv", metavar="PATH", help="write one-row CSV here")
-    ps.add_argument("--force-trace", action="store_true", help=argparse.SUPPRESS)
     ps.add_argument("--config", metavar="PATH", help="JSON simulation configuration")
     ps.set_defaults(func=cmd_simulate)
 
-    pw = sub.add_parser("sweep", help="batch of simulation runs")
+    pw = sub.add_parser("sweep", parents=[run], help="batch of simulation runs")
     add_quorum_args(pw)
-    pw.add_argument("--q2-list", help="comma-separated |Q2| values (simple quorums)")
-    pw.add_argument("--seeds", type=int, default=1, help="seeds 0..N-1 per configuration")
-    pw.add_argument("--latency", default="10")
-    pw.add_argument("--loss", type=float, default=0.0)
-    pw.add_argument("--duplicate", type=float, default=0.0)
-    pw.add_argument("--request-size", type=int, default=64)
-    pw.add_argument("--window", type=int, default=10)
-    pw.add_argument("--duration-ms", type=float, default=120_000.0)
-    pw.add_argument("--warmup-ms", type=float, default=10_000.0)
-    pw.add_argument("--cooldown-ms", type=float, default=10_000.0)
-    pw.add_argument("--strategy", choices=["first", "rotating", "random", "fastest"], default="first")
-    pw.add_argument("--send-to-all", action="store_true")
+    pw.add_argument("--q2-list", type=_int_list, default=S,
+                    help="comma-separated |Q2| values (simple quorums)")
+    pw.add_argument("--seeds", type=int, default=S, help="seeds 0..N-1 per configuration")
     pw.add_argument("--spec", metavar="PATH", help="JSON experiment spec")
-    pw.add_argument("--out", metavar="PATH", help="results file")
-    pw.add_argument("--format", choices=["csv", "json"], default="csv")
+    pw.add_argument("--out", default=S, metavar="PATH", help="results file")
+    pw.add_argument("--format", choices=["csv", "json"], default=S)
     pw.set_defaults(func=cmd_sweep)
 
     return p

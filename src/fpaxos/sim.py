@@ -34,7 +34,7 @@ import json
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional, Tuple
 
 from . import multi
@@ -82,9 +82,8 @@ class Latency:
         return Latency(float(text), float(text))
 
     def spec(self) -> str:
-        if self.lo_ms == self.hi_ms:
-            return f"{self.lo_ms:g}"
-        return f"{self.lo_ms:g}:{self.hi_ms:g}"
+        lo, hi = (str(ms).removesuffix(".0") for ms in (self.lo_ms, self.hi_ms))
+        return lo if lo == hi else f"{lo}:{hi}"
 
 
 @dataclass(frozen=True)
@@ -110,6 +109,27 @@ class ElectionEvent:
 class PartitionEvent:
     t_ms: float
     groups: Tuple[Tuple[int, ...], ...] = ()  # empty tuple heals the network
+
+    def __post_init__(self):  # JSON gives lists; keep the event hashable
+        object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
+
+
+def _schedule_codec(event):
+    return (
+        lambda events: [list(astuple(e)) for e in events],
+        lambda rows: tuple(event(*row) for row in rows),
+    )
+
+
+# (encode, decode) for the SimConfig fields that are not plain JSON values.
+_CODECS = {
+    "quorum": (QuorumSystem.to_json, QuorumSystem.from_json),
+    "latency": (Latency.spec, lambda text: Latency.parse(str(text))),
+    "crashes": _schedule_codec(CrashEvent),
+    "restores": _schedule_codec(RestoreEvent),
+    "elections": _schedule_codec(ElectionEvent),
+    "partitions": _schedule_codec(PartitionEvent),
+}
 
 
 @dataclass(frozen=True)
@@ -161,49 +181,22 @@ class SimConfig:
                     raise ValueError(f"{name} entry names replica {r} outside [0, {self.n})")
 
     def to_json(self) -> dict:
-        return {
-            "quorum": self.quorum.to_json(),
-            "seed": self.seed,
-            "latency": self.latency.spec(),
-            "loss": self.loss,
-            "duplicate": self.duplicate,
-            "crashes": [[e.t_ms, e.replica, e.lose_memory] for e in self.crashes],
-            "restores": [[e.t_ms, e.replica] for e in self.restores],
-            "elections": [[e.t_ms, e.replica] for e in self.elections],
-            "partitions": [[e.t_ms, [list(g) for g in e.groups]] for e in self.partitions],
-            "request_size": self.request_size,
-            "window": self.window,
-            "duration_ms": self.duration_ms,
-            "warmup_ms": self.warmup_ms,
-            "cooldown_ms": self.cooldown_ms,
-            "strategy": self.strategy,
-            "send_to_all": self.send_to_all,
-            "initial_leader": self.initial_leader,
-        }
+        """Every field as a JSON value; ``from_json`` inverts it exactly."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key, (encode, _) in _CODECS.items():
+            d[key] = encode(d[key])
+        return d
 
     @staticmethod
     def from_json(d: dict) -> "SimConfig":
-        kw = dict(
-            quorum=QuorumSystem.from_json(d["quorum"]),
-            seed=d.get("seed", 0),
-            latency=Latency.parse(str(d.get("latency", "10"))),
-            loss=d.get("loss", 0.0),
-            duplicate=d.get("duplicate", 0.0),
-            crashes=tuple(CrashEvent(*e) for e in d.get("crashes", [])),
-            restores=tuple(RestoreEvent(*e) for e in d.get("restores", [])),
-            elections=tuple(ElectionEvent(*e) for e in d.get("elections", [])),
-            partitions=tuple(
-                PartitionEvent(t, tuple(tuple(g) for g in gs))
-                for t, gs in d.get("partitions", [])
-            ),
-        )
-        for key in (
-            "request_size", "window", "duration_ms", "warmup_ms", "cooldown_ms",
-            "strategy", "send_to_all", "initial_leader", "record_trace",
-            "election_retry_ms", "retransmit_ms",
-        ):
-            if key in d:
-                kw[key] = d[key]
+        """Inverse of ``to_json``; absent keys keep the defaults above."""
+        unknown = sorted(set(d) - {f.name for f in fields(SimConfig)})
+        if unknown:
+            raise ValueError(f"unknown simulation config key(s): {', '.join(unknown)}")
+        kw = dict(d)
+        for key, (_, decode) in _CODECS.items():
+            if key in kw:
+                kw[key] = decode(kw[key])
         return SimConfig(**kw)
 
 
@@ -279,7 +272,6 @@ def to_jsonl(lines) -> str:
 
 
 _PROTO_SLOT = (multi.SlotPropose, multi.SlotAccept, multi.SlotNack)
-_PROTO_GLOBAL = (multi.LeaderPrepare, multi.LeaderPromise, multi.LeaderNack)
 
 
 class World:

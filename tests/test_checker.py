@@ -17,6 +17,7 @@ from fpaxos.checker import (
     quorum_safety_sweep,
     replay,
 )
+from fpaxos.cli import main
 from fpaxos.core import Ballot
 from fpaxos.quorum import make_explicit, make_grid, make_majority, make_simple
 
@@ -273,6 +274,20 @@ def test_config_json_roundtrip():
 
     cfg = check_config_from_json({"n": 2, "q1_sets": [[0]], "q2_sets": [[1]]})
     assert cfg.quorum == make_explicit(2, [[0]], [[1]])
+
+    # absent keys keep the CheckConfig defaults; unknown keys are named
+    assert check_config_from_json({"quorum": {"kind": "majority", "n": 3}}) == CheckConfig(
+        make_majority(3)
+    )
+    with pytest.raises(ValueError, match="max_state"):
+        check_config_from_json({"quorum": {"kind": "majority", "n": 3}, "max_state": 10})
+
+
+def test_cli_check_flag_overrides_config_file(capsys, tmp_path):
+    path = tmp_path / "check.json"
+    path.write_text(json.dumps({"quorum": {"kind": "majority", "n": 3}, "ballots": 2}))
+    assert main(["check", "--config", str(path), "--ballots", "3"]) == 0
+    assert f"states explored : {STATE_COUNTS['majority3_b3']}\n" in capsys.readouterr().out
 
 
 def test_counterexample_jsonl_shape():

@@ -1,9 +1,26 @@
 import json
 from pathlib import Path
 
-from fpaxos.cli import main
+import pytest
+
+from fpaxos import checker
+from fpaxos.cli import build_parser, main, sim_config_from_args
+from fpaxos.quorum import make_majority
+from fpaxos.sim import SimConfig
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# 20% loss with short retry timers: dropping the timers changes the run.
+DEMO_CONFIG = {
+    "quorum": {"kind": "majority", "n": 3},
+    "seed": 1,
+    "loss": 0.2,
+    "retransmit_ms": 50,
+    "election_retry_ms": 30,
+    "duration_ms": 3000,
+    "warmup_ms": 500,
+    "cooldown_ms": 500,
+}
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +109,21 @@ def test_check_sweep(capsys):
     assert code == 0
     assert "sweep: consistent" in out
     assert "broken-disjoint(n=2)" in out
+
+
+def test_check_sweep_without_max_states_keeps_default_budget(capsys, monkeypatch):
+    budgets = []
+    explore = checker.explore
+
+    def recording_explore(cfg):
+        budgets.append(cfg.max_states)
+        return explore(cfg)
+
+    monkeypatch.setattr(checker, "explore", recording_explore)
+    code, out, _ = run_cli(capsys, "check", "--sweep", "2")
+    assert code == 0
+    assert "sweep: consistent" in out
+    assert budgets and set(budgets) == {2_000_000}
 
 
 # ---------------------------------------------------------------- simulate
@@ -185,7 +217,7 @@ def test_simulate_determinism_across_invocations(capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_seed_env_default(capsys, monkeypatch):
+def test_seed_env_default(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("FPAXOS_SEED", "42")
     code, out, _ = run_cli(
         capsys, "simulate", "--kind", "majority", "--n", "3",
@@ -193,6 +225,65 @@ def test_seed_env_default(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["seed"] == 42
+    # a config file without "seed" falls back to the environment too,
+    # while a file's seed beats the environment and --seed beats both
+    cfg = {"quorum": {"kind": "majority", "n": 3},
+           "duration_ms": 800, "warmup_ms": 100, "cooldown_ms": 100}
+    cases = [({}, [], 42), ({"seed": 7}, [], 7), ({"seed": 7}, ["--seed", "3"], 3)]
+    for entries, flags, seed in cases:
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({**cfg, **entries}))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(path), *flags)
+        assert code == 0
+        assert json.loads(out)["seed"] == seed
+
+
+def test_simulate_seed_flag_equal_to_file_seed_changes_nothing(capsys, tmp_path):
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(DEMO_CONFIG))
+    _, plain, _ = run_cli(capsys, "simulate", "--config", str(path))
+    code, seeded, _ = run_cli(capsys, "simulate", "--config", str(path), "--seed", "1")
+    assert code == 0
+    assert seeded == plain
+    assert json.loads(seeded)["committed"] == 295
+
+
+def test_simulate_flag_overrides_config_file(capsys, tmp_path):
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(DEMO_CONFIG))
+    args = build_parser().parse_args(["simulate", "--config", str(path), "--loss", "0.9"])
+    expected = {**DEMO_CONFIG, "loss": 0.9, "record_trace": False}
+    assert sim_config_from_args(args) == SimConfig.from_json(expected)
+    _, plain, _ = run_cli(capsys, "simulate", "--config", str(path))
+    code, lossy, _ = run_cli(capsys, "simulate", "--config", str(path), "--loss", "0.9")
+    assert code == 0
+    assert json.loads(lossy)["committed"] < json.loads(plain)["committed"]
+
+
+def test_simulate_quorum_flags_only_take_dataclass_defaults(monkeypatch):
+    monkeypatch.delenv("FPAXOS_SEED", raising=False)
+    args = build_parser().parse_args(["simulate", "--kind", "majority", "--n", "3"])
+    assert sim_config_from_args(args) == SimConfig(
+        quorum=make_majority(3), seed=0, record_trace=False
+    )
+
+
+@pytest.mark.parametrize(
+    "command, flag, entries",
+    [
+        ("simulate", "--config", {"quorum": {"kind": "majority", "n": 3}, "retransmit": 50}),
+        ("sweep", "--spec", {"quorum": {"kind": "majority", "n": 3}, "retransmit": 50,
+                             "out": "never.csv"}),
+        ("check", "--config", {"quorum": {"kind": "majority", "n": 3}, "retransmit": 50}),
+    ],
+)
+def test_unknown_config_key_exits_2_naming_it(capsys, tmp_path, command, flag, entries):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(entries))
+    code, out, err = run_cli(capsys, command, flag, str(path))
+    assert code == 2
+    assert "retransmit" in err
+    assert not out
 
 
 # ----------------------------------------------------------------- goldens
@@ -262,6 +353,29 @@ def test_sweep_spec_file(capsys, tmp_path):
     assert code == 0
     rows = json.loads(out_path.read_text())
     assert [r["q2"] for r in rows] == [1, 2]
+
+
+def test_sweep_flags_override_spec(capsys, tmp_path):
+    spec = {
+        "quorum": {"kind": "simple", "n": 5, "q2_size": 2},
+        "duration_ms": 1000,
+        "warmup_ms": 100,
+        "cooldown_ms": 100,
+        "seeds": 1,
+        "out": str(tmp_path / "spec.json"),
+        "format": "json",
+    }
+    spec_path = tmp_path / "spec-file.json"
+    spec_path.write_text(json.dumps(spec))
+    out_path = tmp_path / "flags.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--spec", str(spec_path),
+        "--seeds", "2", "--out", str(out_path), "--format", "csv",
+    )
+    assert code == 0
+    assert not (tmp_path / "spec.json").exists()
+    rows = out_path.read_text().splitlines()[1:]
+    assert [r.split(",")[4] for r in rows] == ["0", "1"]
 
 
 def test_sweep_requires_out(capsys):

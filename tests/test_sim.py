@@ -353,7 +353,7 @@ def test_config_json_roundtrip():
     cfg = SimConfig(
         quorum=make_simple(8, 3),
         seed=11,
-        latency=Latency(5, 25),
+        latency=Latency(2.5, 12.345678901),
         loss=0.1,
         crashes=(CrashEvent(100.0, 2, True),),
         restores=(RestoreEvent(200.0, 2),),
@@ -362,8 +362,16 @@ def test_config_json_roundtrip():
         duration_ms=1000.0,
         warmup_ms=100.0,
         cooldown_ms=100.0,
+        send_to_all=True,
+        initial_leader=3,
+        record_trace=False,
+        election_retry_ms=30.0,
+        retransmit_ms=50.0,
     )
     assert SimConfig.from_json(cfg.to_json()) == cfg
+    assert SimConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+    with pytest.raises(ValueError, match="retransmit"):
+        SimConfig.from_json({**cfg.to_json(), "retransmit": 50.0})
 
 
 def test_latency_parse():
