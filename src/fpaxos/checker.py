@@ -25,6 +25,17 @@ Checked properties:
 * ``proposal-consistency`` -- once (b, v) is chosen, every proposal at a
   higher ballot carries v.  This is strictly stronger than agreement.
 
+Search: a state is one packed int (see ``_Space``), and each reached
+state costs one dict entry, which maps it to its BFS parent.  The search
+stops at the first violating state, so every state it expands is safe,
+and a successor is checked only where it can break a property: an accept
+that makes its pair chosen, or a propose while some pair is chosen.  A
+counterexample's actions are recovered afterwards by expanding its
+parents again.  With ``symmetry`` states are keyed by their least image
+under value permutations and, for threshold kinds with n <= 5, acceptor
+permutations: same verdicts from fewer states, and a violation found
+that way is searched again without it for a concrete path.
+
 Counterexample paths replay through :mod:`fpaxos.core`'s transition
 functions, cross-validating the two encodings.
 """
@@ -33,8 +44,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property, partial
+from operator import getitem
 from typing import Optional, Tuple
 
 from .core import (
@@ -63,6 +77,10 @@ from .quorum import (
 AGREEMENT = "agreement"
 PROPOSAL_CONSISTENCY = "proposal-consistency"
 
+# Symmetry image tables grow with n!·V!; past this many entries (about
+# 150 MB) ``--symmetry`` is refused rather than exhausting memory.
+SYMMETRY_TABLE_LIMIT = 3_000_000
+
 
 class ReplayDivergenceError(Exception):
     """Checker and protocol core disagree on a transition: a real bug."""
@@ -79,12 +97,19 @@ class CheckConfig:
     symmetry: bool = False
 
     def __post_init__(self):
+        for name in ("ballots", "proposers", "max_states"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.ballots < 1:
             raise ValueError("need at least one ballot")
         if not self.values:
             raise ValueError("value set must be non-empty")
         if self.proposers < 1:
             raise ValueError("need at least one proposer")
+        if self.max_states < 1:
+            raise ValueError(f"max_states must be at least 1, got {self.max_states}")
+        if type(self.symmetry) is not bool:
+            raise ValueError(f"symmetry must be true or false, got {self.symmetry!r}")
         for p in self.properties:
             if p not in (AGREEMENT, PROPOSAL_CONSISTENCY):
                 raise ValueError(f"unknown property {p!r}")
@@ -117,7 +142,8 @@ def check_config_from_json(d: dict) -> CheckConfig:
     if "quorum" in d:
         kw["quorum"] = QuorumSystem.from_json(d["quorum"])
     else:
-        kw["quorum"] = make_explicit(d["n"], d["q1_sets"], d["q2_sets"])
+        explicit = {k: d[k] for k in flat if k in d}
+        kw["quorum"] = QuorumSystem.from_json({"kind": EXPLICIT, **explicit})
     if "values" in kw:
         values = kw["values"]
         kw["values"] = value_names(values) if isinstance(values, int) else tuple(values)
@@ -176,227 +202,376 @@ def counterexample_jsonl(violation: Violation, cfg: CheckConfig) -> str:
 # -- state space ----------------------------------------------------------
 
 
-class _Space:
-    """Flat-tuple state encoding and enabled-action generation.
+class _Memo(dict):
+    """A dict that fills a missing key with ``build(key)``."""
 
-    Layout of a state tuple (all small ints):
-      [0, n)            promised ballot per acceptor (0 = none, else 1+b)
-      [n, 2n)           accepted pair per acceptor (0 = none, else 1+b*V+v)
-      2n                bitmask of prepared ballots
-      [2n+1, 2n+1+n*B)  promise messages, cell a*B+b
-                        (0 = absent, else 1 + accepted-code-at-promise-time)
-      [.., ..+B)        proposal per ballot (0 = absent, else 1+v)
-      last              bitmask of accept messages, bit (a*B+b)*V+v
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _Space:
+    """Packed-int state encoding and enabled-action generation.
+
+    A state is one non-negative int of fixed-width bit fields.  With n
+    acceptors, B ballots and V values, from the least significant bit up:
+
+      prepared   B bits, bit b: ballot b was prepared
+      promised   n fields of wP bits: acceptor a's promise (0 = none, else 1+b)
+      proposals  B fields of wV bits: ballot b's proposal (0 = absent, else 1+v)
+      accepted   n fields of wA bits: a's accepted pair (0 = none, else 1+b*V+v)
+      promises   n*B fields of wC bits, ballot-major (field b*n+a): the
+                 promise a sent for b (0 = absent, else 1 + a's accepted
+                 field when it promised); ballot b's n fields form one
+                 row, the key of b's phase-1 value choice
+      accepts    B*V*n bits, bit (b*V+v)*n + a: a's accept message for
+                 (b, v), so the holders of (b, v) are one shift and one mask
+
+    The initial state is 0, and every successor is ``s | bit`` or
+    ``s + delta``.  The first three fields, the control bits, decide
+    which actions are candidates; the edge templates of each control
+    value are built once, and a state only tests the cells and holder
+    bits its candidates need.
     """
 
     def __init__(self, cfg: CheckConfig):
         qs = cfg.quorum
-        self.cfg = cfg
         self.n = n = qs.n
         self.B = B = cfg.ballots
         self.V = V = len(cfg.values)
-        self.PREP = 2 * n
-        self.PMSG = 2 * n + 1
-        self.PROP = self.PMSG + n * B
-        self.AMSG = self.PROP + B
-        self.size = self.AMSG + 1
+        self.wP = wP = B.bit_length()
+        self.wV = wV = V.bit_length()
+        self.wA = wA = (B * V).bit_length()
+        self.wC = wC = (B * V + 1).bit_length()
+        self.PROM = B
+        self.PROP = self.PROM + n * wP
+        self.ACC = self.PROP + B * wV  # the control bits end here
+        self.CELL = self.ACC + n * wA
+        self.AMSG = self.CELL + B * n * wC
+        self.prom_sh = [self.PROM + a * wP for a in range(n)]
+        self.acc_sh = [self.ACC + a * wA for a in range(n)]
+        self.row_sh = [self.CELL + b * n * wC for b in range(B)]
+        self.pmask, self.vmask = (1 << wP) - 1, (1 << wV) - 1
+        self.amask, self.cmask = (1 << wA) - 1, (1 << wC) - 1
         self.q1_masks = [m for m in range(1, 1 << n) if qs.is_q1_mask(m)]
-        self.is_q2_mask = qs.is_q2_mask
-        self.props = cfg.properties
+        self.q2 = _Memo(qs.is_q2_mask)  # holders mask -> is a phase-2 quorum
         self.threshold_kind = qs.kind in _THRESHOLD_KINDS
+        # Sets of pairs are masks with bit k = b*V+v for (b, v).  A checked
+        # property breaks when pair k becomes chosen while a pair of
+        # agreement_conflicts[k] is chosen, or while a later ballot proposes
+        # another value (the control value's later_conflicts); or when
+        # ballot b proposes v while a pair of older_conflicts[b][v] is
+        # chosen.  An unchecked property has empty masks.
+        pairs = [(b, v) for b in range(B) for v in range(V)]
+        agreement = AGREEMENT in cfg.properties
+        self.pc = pc = PROPOSAL_CONSISTENCY in cfg.properties
+        self.agreement_conflicts = [
+            sum(1 << j for j, (_, v1) in enumerate(pairs) if agreement and v1 != v)
+            for _, v in pairs
+        ]
+        self.older_conflicts = [
+            [sum(1 << j for j, (b1, v1) in enumerate(pairs) if pc and b1 < b and v1 != v)
+             for v in range(V)]
+            for b in range(B)
+        ]
+        self.chosen = _Memo(self._chosen)  # accept bits -> chosen pairs
+        self.templates = _Memo(self._templates)  # control bits -> edge templates
+        self.choices = [_Memo(partial(self._value_choices, b)) for b in range(B)]  # row
 
-    def initial(self) -> tuple:
-        return tuple([0] * self.size)
+    def initial(self) -> int:
+        return 0
 
-    def successors(self, s: tuple):
+    def successors(self, s: int):
+        """``(action, child)`` for every action enabled in ``s``, in a fixed order."""
+        return self.expand(s)[0]
+
+    def expand(self, s: int):
+        """The successors of a non-violating state, and the first that violates.
+
+        Returns ``(edges, bad)``: ``edges`` as from ``successors`` and
+        ``bad`` either ``None`` or ``(i, property)`` for the first edge
+        whose child breaks a checked property.  Because ``s`` breaks none,
+        only an accept that makes its pair newly chosen, or a propose once
+        something is chosen, can break one.
+        """
+        edges = []
+        add = edges.append
+        bad = None
+        prepares, promises, unproposed, accepts, later_conflicts = (
+            self.templates[s & (1 << self.ACC) - 1]
+        )
+        for action, bit in prepares:
+            add((action, s | bit))
+
+        cmask, amask = self.cmask, self.amask
+        for action, delta, cell, acc in promises:
+            if not s >> cell & cmask:
+                add((action, s + delta + (1 + (s >> acc & amask) << cell)))
+
+        am = s >> self.AMSG
+        chosen = self.chosen[am]
+        row_mask = (1 << self.n * self.wC) - 1
+        for b, row_sh, choices in unproposed:
+            row = s >> row_sh & row_mask
+            if row:
+                for action, delta in choices[row]:
+                    if bad is None and chosen & self.older_conflicts[b][action[2]]:
+                        bad = (len(edges), PROPOSAL_CONSISTENCY)
+                    add((action, s + delta))
+
+        q2, holders_mask = self.q2, (1 << self.n) - 1
+        for action, delta, acc, held_sh, bit, k in accepts:
+            held = s >> held_sh & holders_mask
+            if not held & bit:
+                if bad is None and q2[held | bit] and not q2[held]:  # k newly chosen
+                    if chosen & self.agreement_conflicts[k]:
+                        bad = (len(edges), AGREEMENT)
+                    elif later_conflicts >> k & 1:
+                        bad = (len(edges), PROPOSAL_CONSISTENCY)
+                add((action, s + delta - ((s >> acc & amask) << acc)))
+        return edges, bad
+
+    def _templates(self, control: int):
+        """The edge templates of one value of the control bits.
+
+        * prepares: ``(action, bit)`` per ballot not yet prepared.
+        * promises: ``(action, delta, cell, acc)`` per promise(a, b) with b
+          prepared and above a's promise, a-major.  It is enabled while
+          its cell is empty; ``delta`` raises a's promise, and the caller
+          also copies a's accepted field (at ``acc``) into the cell.
+        * unproposed: ``(b, row shift, value-choice memo)`` per ballot
+          without a proposal.
+        * accepts: ``(action, delta, acc, held_sh, bit, k)`` per accept(a,
+          b, v) of the proposed pair k = b*V+v by an acceptor promised at
+          most b, b-major.  It is enabled while a does not hold the pair
+          (bit ``bit`` of the holders at ``held_sh``); ``delta`` raises a's
+          promise, sets the accept bit and adds k+1 to a's accepted field
+          at ``acc``, from which the caller subtracts the old pair.
+        * later_conflicts: the pairs (b, v) that a proposal at a ballot
+          above b contradicts, if proposal-consistency is checked.
+        """
         n, B, V = self.n, self.B, self.V
-        PREP, PMSG, PROP, AMSG = self.PREP, self.PMSG, self.PROP, self.AMSG
-        prep = s[PREP]
-        out = []
-
+        promised = [control >> sh & self.pmask for sh in self.prom_sh]
+        proposed = [control >> self.PROP + b * self.wV & self.vmask for b in range(B)]
+        prepared = [bool(control >> b & 1) for b in range(B)]
+        prepares = [(("prepare", b), 1 << b) for b in range(B) if not prepared[b]]
+        promises = [
+            (("promise", a, b), 1 + b - promised[a] << self.prom_sh[a],
+             self.row_sh[b] + a * self.wC, self.acc_sh[a])
+            for a in range(n)
+            for b in range(promised[a], B)
+            if prepared[b]
+        ]
+        unproposed = [(b, self.row_sh[b], self.choices[b]) for b in range(B) if not proposed[b]]
+        accepts = []
+        later_conflicts = 0
         for b in range(B):
-            if not prep >> b & 1:
-                ns = list(s)
-                ns[PREP] = prep | 1 << b
-                out.append((("prepare", b), tuple(ns)))
-
-        for a in range(n):
-            pa = s[a]
-            for b in range(B):
-                if (prep >> b & 1) and (pa == 0 or pa - 1 < b) and s[PMSG + a * B + b] == 0:
-                    ns = list(s)
-                    ns[a] = 1 + b
-                    ns[PMSG + a * B + b] = 1 + s[n + a]
-                    out.append((("promise", a, b), tuple(ns)))
-
-        for b in range(B):
-            if s[PROP + b] == 0:
-                senders = 0
-                base = PMSG + b
+            if proposed[b]:
+                v = proposed[b] - 1
+                k = b * V + v
+                held_sh = self.AMSG + k * n
                 for a in range(n):
-                    if s[base + a * B]:
-                        senders |= 1 << a
-                if not senders:
-                    continue
-                choices = {}
-                for qm in self.q1_masks:
-                    if qm & senders == qm:
-                        best = 0
-                        m = qm
-                        while m:
-                            a = (m & -m).bit_length() - 1
-                            m &= m - 1
-                            code = s[base + a * B] - 1
-                            if code > best:
-                                best = code
-                        if best == 0:
-                            for v in range(V):
-                                choices.setdefault(v, qm)
-                        else:
-                            choices.setdefault((best - 1) % V, qm)
-                for v in sorted(choices):
-                    ns = list(s)
-                    ns[PROP + b] = 1 + v
-                    qm = choices[v]
-                    senders_tuple = tuple(a for a in range(n) if qm >> a & 1)
-                    out.append((("propose", b, v, senders_tuple), tuple(ns)))
+                    if promised[a] <= b + 1:
+                        delta = ((1 + b - promised[a] << self.prom_sh[a])
+                                 + (1 + k << self.acc_sh[a]) + (1 << held_sh + a))
+                        accepts.append((("accept", a, b, v), delta, self.acc_sh[a], held_sh,
+                                        1 << a, k))
+                if self.pc:
+                    later_conflicts |= sum(1 << b1 * V + v1 for b1 in range(b)
+                                           for v1 in range(V) if v1 != v)
+        return prepares, promises, unproposed, accepts, later_conflicts
 
-        am = s[AMSG]
-        for b in range(B):
-            pv = s[PROP + b]
-            if pv:
-                v = pv - 1
-                for a in range(n):
-                    pa = s[a]
-                    if pa == 0 or pa - 1 <= b:
-                        bit = 1 << ((a * B + b) * V + v)
-                        if not am & bit:
-                            ns = list(s)
-                            ns[a] = 1 + b
-                            ns[n + a] = 1 + b * V + v
-                            ns[AMSG] = am | bit
-                            out.append((("accept", a, b, v), tuple(ns)))
-        return out
+    def _value_choices(self, b: int, row: int):
+        """``(action, delta)`` per propose of ballot b that b's promise row allows.
 
-    def chosen(self, s: tuple):
-        """(b, v) pairs whose accept messages cover a phase-2 quorum."""
-        n, B, V = self.n, self.B, self.V
-        am = s[self.AMSG]
-        if not am:
-            return []
-        found = []
-        for b in range(B):
-            for v in range(V):
-                holders = 0
-                for a in range(n):
-                    if am >> ((a * B + b) * V + v) & 1:
-                        holders |= 1 << a
-                if holders and self.is_q2_mask(holders):
-                    found.append((b, v))
-        return found
+        For each phase-1 quorum among the senders, v is forced to the
+        highest-ballot accepted value in the quorum's promises, or free
+        when none reported one; each value is listed once, justified by
+        the first quorum that allows it.
+        """
+        n, V, wC = self.n, self.V, self.wC
+        cells = [row >> a * wC & self.cmask for a in range(n)]
+        senders = sum(1 << a for a in range(n) if cells[a])
+        choices = {}
+        for qm in self.q1_masks:
+            if qm & senders == qm:
+                best = max(cells[a] - 1 for a in range(n) if qm >> a & 1)
+                if best == 0:
+                    for v in range(V):
+                        choices.setdefault(v, qm)
+                else:
+                    choices.setdefault((best - 1) % V, qm)
+        shift = self.PROP + b * self.wV
+        return [
+            (("propose", b, v, tuple(a for a in range(n) if choices[v] >> a & 1)), 1 + v << shift)
+            for v in sorted(choices)
+        ]
 
-    def violated(self, s: tuple) -> Optional[str]:
-        chosen = self.chosen(s)
-        if not chosen:
-            return None
-        if AGREEMENT in self.props and len({v for _, v in chosen}) > 1:
-            return AGREEMENT
-        if PROPOSAL_CONSISTENCY in self.props:
-            PROP = self.PROP
-            for b, v in chosen:
-                for b2 in range(b + 1, self.B):
-                    pv = s[PROP + b2]
-                    if pv and pv - 1 != v:
-                        return PROPOSAL_CONSISTENCY
-        return None
+    def _chosen(self, am: int) -> int:
+        """The pairs whose accept bits ``am`` cover a phase-2 quorum."""
+        n, q2, holders_mask = self.n, self.q2, (1 << self.n) - 1
+        return sum(1 << k for k in range(self.B * self.V) if q2[am >> k * n & holders_mask])
 
     # -- optional symmetry canonicalization --------------------------
 
-    def canonical(self, s: tuple) -> tuple:
-        vperms = list(itertools.permutations(range(self.V)))
-        if self.threshold_kind and self.n <= 5:
-            aperms = list(itertools.permutations(range(self.n)))
+    def canonical(self, s: int) -> int:
+        """The least image of ``s`` under the symmetry group: one key per orbit."""
+        chunks, tables = self._symmetry_tables
+        parts = [s >> off & mask for off, mask in chunks]
+        return min(sum(map(getitem, t, parts)) for t in tables)
+
+    @cached_property
+    def _symmetry_tables(self):
+        """Chunk (offset, mask) list, and per permutation one table per chunk.
+
+        The group permutes values and, for threshold kinds with n <= 5,
+        acceptors.  A permutation moves and relabels each field on its
+        own (a pair's holders count as one field), so a state's image is
+        the sum over its chunks (runs of whole fields) of a table entry
+        indexed by the chunk's bits.  A chunk's table depends only on the
+        value permutation and where the acceptors of its fields go, so
+        permutations share tables.
+        """
+        n, B, V, wC = self.n, self.B, self.V, self.wC
+        everyone = tuple(range(n))
+        # (offset, width, largest value held, kind, acceptors moved, ballot, value)
+        fields = sorted(
+            [(b, 1, 1, "prep", (), b, 0) for b in range(B)]
+            + [(sh, self.wP, B, "prom", (a,), 0, 0) for a, sh in enumerate(self.prom_sh)]
+            + [(self.PROP + b * self.wV, self.wV, V, "prop", (), b, 0) for b in range(B)]
+            + [(sh, self.wA, B * V, "acc", (a,), 0, 0) for a, sh in enumerate(self.acc_sh)]
+            + [(self.row_sh[b] + a * wC, wC, 1 + B * V, "cell", (a,), b, 0)
+               for b in range(B) for a in range(n)]
+            + [(self.AMSG + (b * V + v) * n, n, (1 << n) - 1, "held", everyone, b, v)
+               for b in range(B) for v in range(V)]
+        )
+        limit = max(8, n, wC)
+        groups = [[]]
+        for f in fields:
+            if sum(g[1] for g in groups[-1]) + f[1] > limit:
+                groups.append([])
+            groups[-1].append(f)
+        chunks = [(g[0][0], (1 << sum(f[1] for f in g)) - 1) for g in groups]
+        movers = [sorted({a for f in g for a in f[4]}) for g in groups]
+
+        vperms = list(itertools.permutations(range(V)))
+        if self.threshold_kind and n <= 5:
+            aperms = list(itertools.permutations(range(n)))
         else:
-            aperms = [tuple(range(self.n))]
-        best = None
+            aperms = [everyone]
+        entries = sum(
+            (1 << sum(f[1] for f in g)) * len(vperms) * (math.perm(n, len(m)) if aperms[1:] else 1)
+            for g, m in zip(groups, movers)
+        )
+        if entries > SYMMETRY_TABLE_LIMIT:
+            raise ValueError(
+                f"symmetry over {len(aperms) * len(vperms):,} permutations needs about "
+                f"{entries:,} table entries, over the limit of {SYMMETRY_TABLE_LIMIT:,}; "
+                "check fewer values or acceptors"
+            )
+        shared = {}
+        tables = []
         for ap in aperms:
             for vp in vperms:
-                t = self._transform(s, ap, vp)
-                if best is None or t < best:
-                    best = t
-        return best
+                per_chunk = []
+                for g, acceptors in zip(groups, movers):
+                    key = (g[0][0], vp, tuple(ap[a] for a in acceptors))
+                    if key not in shared:
+                        table = [0]  # index: the chunk's fields, low field in the low bits
+                        for f in g:
+                            # values no state holds map anywhere; 0 will do
+                            images = [self._image(f, x, ap, vp) if x <= f[2] else 0
+                                      for x in range(1 << f[1])]
+                            table = [low + img for img in images for low in table]
+                        shared[key] = table
+                    per_chunk.append(shared[key])
+                tables.append(per_chunk)
+        return chunks, tables
 
-    def _transform(self, s: tuple, aperm, vperm) -> tuple:
-        n, B, V = self.n, self.B, self.V
+    def _image(self, field, x: int, ap, vp) -> int:
+        """Value x of ``field`` moved by acceptor permutation ap and relabelled
+        by value permutation vp, as bits of the image state."""
+        _, _, _, kind, acceptors, b, v = field
+        V = self.V
 
-        def acc_code(code):
+        def acc(code):
             if code == 0:
                 return 0
             b, v = divmod(code - 1, V)
-            return 1 + b * V + vperm[v]
+            return 1 + b * V + vp[v]
 
-        ns = [0] * self.size
-        for a in range(n):
-            ns[aperm[a]] = s[a]
-            ns[n + aperm[a]] = acc_code(s[n + a])
-        ns[self.PREP] = s[self.PREP]
-        for a in range(n):
-            for b in range(B):
-                code = s[self.PMSG + a * B + b]
-                ns[self.PMSG + aperm[a] * B + b] = 1 + acc_code(code - 1) if code else 0
-        for b in range(B):
-            pv = s[self.PROP + b]
-            ns[self.PROP + b] = 1 + vperm[pv - 1] if pv else 0
-        am = s[self.AMSG]
-        nam = 0
-        for a in range(n):
-            for b in range(B):
-                for v in range(V):
-                    if am >> ((a * B + b) * V + v) & 1:
-                        nam |= 1 << ((aperm[a] * B + b) * V + vperm[v])
-        ns[self.AMSG] = nam
-        return tuple(ns)
+        if kind == "prep":
+            return x << b
+        if kind == "prop":
+            return (x and 1 + vp[x - 1]) << self.PROP + b * self.wV
+        if kind == "held":
+            base = self.AMSG + (b * V + vp[v]) * self.n
+            return sum(1 << base + ap[a] for a in acceptors if x >> a & 1)
+        a = acceptors[0]
+        if kind == "prom":
+            return x << self.prom_sh[ap[a]]
+        if kind == "acc":
+            return acc(x) << self.acc_sh[ap[a]]
+        return (x and 1 + acc(x - 1)) << self.row_sh[b] + ap[a] * self.wC
 
 
 def explore(cfg: CheckConfig) -> CheckResult:
-    """BFS over all reachable states; stops at the first violation."""
+    """BFS over all reachable states; stops at the first violation.
+
+    ``visited`` maps each state (its canonical key under symmetry) to the
+    key of its BFS parent; a counterexample's actions are recovered from
+    the parents afterwards.  The initial state is 0 and violates nothing.
+    """
     space = _Space(cfg)
+    expand = space.expand
+    symmetry = cfg.symmetry
+    canonical = space.canonical
+    max_states = cfg.max_states
     init = space.initial()
-    key = space.canonical if cfg.symmetry else (lambda s: s)
-    k0 = key(init)
-    visited = {k0: None}
-    prop = space.violated(init)
-    if prop is not None:
-        return CheckResult(states=1, complete=True, violation=Violation(prop, ()))
+    visited = {init: None}
     queue = deque([init])
     while queue:
         s = queue.popleft()
-        for action, child in space.successors(s):
-            ck = key(child)
-            if ck in visited:
+        edges, bad = expand(s)
+        parent = canonical(s) if symmetry else s
+        for _, child in edges if bad is None else edges[: bad[0]]:
+            key = canonical(child) if symmetry else child
+            if key in visited:
                 continue
-            visited[ck] = (key(s), action)
-            prop = space.violated(child)
-            if prop is not None:
-                if cfg.symmetry:
-                    # Canonicalized parents do not chain into a concrete
-                    # run; re-search without symmetry for the real path.
-                    return explore(replace(cfg, symmetry=False))
-                path = _path_to(visited, ck)
-                return CheckResult(
-                    states=len(visited), complete=False, violation=Violation(prop, path)
-                )
-            if len(visited) >= cfg.max_states:
+            visited[key] = parent
+            if len(visited) >= max_states:
                 return CheckResult(states=len(visited), complete=False)
             queue.append(child)
+        if bad is not None:
+            if symmetry:
+                # Canonicalized parents do not chain into a concrete
+                # run; re-search without symmetry for the real path.
+                return explore(replace(cfg, symmetry=False))
+            i, prop = bad
+            child = edges[i][1]
+            visited[child] = s
+            path = _path_to(space, visited, child)
+            return CheckResult(
+                states=len(visited), complete=False, violation=Violation(prop, path)
+            )
     return CheckResult(states=len(visited), complete=True)
 
 
-def _path_to(visited, k):
+def _path_to(space: _Space, visited: dict, state: int):
+    """The actions leading from the initial state to ``state``.
+
+    Each step is the first action of the parent whose child is the state,
+    the same edge the search first reached it by.
+    """
     path = []
-    while visited[k] is not None:
-        k, action = visited[k][0], visited[k][1]
-        path.append(action)
+    parent = visited[state]
+    while parent is not None:
+        path.append(next(a for a, child in space.successors(parent) if child == state))
+        state, parent = parent, visited[parent]
     return tuple(reversed(path))
 
 
@@ -428,13 +603,6 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
     promise_snapshot = {}
     proposed = {}
     result = ReplayResult(states=acc)
-
-    def observe():
-        for pair in decided_proposals(acc, qs):
-            if pair not in result.decisions:
-                result.decisions.append(pair)
-
-    observe()
     for act in path:
         kind = act[0]
         if kind == "prepare":
@@ -472,9 +640,12 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
             if not isinstance(reply, Accept):
                 raise ReplayDivergenceError(f"core refused accept for {act}")
             acc[a] = st
+            # Only an accept changes what the acceptors hold.
+            for pair in decided_proposals(acc, qs):
+                if pair not in result.decisions:
+                    result.decisions.append(pair)
         else:
             raise ReplayDivergenceError(f"unknown action {act!r}")
-        observe()
     return result
 
 

@@ -56,7 +56,7 @@ def add_quorum_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q2", type=int, help="simple: phase-2 quorum size")
     p.add_argument("--rows", type=int, help="grid: row count")
     p.add_argument("--cols", type=int, help="grid: column count")
-    p.add_argument("--mode", choices=["paxos", "fpaxos"], default="fpaxos", help="grid mode")
+    p.add_argument("--mode", choices=["paxos", "fpaxos"], help="grid mode (default fpaxos)")
 
 
 def quorum_from_args(args) -> QuorumSystem:
@@ -71,7 +71,7 @@ def quorum_from_args(args) -> QuorumSystem:
     if args.kind == "grid":
         if args.rows is None or args.cols is None:
             raise ValueError("--kind grid requires --rows and --cols")
-        return make_grid(args.rows, args.cols, mode=args.mode)
+        return make_grid(args.rows, args.cols, mode=args.mode or "fpaxos")
     raise ValueError("no quorum system given (use --kind)")
 
 
@@ -139,10 +139,25 @@ def cmd_quorum_analyze(args) -> int:
 # -- check ----------------------------------------------------------------
 
 
+# ``check`` flags that the ``--sweep`` catalog has no use for, by dest.
+NOT_WITH_SWEEP = (
+    "kind", "n", "improved", "q2", "rows", "cols", "mode", "custom_q1", "custom_q2",
+    "proposers", "symmetry", "config", "counterexample",
+)
+
+
 def cmd_check(args) -> int:
     if args.sweep is not None:
-        max_states = getattr(args, "max_states", chk.CheckConfig.max_states)
-        report = chk.quorum_safety_sweep(args.sweep, max_states=max_states)
+        for dest in NOT_WITH_SWEEP:
+            given = getattr(args, dest, None)  # unset flags are None, False or absent
+            if given is not None and given is not False:
+                raise ValueError(f"--{dest.replace('_', '-')} cannot be combined with --sweep")
+        report = chk.quorum_safety_sweep(
+            args.sweep,
+            ballots=getattr(args, "ballots", chk.CheckConfig.ballots),
+            values=getattr(args, "values", len(chk.CheckConfig.values)),
+            max_states=getattr(args, "max_states", chk.CheckConfig.max_states),
+        )
         for e in report:
             verdict = "violation" if e.violation_found else "safe"
             agree = "" if e.consistent else "  << INCONSISTENT"

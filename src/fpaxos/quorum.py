@@ -213,18 +213,35 @@ class QuorumSystem:
 
     @staticmethod
     def from_json(d: dict) -> "QuorumSystem":
-        kind = d["kind"]
+        """Inverse of ``to_json``; a missing or ill-typed key is a ``ValueError`` naming it."""
+        if not isinstance(d, dict):
+            raise ValueError(f"quorum must be a JSON object, got {d!r}")
+
+        def entry(key, valid, what):
+            if key not in d:
+                raise ValueError(f"quorum needs key {key!r}")
+            if not valid(d[key]):
+                raise ValueError(f"quorum key {key!r} must be {what}, got {d[key]!r}")
+            return d[key]
+
+        def count(key):
+            return entry(key, lambda x: type(x) is int, "an integer")
+
+        def sets(key):
+            return entry(key, is_id_lists, "a list of lists of acceptor ids")
+
+        kind = entry("kind", lambda x: isinstance(x, str), "a string")
         if kind == MAJORITY:
-            return make_majority(d["n"])
+            return make_majority(count("n"))
         if kind == IMPROVED_MAJORITY:
-            return make_majority(d["n"], improved=True)
+            return make_majority(count("n"), improved=True)
         if kind == SIMPLE:
-            return make_simple(d["n"], d["q2_size"])
+            return make_simple(count("n"), count("q2_size"))
         if kind in (GRID_PAXOS, GRID_FPAXOS):
             mode = "paxos" if kind == GRID_PAXOS else "fpaxos"
-            return make_grid(d["rows"], d["cols"], mode=mode)
+            return make_grid(count("rows"), count("cols"), mode=mode)
         if kind == EXPLICIT:
-            return make_explicit(d["n"], d["q1_sets"], d["q2_sets"])
+            return make_explicit(count("n"), sets("q1_sets"), sets("q2_sets"))
         raise ValueError(f"unknown quorum kind {kind!r}")
 
     def describe(self) -> str:
@@ -235,6 +252,13 @@ class QuorumSystem:
         if self.kind == EXPLICIT:
             return f"explicit(n={self.n})"
         return f"{self.kind}(n={self.n})"
+
+
+def is_id_lists(x) -> bool:
+    """True when ``x`` is a list of lists of integer ids, as JSON gives them."""
+    return isinstance(x, (list, tuple)) and all(
+        isinstance(q, (list, tuple)) and all(type(a) is int for a in q) for q in x
+    )
 
 
 # -- constructors -------------------------------------------------------

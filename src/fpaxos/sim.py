@@ -34,12 +34,12 @@ import json
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from typing import Optional, Tuple
 
 from . import multi
 from .multi import CLIENT, NOOP, Replica
-from .quorum import QuorumSystem
+from .quorum import QuorumSystem, is_id_lists
 
 US_PER_MS = 1000
 
@@ -76,10 +76,13 @@ class Latency:
 
     @staticmethod
     def parse(text: str) -> "Latency":
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            return Latency(float(lo), float(hi))
-        return Latency(float(text), float(text))
+        lo, sep, hi = text.partition(":")
+        try:
+            lo_ms = float(lo)
+            hi_ms = float(hi) if sep else lo_ms
+        except ValueError:
+            raise ValueError(f"latency must be 'MS' or 'LO:HI' in ms, got {text!r}") from None
+        return Latency(lo_ms, hi_ms)
 
     def spec(self) -> str:
         lo, hi = (str(ms).removesuffix(".0") for ms in (self.lo_ms, self.hi_ms))
@@ -114,21 +117,43 @@ class PartitionEvent:
         object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
 
 
-def _schedule_codec(event):
-    return (
-        lambda events: [list(astuple(e)) for e in events],
-        lambda rows: tuple(event(*row) for row in rows),
-    )
+# What each entry of a schedule row must be, by event field.
+_ROW_ENTRIES = {
+    "t_ms": (lambda x: type(x) in (int, float), "a time in ms"),
+    "replica": (lambda x: type(x) is int, "a replica id"),
+    "lose_memory": (lambda x: type(x) is bool, "true or false"),
+    "groups": (is_id_lists, "a list of replica-id lists"),
+}
+
+
+def _schedule_codec(key: str, event):
+    names = [f.name for f in fields(event)]
+    required = sum(f.default is MISSING for f in fields(event))
+    shape = ", ".join(names[:required]) + "".join(f" [, {n}]" for n in names[required:])
+
+    def decode(rows):
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"{key} must be a list of rows, got {rows!r}")
+        for row in rows:
+            if not isinstance(row, (list, tuple)) or not required <= len(row) <= len(names):
+                raise ValueError(f"{key} row {row!r} must be [{shape}]")
+            for name, x in zip(names, row):
+                valid, what = _ROW_ENTRIES[name]
+                if not valid(x):
+                    raise ValueError(f"{key} row {row!r}: {name} must be {what}")
+        return tuple(event(*row) for row in rows)
+
+    return (lambda events: [list(astuple(e)) for e in events], decode)
 
 
 # (encode, decode) for the SimConfig fields that are not plain JSON values.
 _CODECS = {
     "quorum": (QuorumSystem.to_json, QuorumSystem.from_json),
     "latency": (Latency.spec, lambda text: Latency.parse(str(text))),
-    "crashes": _schedule_codec(CrashEvent),
-    "restores": _schedule_codec(RestoreEvent),
-    "elections": _schedule_codec(ElectionEvent),
-    "partitions": _schedule_codec(PartitionEvent),
+    "crashes": _schedule_codec("crashes", CrashEvent),
+    "restores": _schedule_codec("restores", RestoreEvent),
+    "elections": _schedule_codec("elections", ElectionEvent),
+    "partitions": _schedule_codec("partitions", PartitionEvent),
 }
 
 
@@ -189,11 +214,23 @@ class SimConfig:
 
     @staticmethod
     def from_json(d: dict) -> "SimConfig":
-        """Inverse of ``to_json``; absent keys keep the defaults above."""
-        unknown = sorted(set(d) - {f.name for f in fields(SimConfig)})
+        """Inverse of ``to_json``; absent keys keep the defaults above.
+
+        An unknown key, or a value of the wrong type or shape, is a
+        ``ValueError`` naming the key.
+        """
+        defaults = {f.name: f.default for f in fields(SimConfig)}
+        unknown = sorted(set(d) - set(defaults))
         if unknown:
             raise ValueError(f"unknown simulation config key(s): {', '.join(unknown)}")
         kw = dict(d)
+        for key, value in kw.items():
+            want = type(defaults[key])
+            if key not in _CODECS and not (
+                type(value) is want or want is float and type(value) is int
+            ):
+                what = {int: "an integer", float: "a number", bool: "true or false"}
+                raise ValueError(f"{key} must be {what.get(want, 'a string')}, got {value!r}")
         for key, (_, decode) in _CODECS.items():
             if key in kw:
                 kw[key] = decode(kw[key])

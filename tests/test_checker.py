@@ -16,10 +16,17 @@ from fpaxos.checker import (
     explore,
     quorum_safety_sweep,
     replay,
+    value_names,
 )
 from fpaxos.cli import main
 from fpaxos.core import Ballot
-from fpaxos.quorum import make_explicit, make_grid, make_majority, make_simple
+from fpaxos.quorum import (
+    make_explicit,
+    make_grid,
+    make_majority,
+    make_simple,
+    validate_cross_intersection,
+)
 
 DISJOINT = CheckConfig(
     make_explicit(2, [[0]], [[1]]), ballots=2, properties=(AGREEMENT,)
@@ -171,6 +178,62 @@ def test_propose_enumeration_covers_superset_quorums():
     assert ballot2_values == {0, 1}
 
 
+def _full_violation(space, cfg, s):
+    """The checked property ``s`` breaks, from scratch: the reference for
+    the checker's incremental test."""
+    n, B, V = space.n, space.B, space.V
+    chosen = [
+        (b, v) for b in range(B) for v in range(V)
+        if cfg.quorum.is_q2(frozenset(
+            a for a in range(n) if s >> space.AMSG + (b * V + v) * n + a & 1))
+    ]
+    proposed = {}
+    for b in range(B):
+        pv = s >> space.PROP + b * space.wV & (1 << space.wV) - 1
+        if pv:
+            proposed[b] = pv - 1
+    if AGREEMENT in cfg.properties and len({v for _, v in chosen}) > 1:
+        return AGREEMENT
+    if PROPOSAL_CONSISTENCY in cfg.properties and any(
+        v2 != v for b, v in chosen for b2, v2 in proposed.items() if b2 > b
+    ):
+        return PROPOSAL_CONSISTENCY
+    return None
+
+
+@pytest.mark.parametrize("properties", [(AGREEMENT, PROPOSAL_CONSISTENCY), (AGREEMENT,),
+                                        (PROPOSAL_CONSISTENCY,)])
+@pytest.mark.parametrize("qs, ballots", [
+    (make_explicit(2, [[0]], [[1]]), 3),
+    (make_explicit(2, [[0], [1]], [[0], [1]]), 2),
+    (make_explicit(3, [[0, 1], [1, 2]], [[0], [2]]), 2),
+    (make_majority(3), 2),
+])
+def test_incremental_violation_check_matches_full_check(qs, ballots, properties):
+    # Expand every safe reachable state (not stopping at violations) and
+    # compare the first violating edge each expansion reports with a
+    # from-scratch check of every child.
+    from fpaxos.checker import _Space
+
+    cfg = CheckConfig(qs, ballots=ballots, properties=properties)
+    space = _Space(cfg)
+    seen = {space.initial()}
+    frontier = [space.initial()]
+    violations = 0
+    while frontier:
+        s = frontier.pop()
+        edges, bad = space.expand(s)
+        verdicts = [_full_violation(space, cfg, child) for _, child in edges]
+        first = next(((i, p) for i, p in enumerate(verdicts) if p is not None), None)
+        assert bad == first
+        violations += first is not None
+        for (_, child), verdict in zip(edges, verdicts):
+            if verdict is None and child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    assert violations or validate_cross_intersection(qs)
+
+
 # Frozen state counts: deterministic exploration makes the counts exact,
 # so any drift in the transition relation shows up here.
 STATE_COUNTS = {
@@ -179,6 +242,12 @@ STATE_COUNTS = {
     "improved4_b2": 20609,
     "grid22_b2": 39937,
     "disjoint": 228,
+    # with symmetry: one state per orbit under value (and, for threshold
+    # kinds, acceptor) permutations
+    "majority3_b2_sym": 443,
+    "majority3_b3_sym": 17153,
+    "improved4_b2_sym": 834,
+    "grid22_b2_sym": 20113,
 }
 
 
@@ -195,6 +264,26 @@ def test_state_counts_are_stable():
     assert explore(DISJOINT).states == STATE_COUNTS["disjoint"]
 
 
+def test_symmetry_state_counts_are_stable():
+    for key, qs, ballots in (
+        ("majority3_b2_sym", make_majority(3), 2),
+        ("majority3_b3_sym", make_majority(3), 3),
+        ("improved4_b2_sym", make_majority(4, improved=True), 2),
+        ("grid22_b2_sym", make_grid(2, 2, "fpaxos"), 2),
+    ):
+        res = explore(CheckConfig(qs, ballots=ballots, symmetry=True))
+        assert res.complete and res.violation is None
+        assert res.states == STATE_COUNTS[key], key
+
+
+def test_max_states_below_one_is_rejected():
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="max_states"):
+            CheckConfig(make_majority(3), max_states=bad)
+    res = explore(CheckConfig(make_majority(3), max_states=1))  # the smallest budget
+    assert not res.complete and res.violation is None
+
+
 def test_budget_exceeded_flags_incomplete():
     res = explore(CheckConfig(make_majority(3), ballots=2, max_states=500))
     assert not res.complete
@@ -208,6 +297,14 @@ def test_symmetry_reduction_same_verdict_fewer_states():
     reduced = explore(CheckConfig(make_majority(3), ballots=2, symmetry=True))
     assert reduced.violation is None
     assert reduced.states < plain.states
+
+
+def test_symmetry_refuses_groups_too_large_to_tabulate():
+    # 3!·8! permutations: refused before any table is built
+    cfg = CheckConfig(make_majority(3), values=value_names(8), symmetry=True)
+    with pytest.raises(ValueError, match="permutations"):
+        explore(cfg)
+    assert explore(CheckConfig(make_majority(3), values=value_names(8), max_states=50)).states == 50
 
 
 def test_symmetry_still_finds_violations_with_concrete_path():
@@ -281,6 +378,15 @@ def test_config_json_roundtrip():
     )
     with pytest.raises(ValueError, match="max_state"):
         check_config_from_json({"quorum": {"kind": "majority", "n": 3}, "max_state": 10})
+
+
+def test_config_json_missing_or_ill_typed_values_are_named():
+    with pytest.raises(ValueError, match="q2_sets"):
+        check_config_from_json({"n": 2, "q1_sets": [[0]]})
+    with pytest.raises(ValueError, match="ballots"):
+        check_config_from_json({"quorum": {"kind": "majority", "n": 3}, "ballots": "2"})
+    with pytest.raises(ValueError, match="symmetry"):  # "no" is truthy
+        check_config_from_json({"quorum": {"kind": "majority", "n": 3}, "symmetry": "no"})
 
 
 def test_cli_check_flag_overrides_config_file(capsys, tmp_path):

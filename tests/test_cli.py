@@ -126,6 +126,52 @@ def test_check_sweep_without_max_states_keeps_default_budget(capsys, monkeypatch
     assert budgets and set(budgets) == {2_000_000}
 
 
+def test_check_sweep_passes_ballots_and_values(capsys, monkeypatch):
+    shapes = []
+    explore = checker.explore
+
+    def recording_explore(cfg):
+        shapes.append((cfg.ballots, cfg.values))
+        return explore(cfg)
+
+    monkeypatch.setattr(checker, "explore", recording_explore)
+    code, out, _ = run_cli(capsys, "check", "--sweep", "1", "--ballots", "3", "--values", "3")
+    assert code == 0
+    assert shapes and set(shapes) == {(3, ("a", "b", "c"))}
+    res = checker.explore(checker.CheckConfig(make_majority(1), ballots=3, values=("a", "b", "c")))
+    assert out.splitlines()[0].endswith(f"states={res.states}")
+
+
+@pytest.mark.parametrize(
+    "flag, extra",
+    [
+        ("--proposers", ["1"]),
+        ("--symmetry", []),
+        ("--config", ["check.json"]),
+        ("--counterexample", ["cx.jsonl"]),
+        ("--kind", ["majority"]),
+        ("--n", ["3"]),
+        ("--improved", []),
+        ("--mode", ["fpaxos"]),
+        ("--custom-q1", ["[[0]]"]),
+    ],
+)
+def test_check_sweep_rejects_flags_it_would_ignore(capsys, flag, extra):
+    code, out, err = run_cli(capsys, "check", "--sweep", "1", flag, *extra)
+    assert code == 2
+    assert f"{flag} cannot be combined with --sweep" in err
+    assert not out
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_check_max_states_below_one_exits_2(capsys, budget):
+    code, out, err = run_cli(capsys, "check", "--kind", "majority", "--n", "3",
+                             "--max-states", budget)
+    assert code == 2
+    assert "max_states" in err
+    assert not out
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -286,6 +332,29 @@ def test_unknown_config_key_exits_2_naming_it(capsys, tmp_path, command, flag, e
     assert not out
 
 
+@pytest.mark.parametrize(
+    "entries, key",
+    [
+        ({"quorum": {"kind": "majority"}}, "'n'"),
+        ({"quorum": {"kind": "majority", "n": 3}, "crashes": [[100]]}, "crashes"),
+        ({"quorum": {"kind": "majority", "n": 3}, "crashes": [[100, "x"]]}, "crashes"),
+        ({"quorum": {"kind": "majority", "n": 3}, "partitions": [[5, [[0, "a"]]]]},
+         "partitions"),
+        ({"quorum": {"n": 3}}, "'kind'"),
+        ({"quorum": {"kind": "majority", "n": "3"}}, "'n'"),
+        ({"quorum": {"kind": "majority", "n": 3}, "loss": "x"}, "loss"),
+        ({"quorum": {"kind": "majority", "n": 3}, "latency": "abc"}, "latency"),
+    ],
+)
+def test_malformed_config_value_exits_2_naming_the_key(capsys, tmp_path, entries, key):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(entries))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and key in err
+    assert not out
+
+
 # ----------------------------------------------------------------- goldens
 
 
@@ -304,6 +373,23 @@ def test_check_output_matches_golden(capsys):
         capsys, "check", "--kind", "majority", "--n", "3", "--ballots", "2", "--values", "2"
     )
     assert out == (GOLDEN / "cli_check_majority3.txt").read_text()
+
+
+def test_check_sweep_output_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, "check", "--sweep", "3")
+    assert code == 0
+    assert out == (GOLDEN / "cli_check_sweep3.txt").read_text()
+
+
+def test_check_counterexample_matches_golden(capsys, tmp_path):
+    cx = tmp_path / "cx.jsonl"
+    code, out, _ = run_cli(
+        capsys, "check", "--custom-q1", "[[0]]", "--custom-q2", "[[1]]", "--n", "2",
+        "--counterexample", str(cx),
+    )
+    assert code == 1
+    assert out.startswith("states explored : 151\n")
+    assert cx.read_text() == (GOLDEN / "cli_check_disjoint_counterexample.jsonl").read_text()
 
 
 def test_sweep_output_matches_golden(capsys, tmp_path):
