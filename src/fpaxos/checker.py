@@ -104,6 +104,9 @@ class CheckConfig:
             raise ValueError("need at least one ballot")
         if not self.values:
             raise ValueError("value set must be non-empty")
+        for i, v in enumerate(self.values):
+            if v in self.values[:i]:
+                raise ValueError(f"value names must be distinct, {v!r} is repeated")
         if self.proposers < 1:
             raise ValueError("need at least one proposer")
         if self.max_states < 1:
@@ -167,30 +170,23 @@ class CheckResult:
         return self.violation is None
 
 
+# The JSON key of each entry of an action tuple, after its kind.
+_ACTION_KEYS = {
+    "prepare": ("ballot",),
+    "promise": ("acceptor", "ballot"),
+    "propose": ("ballot", "value", "quorum"),
+    "accept": ("acceptor", "ballot", "value"),
+}
+
+
 def action_json(action: tuple, cfg: CheckConfig) -> dict:
-    ballots = cfg.ballot_list()
-    kind = action[0]
-    if kind == "prepare":
-        return {"action": "prepare", "ballot": ballots[action[1]].json()}
-    if kind == "promise":
-        return {
-            "action": "promise",
-            "acceptor": action[1],
-            "ballot": ballots[action[2]].json(),
-        }
-    if kind == "propose":
-        return {
-            "action": "propose",
-            "ballot": ballots[action[1]].json(),
-            "value": cfg.values[action[2]],
-            "quorum": list(action[3]),
-        }
-    return {
-        "action": "accept",
-        "acceptor": action[1],
-        "ballot": ballots[action[2]].json(),
-        "value": cfg.values[action[3]],
-    }
+    """An action's kind, then its entries under their keys; ballots and values by name."""
+    ballots, values = cfg.ballot_list(), cfg.values
+    decode = {"ballot": lambda b: ballots[b].json(), "value": values.__getitem__, "quorum": list}
+    d = {"action": action[0]}
+    for key, x in zip(_ACTION_KEYS[action[0]], action[1:]):
+        d[key] = decode[key](x) if key in decode else x
+    return d
 
 
 def counterexample_jsonl(violation: Violation, cfg: CheckConfig) -> str:
@@ -257,7 +253,7 @@ class _Space:
         self.row_sh = [self.CELL + b * n * wC for b in range(B)]
         self.pmask, self.vmask = (1 << wP) - 1, (1 << wV) - 1
         self.amask, self.cmask = (1 << wA) - 1, (1 << wC) - 1
-        self.q1_masks = [m for m in range(1, 1 << n) if qs.is_q1_mask(m)]
+        self.is_q1 = qs.is_q1_mask
         self.q2 = _Memo(qs.is_q2_mask)  # holders mask -> is a phase-2 quorum
         self.threshold_kind = qs.kind in _THRESHOLD_KINDS
         # Sets of pairs are masks with bit k = b*V+v for (b, v).  A checked
@@ -391,20 +387,22 @@ class _Space:
         For each phase-1 quorum among the senders, v is forced to the
         highest-ballot accepted value in the quorum's promises, or free
         when none reported one; each value is listed once, justified by
-        the first quorum that allows it.
+        the first quorum, in ascending mask order, that allows it.
         """
         n, V, wC = self.n, self.V, self.wC
         cells = [row >> a * wC & self.cmask for a in range(n)]
         senders = sum(1 << a for a in range(n) if cells[a])
         choices = {}
-        for qm in self.q1_masks:
-            if qm & senders == qm:
+        qm = (-senders) & senders  # the senders' non-empty subsets, ascending
+        while qm:
+            if self.is_q1(qm):
                 best = max(cells[a] - 1 for a in range(n) if qm >> a & 1)
                 if best == 0:
                     for v in range(V):
                         choices.setdefault(v, qm)
                 else:
                     choices.setdefault((best - 1) % V, qm)
+            qm = (qm - senders) & senders
         shift = self.PROP + b * self.wV
         return [
             (("propose", b, v, tuple(a for a in range(n) if choices[v] >> a & 1)), 1 + v << shift)

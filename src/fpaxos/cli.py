@@ -23,11 +23,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from . import checker as chk
 from . import scenarios, sim
 from .quorum import (
+    STRATEGIES,
     QuorumSystem,
     UnverifiableError,
     failure_tolerance,
@@ -114,7 +115,7 @@ def cmd_quorum_analyze(args) -> int:
         "q1": qs.min_q1_size(),
         "q2": qs.min_q2_size(),
         "intersects": intersects,
-        "tolerance": report.as_dict(),
+        "tolerance": asdict(report),
         "placement_range": placement,
     }
     if args.json:
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--duration-ms", type=float)
     run.add_argument("--warmup-ms", type=float)
     run.add_argument("--cooldown-ms", type=float)
-    run.add_argument("--strategy", choices=["first", "rotating", "random", "fastest"])
+    run.add_argument("--strategy", choices=STRATEGIES)
     run.add_argument("--send-to-all", action="store_true", help="broadcast instead of quorum sends")
 
     ps = sub.add_parser("simulate", parents=[run], help="deterministic simulation run")

@@ -9,12 +9,16 @@ Messages follow the classic two-phase shape: prepare/promise to win a
 phase-1 quorum, propose/accept to commit a value on a phase-2 quorum.
 Explicit nacks are an artifact addition so rejected proposers can react
 promptly; they never change acceptor state, so safety is unaffected.
+
+:func:`message_json`, which reads a message's JSON off its fields, is the
+one trace encoder for these messages and the slot-level ones of ``multi``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, fields, replace
+from functools import cache
+from typing import Mapping, Optional, Tuple
 
 from .quorum import QuorumSystem, select_quorum
 
@@ -92,18 +96,37 @@ class Nack:
     promised: Ballot
 
 
-Message = Union[Prepare, Promise, Propose, Accept, Nack]
+@cache
+def _plan(cls) -> tuple:
+    """``(type, ((key, field name), ...))``: how ``message_json`` encodes ``cls``."""
+    name = cls.__name__.removeprefix("Leader").removeprefix("Slot").lower()
+    return name, tuple(
+        (f.metadata.get("trace", f.name), f.name)
+        for f in fields(cls)
+        if f.name not in ("src", "dst") and f.metadata.get("trace", f.name) is not None
+    )
 
 
-def message_json(m: Message) -> dict:
-    """Canonical trace form: type, ballot, payload fields, then addressing."""
-    d = {"type": type(m).__name__.lower(), "ballot": m.ballot.json()}
-    if isinstance(m, Promise):
-        d["accepted"] = None if m.accepted is None else [m.accepted[0].json(), m.accepted[1]]
-    elif isinstance(m, Propose):
-        d["value"] = m.value
-    elif isinstance(m, Nack):
-        d["promised"] = m.promised.json()
+def _json_value(v):
+    if type(v) is Ballot:
+        return [v.round, v.proposer]
+    if type(v) is tuple:
+        return [_json_value(x) for x in v]
+    return v
+
+
+def message_json(m) -> dict:
+    """Canonical trace form of a message of either vocabulary, read off its fields.
+
+    ``type`` is the class name without a ``Leader``/``Slot`` prefix,
+    lower-cased; the other fields follow in declaration order, then ``src``
+    and ``dst``.  A ballot is ``[round, proposer]`` and a tuple a list.  A
+    field's ``metadata["trace"]`` renames its key, or with None leaves it out.
+    """
+    name, keys = _plan(type(m))
+    d = {"type": name}
+    for key, attr in keys:
+        d[key] = _json_value(getattr(m, attr))
     d["src"] = m.src
     d["dst"] = m.dst
     return d
@@ -121,7 +144,11 @@ def acceptor_handle_prepare(st: AcceptorState, m: Prepare):
 
 
 def acceptor_handle_propose(st: AcceptorState, m: Propose):
-    """Accept at or above the promised ballot; re-accepting is idempotent."""
+    """Accept at or above the promised ballot; re-accepting is idempotent.
+
+    Reads only ``ballot``, ``value``, ``src`` and ``dst``, so a
+    ``multi.SlotPropose`` is handled as it is.
+    """
     if st.promised is None or m.ballot >= st.promised:
         st2 = AcceptorState(promised=m.ballot, accepted=(m.ballot, m.value))
         return st2, Accept(src=m.dst, dst=m.src, ballot=m.ballot)

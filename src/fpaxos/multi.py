@@ -12,6 +12,10 @@ current state and its arguments, and the harness owns all scheduling and
 delivery (including the liveness machinery of retries and elections).
 Crashes wipe volatile leader state; durable state additionally vanishes
 only when a crash is injected with ``lose_memory``.
+
+The wire messages here are classes of their own, since the simulator's
+message counts are keyed by class name, but they share core's trace
+encoder: ``message_json`` is :func:`fpaxos.core.message_json`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from . import core
 from .core import Ballot
@@ -45,18 +49,17 @@ class WindowFullError(Exception):
 class Request:
     src: object
     dst: object
-    req_id: str
-    payload: str
+    req_id: str = field(metadata={"trace": "req"})
+    payload: str = field(metadata={"trace": None})
 
 
 @dataclass(frozen=True)
 class Response:
     src: object
     dst: object
-    req_id: str
+    req_id: str = field(metadata={"trace": "req"})
     slot: int
-    payload: str
-    latency_us: Optional[int] = None
+    payload: str = field(metadata={"trace": None})
 
 
 @dataclass(frozen=True)
@@ -110,49 +113,7 @@ class SlotNack:
     promised: Ballot
 
 
-Message = Union[
-    Request, Response, LeaderPrepare, LeaderPromise, LeaderNack,
-    SlotPropose, SlotAccept, SlotNack,
-]
-
-
-def message_json(m: Message) -> dict:
-    """Canonical trace form; slot-level types extend the core shapes."""
-    if isinstance(m, Request):
-        return {"type": "request", "req": m.req_id, "src": m.src, "dst": m.dst}
-    if isinstance(m, Response):
-        return {
-            "type": "response",
-            "req": m.req_id,
-            "slot": m.slot,
-            "src": m.src,
-            "dst": m.dst,
-        }
-    d = {"type": "", "ballot": m.ballot.json()}
-    if isinstance(m, LeaderPrepare):
-        d["type"] = "prepare"
-        d["from_slot"] = m.from_slot
-    elif isinstance(m, LeaderPromise):
-        d["type"] = "promise"
-        d["from_slot"] = m.from_slot
-        d["accepted"] = [[s, b.json(), v] for s, b, v in m.accepted]
-    elif isinstance(m, LeaderNack):
-        d["type"] = "nack"
-        d["promised"] = m.promised.json()
-    elif isinstance(m, SlotPropose):
-        d["type"] = "propose"
-        d["slot"] = m.slot
-        d["value"] = m.value
-    elif isinstance(m, SlotAccept):
-        d["type"] = "accept"
-        d["slot"] = m.slot
-    elif isinstance(m, SlotNack):
-        d["type"] = "nack"
-        d["slot"] = m.slot
-        d["promised"] = m.promised.json()
-    d["src"] = m.src
-    d["dst"] = m.dst
-    return d
+message_json = core.message_json  # one encoder serves both vocabularies
 
 
 @dataclass
@@ -337,7 +298,7 @@ class Replica:
 
     # -- dispatch -------------------------------------------------------
 
-    def on_message(self, m: Message, alive) -> list:
+    def on_message(self, m, alive) -> list:
         """Total dispatcher; unknown or stale messages never raise."""
         handler = getattr(self, "_on_" + type(m).__name__, None)
         if handler is None:
@@ -388,9 +349,7 @@ class Replica:
     def _on_SlotPropose(self, m: SlotPropose, alive) -> list:
         self._observe(m.ballot)
         st = core.AcceptorState(promised=self.promised, accepted=self.accepted.get(m.slot))
-        st2, reply = core.acceptor_handle_propose(
-            st, core.Propose(src=m.src, dst=m.dst, ballot=m.ballot, value=m.value)
-        )
+        st2, reply = core.acceptor_handle_propose(st, m)
         if isinstance(reply, core.Accept):
             self.promised = st2.promised
             self.accepted[m.slot] = st2.accepted

@@ -377,13 +377,6 @@ class FaultToleranceReport:
     phase2_only_max_f: int
     best_case_f: int
 
-    def as_dict(self) -> dict:
-        return {
-            "guaranteed_f": self.guaranteed_f,
-            "phase2_only_max_f": self.phase2_only_max_f,
-            "best_case_f": self.best_case_f,
-        }
-
 
 def failure_tolerance(qs: QuorumSystem, max_n_exhaustive: int = 20) -> FaultToleranceReport:
     """Compute the tolerance report; closed forms for shipped kinds.

@@ -34,7 +34,7 @@ import json
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import MISSING, astuple, dataclass, fields, replace
+from dataclasses import MISSING, astuple, dataclass, fields
 from typing import Optional, Tuple
 
 from . import multi
@@ -274,27 +274,12 @@ class RunMetrics:
     CSV_HEADER = "n,kind,q1,q2,seed,throughput,mean_lat,p99_lat,msgs_per_commit"
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind,
-            "q1": self.q1,
-            "q2": self.q2,
-            "seed": self.seed,
-            "committed": self.committed,
-            "throughput": self.throughput,
-            "mean_latency_ms": self.mean_latency_ms,
-            "median_latency_ms": self.median_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
-            "msgs_per_commit": self.msgs_per_commit,
-            "protocol_msgs_per_commit": self.protocol_msgs_per_commit,
-            "message_counts": dict(sorted(self.message_counts.items())),
-            "per_replica_sent": list(self.per_replica_sent),
-            "per_replica_received": list(self.per_replica_received),
-            "nacks": self.nacks,
-            "drops": self.drops,
-            "decided_slots": self.decided_slots,
-            "noop_slots": self.noop_slots,
-        }
+        """Every field in declaration order, tuples as lists, message counts sorted by type."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["message_counts"] = dict(sorted(self.message_counts.items()))
+        d["per_replica_sent"] = list(self.per_replica_sent)
+        d["per_replica_received"] = list(self.per_replica_received)
+        return d
 
     def csv_row(self) -> str:
         return (
@@ -359,7 +344,6 @@ class World:
         self.slot_client = defaultdict(int)
         self.req_msgs = Counter()
         self.registry = {}  # slot -> first decided value (world learner)
-        self.decided_at = {}  # slot -> (t_us, value)
         self.nacks = 0
         self.drops = 0
         self.pending_retransmit = set()
@@ -446,8 +430,6 @@ class World:
 
     def _send(self, m) -> None:
         cfg = self.cfg
-        if isinstance(m, multi.Response) and m.latency_us is None and m.req_id in self.outstanding:
-            m = replace(m, latency_us=self.now - self.outstanding[m.req_id][0])
         tname = type(m).__name__
         self.msg_counts[tname] += 1
         if isinstance(m.src, int):
@@ -625,7 +607,6 @@ class World:
         prev = self.registry.get(slot)
         if prev is None:
             self.registry[slot] = v
-            self.decided_at[slot] = (self.now, v)
             self._trace("decide", slot=slot, ballot=b.json(), value=v)
         elif prev != v:
             self._trace("violation", slot=slot, values=[prev, v])

@@ -1,0 +1,41 @@
+"""The benchmark's span recorder still finds every layer boundary it patches.
+
+``perfbench/spans.py`` wraps names looked up in each module's or class's
+``__dict__``; renaming one of them breaks traced benchmark runs.  This
+loads the recorder by path and installs it around a short traced run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from fpaxos import core, multi, sim
+from fpaxos.quorum import make_majority
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_span_recorder_installs_and_uninstalls():
+    spans = load_spans()
+    rec = spans.Recorder()
+    targets = rec._targets()
+    before = [owner.__dict__[attr] for owner, attr, _, _ in targets]
+    cfg = sim.SimConfig(
+        quorum=make_majority(3), duration_ms=300, warmup_ms=50, cooldown_ms=50
+    )
+    with rec:
+        for (owner, attr, _, _), orig in zip(targets, before):
+            assert owner.__dict__[attr] is not orig, attr
+        metrics, _ = sim.run(cfg)
+    rec.fold()
+    assert [owner.__dict__[attr] for owner, attr, _, _ in targets] == before
+    assert multi.message_json is core.message_json
+    assert metrics.committed > 0
+    for name in ("sim.run", "multi.on_message", "trace.message_json", "quorum.is_q2"):
+        assert rec.calls[name] > 0, name

@@ -21,6 +21,7 @@ from fpaxos.checker import (
 from fpaxos.cli import main
 from fpaxos.core import Ballot
 from fpaxos.quorum import (
+    QuorumSystem,
     make_explicit,
     make_grid,
     make_majority,
@@ -282,6 +283,30 @@ def test_max_states_below_one_is_rejected():
             CheckConfig(make_majority(3), max_states=bad)
     res = explore(CheckConfig(make_majority(3), max_states=1))  # the smallest budget
     assert not res.complete and res.violation is None
+
+
+def test_setup_does_not_enumerate_every_acceptor_subset(monkeypatch):
+    calls = []
+    is_q1_mask = QuorumSystem.is_q1_mask
+
+    def counting(qs, mask):
+        calls.append(mask)
+        return is_q1_mask(qs, mask)
+
+    monkeypatch.setattr(QuorumSystem, "is_q1_mask", counting)
+    res = explore(CheckConfig(make_majority(20), max_states=10))
+    assert res.states == 10
+    assert len(calls) < 100  # enumerating all subsets makes 2**20 - 1
+    res = explore(CheckConfig(make_majority(20), max_states=1000))
+    assert res.states == 1000
+    assert 0 < len(calls) < 1000  # only subsets of the promise senders are tested
+
+
+def test_repeated_value_names_are_rejected():
+    with pytest.raises(ValueError, match="'a' is repeated"):
+        CheckConfig(make_majority(3), values=("a", "b", "a"))
+    with pytest.raises(ValueError, match="'a' is repeated"):
+        check_config_from_json({"n": 2, "q1_sets": [[0]], "q2_sets": [[1]], "values": ["a", "a"]})
 
 
 def test_budget_exceeded_flags_incomplete():

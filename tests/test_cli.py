@@ -172,6 +172,15 @@ def test_check_max_states_below_one_exits_2(capsys, budget):
     assert not out
 
 
+def test_check_repeated_value_names_exit_2(capsys, tmp_path):
+    path = tmp_path / "check.json"
+    path.write_text(json.dumps({"n": 2, "q1_sets": [[0]], "q2_sets": [[1]], "values": ["a", "a"]}))
+    code, out, err = run_cli(capsys, "check", "--config", str(path))
+    assert code == 2
+    assert "'a' is repeated" in err
+    assert not out
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -368,6 +377,14 @@ def test_analyze_output_matches_golden(capsys):
     assert out == (GOLDEN / "cli_analyze_grid_4x5.txt").read_text()
 
 
+def test_analyze_json_matches_golden(capsys):
+    _, out, _ = run_cli(
+        capsys, "quorum", "analyze", "--kind", "grid", "--rows", "4", "--cols", "5",
+        "--mode", "fpaxos", "--json",
+    )
+    assert out == (GOLDEN / "cli_analyze_grid_4x5.json").read_text()
+
+
 def test_check_output_matches_golden(capsys):
     _, out, _ = run_cli(
         capsys, "check", "--kind", "majority", "--n", "3", "--ballots", "2", "--values", "2"
@@ -401,6 +418,26 @@ def test_sweep_output_matches_golden(capsys, tmp_path):
     )
     assert code == 0
     assert out_path.read_text() == (GOLDEN / "cli_sweep_small.csv").read_text()
+
+
+def test_simulate_faults_trace_and_metrics_match_golden(capsys, tmp_path):
+    trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.json"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--kind", "majority", "--n", "3", "--window", "2",
+        "--latency", "5:15", "--loss", "0.1", "--duplicate", "0.1",
+        "--duration-ms", "600", "--warmup-ms", "50", "--cooldown-ms", "50",
+        "--crash", "t=100,r=0", "--elect", "t=150,r=1", "--restore", "t=200,r=0",
+        "--partition", "t=250;0|1,2", "--partition", "t=300;",
+        "--elect", "t=320,r=0", "--elect", "t=322,r=2", "--seed", "3",
+        "--trace", str(trace), "--metrics", str(metrics),
+    )
+    assert code == 0
+    text = trace.read_text()
+    # the run covers a leader nack and both kinds of network drop
+    assert '"type":"nack","ballot"' in text and '"promised"' in text
+    assert '"why":"loss"' in text and '"why":"partition"' in text
+    assert text == (GOLDEN / "cli_simulate_faults.jsonl").read_text()
+    assert metrics.read_text() == (GOLDEN / "cli_simulate_faults.metrics.json").read_text()
 
 
 # ------------------------------------------------------------------- sweep

@@ -1,3 +1,4 @@
+import json
 from collections import deque
 
 import pytest
@@ -326,6 +327,42 @@ def test_message_json_has_slot_fields():
     }
     r = message_json(Response(src=0, dst=CLIENT, req_id="r1", slot=3, payload="v"))
     assert r["type"] == "response" and r["slot"] == 3
+
+
+def test_message_json_pins_every_class():
+    """One encoder for both vocabularies; key order is part of the trace format."""
+    assert message_json is core.message_json
+    b, p = Ballot(2, 0), Ballot(3, 1)
+    cases = [
+        (core.Prepare(0, 1, b), '{"type":"prepare","ballot":[2,0],"src":0,"dst":1}'),
+        (core.Promise(1, 0, b, None),
+         '{"type":"promise","ballot":[2,0],"accepted":null,"src":1,"dst":0}'),
+        (core.Promise(1, 0, b, (Ballot(1, 1), "x")),
+         '{"type":"promise","ballot":[2,0],"accepted":[[1,1],"x"],"src":1,"dst":0}'),
+        (core.Propose(0, 1, b, "x"),
+         '{"type":"propose","ballot":[2,0],"value":"x","src":0,"dst":1}'),
+        (core.Accept(1, 0, b), '{"type":"accept","ballot":[2,0],"src":1,"dst":0}'),
+        (core.Nack(1, 0, b, p),
+         '{"type":"nack","ballot":[2,0],"promised":[3,1],"src":1,"dst":0}'),
+        (Request(CLIENT, 0, "r1", "payload"), '{"type":"request","req":"r1","src":"client","dst":0}'),
+        (Response(0, CLIENT, "r1", 4, "payload"),
+         '{"type":"response","req":"r1","slot":4,"src":0,"dst":"client"}'),
+        (LeaderPrepare(0, 1, b, 5), '{"type":"prepare","ballot":[2,0],"from_slot":5,"src":0,"dst":1}'),
+        (LeaderPromise(1, 0, b, 5, ((5, Ballot(1, 1), "x"), (6, Ballot(1, 2), ""))),
+         '{"type":"promise","ballot":[2,0],"from_slot":5,'
+         '"accepted":[[5,[1,1],"x"],[6,[1,2],""]],"src":1,"dst":0}'),
+        (LeaderPromise(1, 0, b, 0, ()),
+         '{"type":"promise","ballot":[2,0],"from_slot":0,"accepted":[],"src":1,"dst":0}'),
+        (multi.LeaderNack(1, 0, b, p),
+         '{"type":"nack","ballot":[2,0],"promised":[3,1],"src":1,"dst":0}'),
+        (SlotPropose(0, 1, b, 7, "x"),
+         '{"type":"propose","ballot":[2,0],"slot":7,"value":"x","src":0,"dst":1}'),
+        (SlotAccept(1, 0, b, 7), '{"type":"accept","ballot":[2,0],"slot":7,"src":1,"dst":0}'),
+        (multi.SlotNack(1, 0, b, 7, p),
+         '{"type":"nack","ballot":[2,0],"slot":7,"promised":[3,1],"src":1,"dst":0}'),
+    ]
+    for m, want in cases:
+        assert json.dumps(message_json(m), separators=(",", ":")) == want, m
 
 
 def test_log_json_dump():
