@@ -31,10 +31,10 @@ stops at the first violating state, so every state it expands is safe,
 and a successor is checked only where it can break a property: an accept
 that makes its pair chosen, or a propose while some pair is chosen.  A
 counterexample's actions are recovered afterwards by expanding its
-parents again.  With ``symmetry`` states are keyed by their least image
-under value permutations and, for threshold kinds with n <= 5, acceptor
-permutations: same verdicts from fewer states, and a violation found
-that way is searched again without it for a concrete path.
+parents again.  With ``symmetry`` the search keeps one state per orbit
+under value and, for threshold kinds, acceptor permutations (scalarset
+reduction, Ip & Dill 1996): same verdicts from fewer states, and a
+violation found that way is searched again without it for a real path.
 
 Counterexample paths replay through :mod:`fpaxos.core`'s transition
 functions, cross-validating the two encodings.
@@ -42,13 +42,10 @@ functions, cross-validating the two encodings.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, partial
-from operator import getitem
+from functools import partial
 from typing import Optional, Tuple
 
 from .core import (
@@ -76,10 +73,6 @@ from .quorum import (
 
 AGREEMENT = "agreement"
 PROPOSAL_CONSISTENCY = "proposal-consistency"
-
-# Symmetry image tables grow with n!·V!; past this many entries (about
-# 150 MB) ``--symmetry`` is refused rather than exhausting memory.
-SYMMETRY_TABLE_LIMIT = 3_000_000
 
 
 class ReplayDivergenceError(Exception):
@@ -255,7 +248,7 @@ class _Space:
         self.amask, self.cmask = (1 << wA) - 1, (1 << wC) - 1
         self.is_q1 = qs.is_q1_mask
         self.q2 = _Memo(qs.is_q2_mask)  # holders mask -> is a phase-2 quorum
-        self.threshold_kind = qs.kind in _THRESHOLD_KINDS
+        self.threshold_kind = qs.kind in _THRESHOLD_KINDS  # acceptors interchangeable
         # Sets of pairs are masks with bit k = b*V+v for (b, v).  A checked
         # property breaks when pair k becomes chosen while a pair of
         # agreement_conflicts[k] is chosen, or while a later ballot proposes
@@ -277,6 +270,10 @@ class _Space:
         self.chosen = _Memo(self._chosen)  # accept bits -> chosen pairs
         self.templates = _Memo(self._templates)  # control bits -> edge templates
         self.choices = [_Memo(partial(self._value_choices, b)) for b in range(B)]  # row
+        # symmetry: proposals -> proposals renamed in order, and acceptor blocks
+        self.props_mask = (1 << B * wV) - 1
+        self.first_appearance = _Memo(self._first_appearance)
+        self.regions, self.places = self._acceptor_blocks()
 
     def initial(self) -> int:
         return 0
@@ -417,117 +414,87 @@ class _Space:
     # -- optional symmetry canonicalization --------------------------
 
     def canonical(self, s: int) -> int:
-        """The least image of ``s`` under the symmetry group: one key per orbit."""
-        chunks, tables = self._symmetry_tables
-        parts = [s >> off & mask for off, mask in chunks]
-        return min(sum(map(getitem, t, parts)) for t in tables)
+        """The state that stands for ``s``'s orbit under the symmetry group.
 
-    @cached_property
-    def _symmetry_tables(self):
-        """Chunk (offset, mask) list, and per permutation one table per chunk.
-
-        The group permutes values and, for threshold kinds with n <= 5,
-        acceptors.  A permutation moves and relabels each field on its
-        own (a pair's holders count as one field), so a state's image is
-        the sum over its chunks (runs of whole fields) of a table entry
-        indexed by the chunk's bits.  A chunk's table depends only on the
-        value permutation and where the acceptors of its fields go, so
-        permutations share tables.
+        The model accepts only a ballot's proposal, and promise cells copy
+        accepted pairs, so every value a state holds is its ballot's
+        proposal: naming values by first appearance among the proposals
+        fixes every label.  Threshold kinds also sort the acceptor blocks.
+        The result is in the orbit, so a canonical state is its own key.
         """
-        n, B, V, wC = self.n, self.B, self.V, self.wC
-        everyone = tuple(range(n))
-        # (offset, width, largest value held, kind, acceptors moved, ballot, value)
-        fields = sorted(
-            [(b, 1, 1, "prep", (), b, 0) for b in range(B)]
-            + [(sh, self.wP, B, "prom", (a,), 0, 0) for a, sh in enumerate(self.prom_sh)]
-            + [(self.PROP + b * self.wV, self.wV, V, "prop", (), b, 0) for b in range(B)]
-            + [(sh, self.wA, B * V, "acc", (a,), 0, 0) for a, sh in enumerate(self.acc_sh)]
-            + [(self.row_sh[b] + a * wC, wC, 1 + B * V, "cell", (a,), b, 0)
-               for b in range(B) for a in range(n)]
-            + [(self.AMSG + (b * V + v) * n, n, (1 << n) - 1, "held", everyone, b, v)
-               for b in range(B) for v in range(V)]
-        )
-        limit = max(8, n, wC)
-        groups = [[]]
-        for f in fields:
-            if sum(g[1] for g in groups[-1]) + f[1] > limit:
-                groups.append([])
-            groups[-1].append(f)
-        chunks = [(g[0][0], (1 << sum(f[1] for f in g)) - 1) for g in groups]
-        movers = [sorted({a for f in g for a in f[4]}) for g in groups]
+        props = s >> self.PROP & self.props_mask
+        canon = self.first_appearance[props]
+        if canon == props and not self.threshold_kind:
+            return s
+        blocks = map(sum, zip(*[memo[s >> lo & mask] for lo, mask, memo in self.regions]))
+        if self.threshold_kind:
+            blocks = sorted(blocks)
+        return ((s & (1 << self.B) - 1) + (canon << self.PROP)
+                + sum([place[x | canon] for place, x in zip(self.places, blocks)]))
 
-        vperms = list(itertools.permutations(range(V)))
-        if self.threshold_kind and n <= 5:
-            aperms = list(itertools.permutations(range(n)))
-        else:
-            aperms = [everyone]
-        entries = sum(
-            (1 << sum(f[1] for f in g)) * len(vperms) * (math.perm(n, len(m)) if aperms[1:] else 1)
-            for g, m in zip(groups, movers)
-        )
-        if entries > SYMMETRY_TABLE_LIMIT:
-            raise ValueError(
-                f"symmetry over {len(aperms) * len(vperms):,} permutations needs about "
-                f"{entries:,} table entries, over the limit of {SYMMETRY_TABLE_LIMIT:,}; "
-                "check fewer values or acceptors"
-            )
-        shared = {}
-        tables = []
-        for ap in aperms:
-            for vp in vperms:
-                per_chunk = []
-                for g, acceptors in zip(groups, movers):
-                    key = (g[0][0], vp, tuple(ap[a] for a in acceptors))
-                    if key not in shared:
-                        table = [0]  # index: the chunk's fields, low field in the low bits
-                        for f in g:
-                            # values no state holds map anywhere; 0 will do
-                            images = [self._image(f, x, ap, vp) if x <= f[2] else 0
-                                      for x in range(1 << f[1])]
-                            table = [low + img for img in images for low in table]
-                        shared[key] = table
-                    per_chunk.append(shared[key])
-                tables.append(per_chunk)
-        return chunks, tables
+    def _first_appearance(self, props: int) -> int:
+        """Proposals ``props`` with values renamed 0, 1, ... in order of first appearance."""
+        new, out = {}, 0
+        for sh in range(0, self.B * self.wV, self.wV):
+            p = props >> sh & self.vmask
+            if p:
+                out |= 1 + new.setdefault(p - 1, len(new)) << sh
+        return out
 
-    def _image(self, field, x: int, ap, vp) -> int:
-        """Value x of ``field`` moved by acceptor permutation ap and relabelled
-        by value permutation vp, as bits of the image state."""
-        _, _, _, kind, acceptors, b, v = field
-        V = self.V
+    def _acceptor_blocks(self):
+        """Region memos that cut a state into acceptor blocks, and per
+        position a memo that packs a block, plus proposals, back.
 
-        def acc(code):
-            if code == 0:
-                return 0
-            b, v = divmod(code - 1, V)
-            return 1 + b * V + vp[v]
+        Acceptor a's block holds its promise, the ballot of its accepted
+        pair, the ballot in its cell of each promise row and, per ballot,
+        whether it holds that ballot's proposal; the proposals fix every
+        value.  A region (the promises, the accepted pairs, one promise
+        row, one ballot's holders) maps its bits to each acceptor's share.
+        """
+        n, B, V, wP, wC, wV = self.n, self.B, self.V, self.wP, self.wC, self.wV
+        wb = (B + 1).bit_length()  # a cell's ballot: 0 absent, 1 nothing accepted, else 2+b
+        prom_at = B * wV  # below it, the proposals
+        cell_at, held_at = prom_at + 2 * wP, prom_at + 2 * wP + B * wb
 
-        if kind == "prep":
-            return x << b
-        if kind == "prop":
-            return (x and 1 + vp[x - 1]) << self.PROP + b * self.wV
-        if kind == "held":
-            base = self.AMSG + (b * V + vp[v]) * self.n
-            return sum(1 << base + ap[a] for a in acceptors if x >> a & 1)
-        a = acceptors[0]
-        if kind == "prom":
-            return x << self.prom_sh[ap[a]]
-        if kind == "acc":
-            return acc(x) << self.acc_sh[ap[a]]
-        return (x and 1 + acc(x - 1)) << self.row_sh[b] + ap[a] * self.wC
+        def block(a, s):
+            ballot = lambda code: code and 1 + (code - 1) // V  # of an accepted pair
+            x = (s >> self.prom_sh[a] & self.pmask) << prom_at
+            x |= ballot(s >> self.acc_sh[a] & self.amask) << prom_at + wP
+            for b, row_sh in enumerate(self.row_sh):
+                cell = s >> row_sh + a * wC & self.cmask
+                x |= (cell and 1 + ballot(cell - 1)) << cell_at + b * wb
+                x |= any(s >> self.AMSG + (b * V + v) * n + a & 1 for v in range(V)) << held_at + b
+            return x
+
+        def place(i, x):
+            pair = lambda c: c and (c - 1) * V + (x >> (c - 1) * wV & self.vmask)  # c = 1 + b
+            s = (x >> prom_at & self.pmask) << self.prom_sh[i]
+            s |= pair(x >> prom_at + wP & self.pmask) << self.acc_sh[i]
+            for b, row_sh in enumerate(self.row_sh):
+                cell = x >> cell_at + b * wb & (1 << wb) - 1
+                s |= (cell and 1 + pair(cell - 1)) << row_sh + i * wC
+                if x >> held_at + b & 1:
+                    s |= 1 << self.AMSG + (pair(1 + b) - 1) * n + i
+            return s
+
+        spans = ([(self.PROM, n * wP), (self.ACC, n * self.wA)]
+                 + [(sh, n * wC) for sh in self.row_sh]
+                 + [(self.AMSG + b * V * n, V * n) for b in range(B)])
+        split = lambda lo: _Memo(lambda r: tuple(block(a, r << lo) for a in range(n)))
+        regions = [(lo, (1 << w) - 1, split(lo)) for lo, w in spans]
+        return regions, [_Memo(partial(place, i)) for i in range(n)]
 
 
 def explore(cfg: CheckConfig) -> CheckResult:
     """BFS over all reachable states; stops at the first violation.
 
-    ``visited`` maps each state (its canonical key under symmetry) to the
-    key of its BFS parent; a counterexample's actions are recovered from
+    ``visited`` maps each state (under symmetry, one canonical state per
+    orbit) to its BFS parent; a counterexample's actions are recovered from
     the parents afterwards.  The initial state is 0 and violates nothing.
     """
     space = _Space(cfg)
     expand = space.expand
-    symmetry = cfg.symmetry
-    canonical = space.canonical
+    key = space.canonical if cfg.symmetry else None
     max_states = cfg.max_states
     init = space.initial()
     visited = {init: None}
@@ -535,19 +502,19 @@ def explore(cfg: CheckConfig) -> CheckResult:
     while queue:
         s = queue.popleft()
         edges, bad = expand(s)
-        parent = canonical(s) if symmetry else s
         for _, child in edges if bad is None else edges[: bad[0]]:
-            key = canonical(child) if symmetry else child
-            if key in visited:
+            if key:
+                child = key(child)
+            if child in visited:
                 continue
-            visited[key] = parent
+            visited[child] = s
             if len(visited) >= max_states:
                 return CheckResult(states=len(visited), complete=False)
             queue.append(child)
         if bad is not None:
-            if symmetry:
-                # Canonicalized parents do not chain into a concrete
-                # run; re-search without symmetry for the real path.
+            if key:
+                # Canonical states do not chain into a concrete run;
+                # re-search without symmetry for the real path.
                 return explore(replace(cfg, symmetry=False))
             i, prop = bad
             child = edges[i][1]

@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--proposers", type=int, default=S, help="ballot owners")
     pc.add_argument("--max-states", type=int, default=S)
     pc.add_argument("--symmetry", action="store_true", default=S,
-                    help="canonicalize symmetric states")
+                    help="search one state per orbit of value and threshold-kind acceptor symmetry")
     pc.add_argument("--counterexample", metavar="PATH", help="write violating action trace here")
     pc.add_argument("--config", metavar="PATH", help="JSON check configuration")
     pc.add_argument("--sweep", type=int, metavar="N_MAX",

@@ -520,16 +520,19 @@ class World:
         msgs = self.replicas[r].become_leader(self.reachable(r))
         self._trace("election", replica=r, round=self.replicas[r].seen_round)
         self._dispatch(msgs, owner=self.replicas[r])
-        self._schedule(self.now + ms_to_us(self.cfg.election_retry_ms), "election_retry", r)
+        wait_us = ms_to_us(self.cfg.election_retry_ms)
+        self._schedule(self.now + wait_us, "election_retry", (r, wait_us))
 
-    def _on_election_retry(self, r: int) -> None:
+    def _on_election_retry(self, retry) -> None:
+        r, wait_us = retry
         if self.intended != r or self.replicas[r].leading:
             return
         if r in self.alive:
             msgs = self.replicas[r].become_leader(self.reachable(r))
             self._trace("election", replica=r, round=self.replicas[r].seen_round)
             self._dispatch(msgs, owner=self.replicas[r])
-        self._schedule(self.now + ms_to_us(self.cfg.election_retry_ms), "election_retry", r)
+            wait_us *= 2  # back off: a retry drops the promises still in flight
+        self._schedule(self.now + wait_us, "election_retry", (r, wait_us))
 
     def _on_retransmit(self, key) -> None:
         r, slot = key

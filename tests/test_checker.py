@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,8 @@ STATE_COUNTS = {
     "majority3_b3_sym": 17153,
     "improved4_b2_sym": 834,
     "grid22_b2_sym": 20113,
+    "majority5_b2_sym": 5811,
+    "improved4_b3_sym": 57436,
 }
 
 
@@ -271,6 +275,8 @@ def test_symmetry_state_counts_are_stable():
         ("majority3_b3_sym", make_majority(3), 3),
         ("improved4_b2_sym", make_majority(4, improved=True), 2),
         ("grid22_b2_sym", make_grid(2, 2, "fpaxos"), 2),
+        ("majority5_b2_sym", make_majority(5), 2),
+        ("improved4_b3_sym", make_majority(4, improved=True), 3),
     ):
         res = explore(CheckConfig(qs, ballots=ballots, symmetry=True))
         assert res.complete and res.violation is None
@@ -324,12 +330,78 @@ def test_symmetry_reduction_same_verdict_fewer_states():
     assert reduced.states < plain.states
 
 
-def test_symmetry_refuses_groups_too_large_to_tabulate():
-    # 3!·8! permutations: refused before any table is built
-    cfg = CheckConfig(make_majority(3), values=value_names(8), symmetry=True)
-    with pytest.raises(ValueError, match="permutations"):
-        explore(cfg)
-    assert explore(CheckConfig(make_majority(3), values=value_names(8), max_states=50)).states == 50
+def test_symmetry_has_no_group_size_limit():
+    # n=3 with 6 or 8 values has 3!·V! symmetries; nothing is tabulated per symmetry
+    for v in (6, 8):
+        res = explore(CheckConfig(make_majority(3), values=value_names(v), symmetry=True))
+        assert res.complete and res.violation is None
+    res = explore(CheckConfig(make_majority(6, improved=True), ballots=2, symmetry=True))
+    assert res.complete and res.violation is None
+
+
+def _image(space, s, ap, vp):
+    """``s`` with acceptor a moved to ap[a] and value v renamed vp[v], field by field."""
+    n, B, V, wC = space.n, space.B, space.V, space.wC
+
+    def field(sh, width):
+        return s >> sh & (1 << width) - 1
+
+    def pair(code):  # 0, or 1 + b*V + v
+        return code and 1 + (code - 1) // V * V + vp[(code - 1) % V]
+
+    out = field(0, B)  # prepared
+    for b in range(B):
+        sh = space.PROP + b * space.wV
+        p = field(sh, space.wV)
+        out |= (p and 1 + vp[p - 1]) << sh
+    for a in range(n):
+        out |= field(space.prom_sh[a], space.wP) << space.prom_sh[ap[a]]
+        out |= pair(field(space.acc_sh[a], space.wA)) << space.acc_sh[ap[a]]
+        for b in range(B):
+            cell = field(space.row_sh[b] + a * wC, wC)
+            out |= (cell and 1 + pair(cell - 1)) << space.row_sh[b] + ap[a] * wC
+            for v in range(V):
+                held = field(space.AMSG + (b * V + v) * n + a, 1)
+                out |= held << space.AMSG + (b * V + vp[v]) * n + ap[a]
+    return out
+
+
+@pytest.mark.parametrize("qs, ballots, values, acceptors_interchangeable", [
+    (make_majority(3), 2, 2, True),
+    (make_majority(3), 2, 3, True),
+    (make_grid(2, 2, "fpaxos"), 1, 2, False),
+])
+def test_symmetry_keys_match_brute_force_orbits(qs, ballots, values, acceptors_interchangeable):
+    # The group: every value permutation and, for a threshold kind, every
+    # acceptor permutation.  Each plain-reachable orbit is enumerated once
+    # by imaging one member under the whole group.
+    from fpaxos.checker import _Space
+
+    cfg = CheckConfig(qs, ballots=ballots, values=value_names(values))
+    space = _Space(cfg)
+    reachable = {space.initial()}
+    frontier = [space.initial()]
+    while frontier:
+        for _, child in space.successors(frontier.pop()):
+            if child not in reachable:
+                reachable.add(child)
+                frontier.append(child)
+    aperms = list(itertools.permutations(range(qs.n)) if acceptors_interchangeable else [range(qs.n)])
+    vperms = list(itertools.permutations(range(values)))
+    orbits, keys = 0, set()
+    unassigned = set(reachable)
+    while unassigned:
+        s = unassigned.pop()
+        orbit = {_image(space, s, ap, vp) for ap in aperms for vp in vperms}
+        assert orbit <= reachable  # the model is symmetric under the group
+        unassigned -= orbit
+        orbits += 1
+        orbit_keys = {space.canonical(t) for t in orbit}
+        assert len(orbit_keys) == 1  # one key on every image
+        assert orbit_keys <= orbit  # the key is a state of the orbit
+        keys |= orbit_keys
+    assert len(keys) == orbits  # and distinct orbits have distinct keys
+    assert explore(replace(cfg, symmetry=True)).states == orbits
 
 
 def test_symmetry_still_finds_violations_with_concrete_path():

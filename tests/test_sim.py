@@ -86,6 +86,16 @@ def test_rotating_strategy_spreads_phase2_load():
 # ------------------------------------------------------------- fault runs
 
 
+def test_election_retry_below_the_round_trip_still_elects():
+    # Promises return after 10-50 ms.  A retry every 30 ms that restarted
+    # phase 1 each time dropped the promises in flight and never elected.
+    cfg = quick(make_majority(5), duration_ms=3000, warmup_ms=0, cooldown_ms=0,
+                latency=Latency.parse("5:25"), election_retry_ms=30, record_trace=False)
+    m, _ = run(cfg)
+    assert m.committed > 0
+    assert m.message_counts["LeaderPrepare"] < 30
+
+
 def test_crash_two_nonleaders_then_election_blocks_until_restore():
     cfg = quick(
         make_majority(4, improved=True),
