@@ -37,7 +37,8 @@ reduction, Ip & Dill 1996): same verdicts from fewer states, and a
 violation found that way is searched again without it for a real path.
 
 Counterexample paths replay through :mod:`fpaxos.core`'s transition
-functions, cross-validating the two encodings.
+functions, cross-validating the two encodings; :func:`replay` also runs
+the scripted executions of :mod:`fpaxos.scenarios`.
 """
 
 from __future__ import annotations
@@ -546,70 +547,103 @@ def _path_to(space: _Space, visited: dict, state: int):
 @dataclass
 class ReplayResult:
     states: dict
-    decisions: list = field(default_factory=list)
+    decisions: list = field(default_factory=list)  # (ballot, value), as first decided
+    proposals: dict = field(default_factory=dict)  # ballot -> its proposed value
+    events: list = field(default_factory=list)  # what was delivered and decided, in order
 
     @property
     def conflicting(self) -> bool:
         return len({v for _, v in self.decisions}) > 1
 
+    @property
+    def contradicted(self) -> bool:
+        """A decided pair is contradicted by a proposal at a higher ballot."""
+        return any(b1 > b and v1 != v for b, v in self.decisions
+                   for b1, v1 in self.proposals.items())
+
 
 def replay(path, cfg: CheckConfig) -> ReplayResult:
-    """Re-execute a checker action path through the core state machines.
+    """Re-execute an action path through the core state machines.
 
-    Every action must be enabled under the core's transition rules and
-    agree on the produced values; any mismatch raises
-    :class:`ReplayDivergenceError`.  Decisions observed along the way
-    (via the learner rule) accumulate, so a historical decision later
+    Besides the checker's four actions a path may hold three that only
+    scripted runs use: ``("refuse", a, b, v)``, a proposal that acceptor a
+    nacks; ``("answer", a, b)``, a's accept or nack of ballot b's proposal
+    reaching its proposer; and ``("crash", a, wipe)``.  Every action must
+    be enabled under the core's rules and agree on the produced values;
+    any mismatch raises :class:`ReplayDivergenceError`.  Decisions observed
+    along the way (via the learner rule) accumulate, so a decision later
     overwritten at a higher ballot still counts.
+
+    ``events`` holds, in order, ``("msg", m)`` per delivered message (a
+    prepare at its promise, the promises at the propose they justify in
+    the order of its senders, a proposal at its accept or refusal, an
+    answer at its own action), ``("decide", pair)`` per newly decided
+    pair, ``("violation", values)`` when a second value is decided, and
+    each crash action.
     """
     qs = cfg.quorum
     ballots = cfg.ballot_list()
     acc = {a: AcceptorState() for a in range(qs.n)}
-    promise_snapshot = {}
-    proposed = {}
+    promises = {}  # (a, b) -> a's promise for ballot b
+    answers = {}  # (a, b) -> a's answer to ballot b's proposal
     result = ReplayResult(states=acc)
+    proposed, log = result.proposals, result.events.append
     for act in path:
         kind = act[0]
-        if kind == "prepare":
-            pass
-        elif kind == "promise":
+        if kind == "promise":
             a, b = act[1], act[2]
-            st, reply = acceptor_handle_prepare(
-                acc[a], Prepare(src=ballots[b].proposer, dst=a, ballot=ballots[b])
-            )
+            prepare = Prepare(src=ballots[b].proposer, dst=a, ballot=ballots[b])
+            log(("msg", prepare))
+            st, reply = acceptor_handle_prepare(acc[a], prepare)
             if not isinstance(reply, Promise):
                 raise ReplayDivergenceError(f"core refused promise for {act}")
             acc[a] = st
-            promise_snapshot[(a, b)] = reply.accepted
+            promises[(a, b)] = reply
         elif kind == "propose":
             b, v, senders = act[1], act[2], act[3]
             if not qs.is_q1(frozenset(senders)):
                 raise ReplayDivergenceError(f"justifying set for {act} is not a phase-1 quorum")
             try:
-                pairs = [promise_snapshot[(a, b)] for a in senders]
+                cited = [promises[(a, b)] for a in senders]
             except KeyError:
                 raise ReplayDivergenceError(f"{act} cites a promise that was never sent")
             value = cfg.values[v]
-            if choose_value(pairs, value) != value:
+            if choose_value([m.accepted for m in cited], value) != value:
                 raise ReplayDivergenceError(f"core value-choice rule rejects {act}")
-            if proposed.setdefault(b, value) != value:
+            if proposed.setdefault(ballots[b], value) != value:
                 raise ReplayDivergenceError(f"two proposals for one ballot at {act}")
-        elif kind == "accept":
+            for m in cited:
+                log(("msg", m))
+        elif kind in ("accept", "refuse"):
             a, b, v = act[1], act[2], act[3]
             value = cfg.values[v]
-            if proposed.get(b) != value:
-                raise ReplayDivergenceError(f"{act} accepts a value never proposed")
-            st, reply = acceptor_handle_propose(
-                acc[a], Propose(src=ballots[b].proposer, dst=a, ballot=ballots[b], value=value)
-            )
-            if not isinstance(reply, Accept):
-                raise ReplayDivergenceError(f"core refused accept for {act}")
+            if proposed.get(ballots[b]) != value:
+                raise ReplayDivergenceError(f"{act} delivers a value never proposed")
+            m = Propose(src=ballots[b].proposer, dst=a, ballot=ballots[b], value=value)
+            log(("msg", m))
+            st, reply = acceptor_handle_propose(acc[a], m)
+            if isinstance(reply, Accept) != (kind == "accept"):
+                raise ReplayDivergenceError(f"core answers {act} with {type(reply).__name__}")
             acc[a] = st
-            # Only an accept changes what the acceptors hold.
+            answers[(a, b)] = reply
+            # Only a delivered proposal can change what the acceptors hold.
             for pair in decided_proposals(acc, qs):
                 if pair not in result.decisions:
+                    conflicting = result.conflicting
                     result.decisions.append(pair)
-        else:
+                    log(("decide", pair))
+                    if result.conflicting and not conflicting:
+                        log(("violation", [v for _, v in result.decisions]))
+        elif kind == "answer":
+            reply = answers.get((act[1], act[2]))
+            if reply is None:
+                raise ReplayDivergenceError(f"{act} answers a proposal never delivered")
+            log(("msg", reply))
+        elif kind == "crash":
+            log(act)
+            if act[2]:
+                acc[act[1]] = AcceptorState()
+        elif kind != "prepare":
             raise ReplayDivergenceError(f"unknown action {act!r}")
     return result
 

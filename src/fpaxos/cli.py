@@ -191,7 +191,8 @@ def cmd_check(args) -> int:
     v = res.violation
     print(f"result          : VIOLATION ({v.property}) in {len(v.path)} actions")
     rr = chk.replay(v.path, cfg)
-    print(f"replay          : {'confirmed' if rr.conflicting or v.property == chk.PROPOSAL_CONSISTENCY else 'NOT CONFIRMED'}"
+    shown = rr.conflicting if v.property == chk.AGREEMENT else rr.contradicted
+    print(f"replay          : {'confirmed' if shown else 'NOT CONFIRMED'}"
           f" ({len(rr.decisions)} decisions observed)")
     if args.counterexample:
         with open(args.counterexample, "w") as f:
@@ -253,16 +254,9 @@ def cmd_simulate(args) -> int:
         text = sim.to_jsonl(result.trace)
         if args.trace:
             _write(args.trace, text)
-            print(
-                json.dumps(
-                    {
-                        "scenario": result.name,
-                        "violation": result.violation,
-                        "decided": result.decided_values,
-                    },
-                    separators=(",", ":"),
-                )
-            )
+            summary = {"scenario": result.name, "violation": result.violation,
+                       "decided": result.decided_values}
+            print(json.dumps(summary, separators=(",", ":")))
         else:
             sys.stdout.write(text)
         return 1 if result.violation else 0

@@ -1,9 +1,10 @@
 """Single-decree protocol state machines.
 
 Pure transition functions over immutable acceptor and proposer states.
-The caller (test harness, scripted scenario, or simulator) owns message
-delivery and scheduling; every function here is deterministic in
-(state, input).
+The callers own message delivery and scheduling: :func:`fpaxos.checker.replay`,
+which also runs the scripted scenarios, the simulator's ``multi.Replica``,
+and the tests, the only users of the proposer functions.  Every function
+here is deterministic in (state, input).
 
 Messages follow the classic two-phase shape: prepare/promise to win a
 phase-1 quorum, propose/accept to commit a value on a phase-2 quorum.
@@ -278,8 +279,7 @@ def decided_proposals(states: Mapping[int, AcceptorState], qs: QuorumSystem):
 def learner_decided(states: Mapping[int, AcceptorState], qs: QuorumSystem):
     """The decided (ballot, value), or None.
 
-    Raises :class:`AgreementViolation` if quorums hold different values,
-    which the checker and simulator use to flag broken configurations.
+    Raises :class:`AgreementViolation` if quorums hold different values.
     """
     qualifying = decided_proposals(states, qs)
     if not qualifying:

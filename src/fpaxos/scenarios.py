@@ -1,28 +1,33 @@
 """Scripted single-decree executions with byte-stable traces.
 
-Each scenario drives the pure state machines in :mod:`fpaxos.core`
-through a fixed delivery schedule and asserts its documented outcome, so
-the trace is a deterministic function of nothing at all.  Two scenarios
-exercise the four-acceptor improved-majority system (|Q1| = 3, |Q2| = 2)
-with two competing proposers: ``fig2a`` runs them serially (the second
-proposer must learn and re-propose the first value), ``fig2b`` runs them
-concurrently against disjoint phase-2 quorums (exactly one can win).
+A scenario is data: a quorum system, its values, a path of actions and
+the documented outcome.  :func:`fpaxos.checker.replay` runs the path
+through :mod:`fpaxos.core`'s acceptors and records what it delivers and
+decides; this module names the parties (ballot i's owner ``P{i+1}``,
+acceptor a ``A{a+1}``), renders the record as a trace and raises
+:class:`ScenarioOutcomeError` unless the outcome is the documented one.
+
+Two scenarios exercise the four-acceptor improved-majority system
+(|Q1| = 3, |Q2| = 2) with two competing proposers: ``fig2a`` runs them
+serially (the second proposer must learn and re-propose the first value),
+``fig2b`` runs them concurrently against disjoint phase-2 quorums
+(exactly one can win).
 
 ``amnesia`` demonstrates why promises and accepted values must be
 durable: an acceptor that forgets its state across a crash lets two
 different values be decided.  ``amnesia-durable`` replays the same
-schedule without the memory wipe and stays safe.
+schedule without the memory wipe and stays safe.  Without their
+refusals, answers and crash, all paths but ``amnesia``'s are ones the
+checker's model can take.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import core
-from .core import AcceptorState
+from .checker import CheckConfig, replay
 from .quorum import QuorumSystem, make_majority
-
-SCENARIOS = ("fig2a", "fig2b", "amnesia", "amnesia-durable")
 
 
 class ScenarioOutcomeError(AssertionError):
@@ -42,204 +47,109 @@ class ScenarioResult:
         return [v for _, v in self.decisions]
 
 
-class _Script:
-    """Delivery engine: applies one message at a time, tracing each."""
-
-    def __init__(self, name: str, qs: QuorumSystem, labels: dict):
-        self.qs = qs
-        self.labels = labels
-        self.acc = {a: AcceptorState() for a in range(qs.n)}
-        self.result = ScenarioResult(name=name)
-        self.step = 0
-
-    def _label(self, x):
-        return self.labels.get(x, x)
-
-    def log(self, ev: str, **fields):
-        self.result.trace.append({"step": self.step, "ev": ev, **fields})
-        self.step += 1
-
-    def log_msg(self, m):
-        d = core.message_json(m)
-        d["src"] = self._label(d["src"])
-        d["dst"] = self._label(d["dst"])
-        self.log("msg", msg=d)
-
-    def observe_decisions(self):
-        for pair in core.decided_proposals(self.acc, self.qs):
-            if pair not in self.result.decisions:
-                self.result.decisions.append(pair)
-                self.log("decide", ballot=pair[0].json(), value=pair[1])
-        if len({v for _, v in self.result.decisions}) > 1:
-            if not self.result.violation:
-                self.result.violation = True
-                self.log("violation", values=self.result.decided_values)
-
-    def to_acceptor(self, m):
-        """Deliver one proposer-to-acceptor message, return the reply."""
-        self.log_msg(m)
-        if isinstance(m, core.Prepare):
-            self.acc[m.dst], reply = core.acceptor_handle_prepare(self.acc[m.dst], m)
-        else:
-            self.acc[m.dst], reply = core.acceptor_handle_propose(self.acc[m.dst], m)
-        self.observe_decisions()
-        return reply
-
-    def to_proposer(self, ps, reply, q2_targets=None):
-        """Deliver one acceptor reply to a proposer, return (ps, out msgs)."""
-        self.log_msg(reply)
-        if isinstance(reply, core.Promise):
-            return core.proposer_on_promise(ps, self.qs, reply, q2_targets=q2_targets)
-        if isinstance(reply, core.Accept):
-            return core.proposer_on_accept(ps, self.qs, reply), []
-        return core.proposer_on_nack(ps, reply), []
-
-    def crash_wipe(self, acceptor: int, wipe: bool):
-        self.log("crash", acceptor=self._label(acceptor), wipe=wipe)
-        if wipe:
-            self.acc[acceptor] = AcceptorState()
-        self.log("restore", acceptor=self._label(acceptor))
+@dataclass(frozen=True)
+class _Scenario:
+    quorum: QuorumSystem
+    values: tuple
+    path: tuple
+    proposer_values: dict  # documented: proposer -> the value it learns decided, or None
+    decided: tuple  # documented: the decided values, in order
 
 
-def _phase(script, ps, msgs, reply_order=None, q2_targets=None):
-    """Deliver a batch to acceptors, then replies back in a given order."""
-    replies = {m.dst: script.to_acceptor(m) for m in msgs}
-    order = reply_order if reply_order is not None else sorted(replies)
-    out = []
-    for a in order:
-        ps, emitted = script.to_proposer(ps, replies[a], q2_targets=q2_targets)
-        out.extend(emitted)
-    return ps, out
-
-
-def _expect(cond: bool, what: str):
-    if not cond:
-        raise ScenarioOutcomeError(what)
-
-
-def _acceptor_labels(n):
-    return {a: f"A{a + 1}" for a in range(n)}
-
-
-def scenario_fig2a() -> ScenarioResult:
-    """Serial proposals: P1 commits "a"; P2 must learn and re-commit it."""
-    qs = make_majority(4, improved=True)
-    s = _Script("fig2a", qs, _acceptor_labels(4))
-
-    p1 = core.make_proposer("P1", 1, "a")
-    p1, prepares = core.proposer_start(p1, qs, {0, 1, 2})
-    p1, proposals = _phase(s, p1, prepares, q2_targets={0, 1})
-    _expect(len(proposals) == 2, "P1 should propose to a two-acceptor quorum")
-    replies = [s.to_acceptor(m) for m in proposals]
-    for reply in replies:
-        p1, _ = s.to_proposer(p1, reply)
-    _expect(p1.phase == core.DECIDED and p1.chosen_value == "a", "P1 must decide a")
-
-    p2 = core.make_proposer("P2", 2, "b")
-    p2, prepares = core.proposer_start(p2, qs, {1, 2, 3})
-    # replies reach P2 from A4 and A3 first; A2's carries the accepted (1, a)
-    p2, proposals = _phase(
-        s, p2, list(reversed(prepares)), reply_order=[3, 2, 1], q2_targets={2, 3}
+def _round(b, v, promisers, acceptors):
+    """Ballot b alone: promises from ``promisers`` justify value v, which
+    ``acceptors`` accept, and their answers reach the proposer."""
+    return (
+        (("prepare", b),)
+        + tuple(("promise", a, b) for a in promisers)
+        + (("propose", b, v, tuple(promisers)),)
+        + tuple(("accept", a, b, v) for a in acceptors)
+        + tuple(("answer", a, b) for a in acceptors)
     )
-    _expect(
-        [m.dst for m in proposals] == [2, 3] and all(m.value == "a" for m in proposals),
-        "P2 must re-propose the learned value a to A3, A4",
-    )
-    replies = [s.to_acceptor(m) for m in proposals]
-    for reply in replies:
-        p2, _ = s.to_proposer(p2, reply)
-    _expect(p2.phase == core.DECIDED and p2.chosen_value == "a", "P2 must decide a")
-
-    final = core.learner_decided(s.acc, qs)
-    _expect(final is not None and final[1] == "a", "cluster must have decided a")
-    _expect(not s.result.violation, "no safety violation in fig2a")
-    s.result.proposer_values = {"P1": "a", "P2": "a"}
-    return s.result
 
 
-def scenario_fig2b() -> ScenarioResult:
-    """Concurrent proposals to disjoint phase-2 quorums: only one wins."""
-    qs = make_majority(4, improved=True)
-    s = _Script("fig2b", qs, _acceptor_labels(4))
-
-    p1 = core.make_proposer("P1", 1, "a")
-    p1, prepares1 = core.proposer_start(p1, qs, {0, 1, 2})
-    replies1 = {m.dst: s.to_acceptor(m) for m in prepares1}
-
-    p2 = core.make_proposer("P2", 2, "b")
-    p2, prepares2 = core.proposer_start(p2, qs, {1, 2, 3})
-    replies2 = {m.dst: s.to_acceptor(m) for m in reversed(prepares2)}
-
-    proposals1, proposals2 = [], []
-    for a in sorted(replies1):
-        p1, out = s.to_proposer(p1, replies1[a], q2_targets={0, 1})
-        proposals1.extend(out)
-    for a in sorted(replies2, reverse=True):
-        p2, out = s.to_proposer(p2, replies2[a], q2_targets={2, 3})
-        proposals2.extend(out)
-    _expect(all(m.value == "a" for m in proposals1), "P1 proposes its own a")
-    _expect(all(m.value == "b" for m in proposals2), "P2 proposes its own b")
-
-    # proposals race: A1 accepts (1, a); A2 already promised 2 and nacks;
-    # A3 and A4 accept (2, b)
-    replies1 = [s.to_acceptor(m) for m in proposals1]
-    replies2 = [s.to_acceptor(m) for m in proposals2]
-    for reply in replies1:
-        p1, _ = s.to_proposer(p1, reply)
-    for reply in replies2:
-        p2, _ = s.to_proposer(p2, reply)
-
-    _expect(p1.phase == core.PHASE2, "P1 must be stuck below a phase-2 quorum")
-    _expect(p2.phase == core.DECIDED and p2.chosen_value == "b", "P2 must decide b")
-    final = core.learner_decided(s.acc, qs)
-    _expect(final is not None and final[1] == "b", "cluster must have decided b")
-    _expect(not s.result.violation, "no safety violation in fig2b")
-    s.result.proposer_values = {"P1": None, "P2": "b"}
-    return s.result
+def _amnesia(wipe: bool) -> _Scenario:
+    """A2 crashes after x is decided; P2 then prepares A2 and A3."""
+    v = 1 if wipe else 0  # the wiped A2 promises a clean slate, so P2 may push y
+    path = _round(0, 0, (0, 1), (0, 1)) + (("crash", 1, wipe),) + _round(1, v, (1, 2), (1, 2))
+    p2 = "xy"[v]
+    return _Scenario(make_majority(3), ("x", "y"), path, {"P1": "x", "P2": p2}, ("x", p2))
 
 
-def _scenario_amnesia(wipe: bool) -> ScenarioResult:
-    """Crash-restore of a promised-and-accepted acceptor, optionally wiped."""
-    qs = make_majority(3)  # |Q1| = |Q2| = 2
-    name = "amnesia" if wipe else "amnesia-durable"
-    s = _Script(name, qs, _acceptor_labels(3))
+_SCENARIOS = {
+    # P2 hears A4 and A3 first; A2's promise carries the accepted (1, a)
+    "fig2a": _Scenario(
+        make_majority(4, improved=True), ("a", "b"),
+        _round(0, 0, (0, 1, 2), (0, 1)) + _round(1, 0, (3, 2, 1), (2, 3)),
+        {"P1": "a", "P2": "a"}, ("a", "a"),
+    ),
+    # the proposals race: A1 accepts (1, a); A2 already promised 2 and
+    # refuses it; A3 and A4 accept (2, b)
+    "fig2b": _Scenario(
+        make_majority(4, improved=True), ("a", "b"),
+        (("prepare", 0), ("promise", 0, 0), ("promise", 1, 0), ("promise", 2, 0),
+         ("prepare", 1), ("promise", 3, 1), ("promise", 2, 1), ("promise", 1, 1),
+         ("propose", 0, 0, (0, 1, 2)), ("propose", 1, 1, (3, 2, 1)),
+         ("accept", 0, 0, 0), ("refuse", 1, 0, 0), ("accept", 2, 1, 1), ("accept", 3, 1, 1),
+         ("answer", 0, 0), ("answer", 1, 0), ("answer", 2, 1), ("answer", 3, 1)),
+        {"P1": None, "P2": "b"}, ("b",),
+    ),
+    "amnesia": _amnesia(wipe=True),
+    "amnesia-durable": _amnesia(wipe=False),
+}
+SCENARIOS = tuple(_SCENARIOS)
 
-    p1 = core.make_proposer("P1", 1, "x")
-    p1, prepares = core.proposer_start(p1, qs, {0, 1})
-    p1, proposals = _phase(s, p1, prepares, q2_targets={0, 1})
-    replies = [s.to_acceptor(m) for m in proposals]
-    for reply in replies:
-        p1, _ = s.to_proposer(p1, reply)
-    _expect(p1.phase == core.DECIDED and p1.chosen_value == "x", "x must be decided first")
 
-    s.crash_wipe(1, wipe=wipe)
+def _ballot(b: core.Ballot) -> core.Ballot:
+    return replace(b, proposer=f"P{b.proposer + 1}")
 
-    p2 = core.make_proposer("P2", 2, "y")
-    p2, prepares = core.proposer_start(p2, qs, {1, 2})
-    p2, proposals = _phase(s, p2, prepares, q2_targets={1, 2})
-    replies = [s.to_acceptor(m) for m in proposals]
-    for reply in replies:
-        p2, _ = s.to_proposer(p2, reply)
-    _expect(p2.phase == core.DECIDED, "P2 must reach a decision")
 
-    values = set(s.result.decided_values)
-    if wipe:
-        _expect(p2.chosen_value == "y", "amnesiac quorum lets P2 push its own value")
-        _expect(values == {"x", "y"} and s.result.violation, "two values must be decided")
+def _acceptor(a: int) -> str:
+    return f"A{a + 1}"
+
+
+def _message(m) -> dict:
+    """A delivered message's trace form, with its parties and ballots named."""
+    named = {k: _ballot(getattr(m, k)) for k in ("ballot", "promised") if hasattr(m, k)}
+    if getattr(m, "accepted", None):
+        named["accepted"] = (_ballot(m.accepted[0]), m.accepted[1])
+    proposer = named["ballot"].proposer
+    if isinstance(m, (core.Prepare, core.Propose)):
+        named.update(src=proposer, dst=_acceptor(m.dst))
     else:
-        _expect(p2.chosen_value == "x", "durable promise forces P2 back to x")
-        _expect(values == {"x"} and not s.result.violation, "safety must hold")
-    s.result.proposer_values = {"P1": "x", "P2": p2.chosen_value}
-    return s.result
+        named.update(src=_acceptor(m.src), dst=proposer)
+    return core.message_json(replace(m, **named))
+
+
+def _lines(kind, x, *rest) -> list:
+    """The trace lines of one replay event, before their step numbers."""
+    if kind == "msg":
+        return [{"ev": "msg", "msg": _message(x)}]
+    if kind == "decide":
+        return [{"ev": "decide", "ballot": _ballot(x[0]).json(), "value": x[1]}]
+    if kind == "violation":
+        return [{"ev": "violation", "values": x}]
+    return [{"ev": "crash", "acceptor": _acceptor(x), "wipe": rest[0]},
+            {"ev": "restore", "acceptor": _acceptor(x)}]
 
 
 def run_scenario(name: str) -> ScenarioResult:
-    if name == "fig2a":
-        return scenario_fig2a()
-    if name == "fig2b":
-        return scenario_fig2b()
-    if name == "amnesia":
-        return _scenario_amnesia(wipe=True)
-    if name == "amnesia-durable":
-        return _scenario_amnesia(wipe=False)
-    raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
+    sc = _SCENARIOS[name]
+    rr = replay(sc.path, CheckConfig(sc.quorum, values=sc.values))
+    # a proposer learns its value once accepts from a phase-2 quorum reach it
+    accepts = [m for kind, m, *_ in rr.events if kind == "msg" and isinstance(m, core.Accept)]
+    learned = lambda b: sc.quorum.is_q2(frozenset(m.src for m in accepts if m.ballot == b))
+    result = ScenarioResult(
+        name=name,
+        trace=[{"step": i, **l} for i, l in enumerate(l for e in rr.events for l in _lines(*e))],
+        decisions=[(_ballot(b), v) for b, v in rr.decisions],
+        proposer_values={_ballot(b).proposer: v if learned(b) else None
+                         for b, v in rr.proposals.items()},
+        violation=rr.conflicting,
+    )
+    outcome = (result.proposer_values, tuple(result.decided_values))
+    if outcome != (sc.proposer_values, sc.decided):
+        raise ScenarioOutcomeError(f"{name}: got {outcome}, documented {sc.proposer_values, sc.decided}")
+    return result

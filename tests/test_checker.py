@@ -21,7 +21,7 @@ from fpaxos.checker import (
     value_names,
 )
 from fpaxos.cli import main
-from fpaxos.core import Ballot
+from fpaxos.core import AcceptorState, Ballot
 from fpaxos.quorum import (
     QuorumSystem,
     make_explicit,
@@ -70,6 +70,15 @@ def test_proposal_consistency_fires_before_agreement():
     assert len(res.violation.path) == agreement_len - 1
 
 
+def test_replay_shows_proposal_consistency_only_once_a_pair_is_decided():
+    cfg = CheckConfig(make_explicit(2, [[0]], [[1]]), ballots=2)
+    path = explore(cfg).violation.path
+    assert path[-1][0] == "accept"
+    rr = replay(path, cfg)
+    assert rr.contradicted and not rr.conflicting
+    assert not replay(path[:-1], cfg).contradicted
+
+
 def test_replay_empty_path_is_initial_state():
     rr = replay((), DISJOINT)
     assert rr.decisions == []
@@ -115,6 +124,26 @@ def test_replay_rejects_ill_formed_paths():
             ),
             cfg,
         )
+    proposed = (("prepare", 0), ("promise", 0, 0), ("promise", 1, 0), ("propose", 0, 0, (0, 1)))
+    with pytest.raises(ReplayDivergenceError):
+        replay(proposed + (("refuse", 0, 0, 0),), cfg)  # the core accepts it
+    with pytest.raises(ReplayDivergenceError):
+        # acceptor 0 promised ballot 1 first, so the core refuses
+        replay(proposed + (("prepare", 1), ("promise", 0, 1), ("accept", 0, 0, 0)), cfg)
+    with pytest.raises(ReplayDivergenceError):
+        replay(proposed + (("accept", 1, 0, 0), ("answer", 0, 0)), cfg)  # 0 got no proposal
+
+
+def test_replay_crash_wipes_only_when_asked():
+    cfg = CheckConfig(make_majority(3), ballots=2)
+    path = (("prepare", 0), ("promise", 0, 0), ("promise", 1, 0),
+            ("propose", 0, 0, (0, 1)), ("accept", 1, 0, 0))
+    held = replay(path, cfg).states[1]
+    assert held == AcceptorState(Ballot(1, 0), (Ballot(1, 0), "a"))
+    kept = replay(path + (("crash", 1, False),), cfg)
+    assert kept.states[1] == held and kept.events[-1] == ("crash", 1, False)
+    wiped = replay(path + (("crash", 1, True),), cfg)
+    assert wiped.states[1] == AcceptorState() and wiped.events[-1] == ("crash", 1, True)
 
 
 def test_checker_value_rule_matches_core_on_recovery():

@@ -6,6 +6,7 @@ import pytest
 from fpaxos import checker
 from fpaxos.cli import build_parser, main, sim_config_from_args
 from fpaxos.quorum import make_majority
+from fpaxos.scenarios import SCENARIOS
 from fpaxos.sim import SimConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -96,6 +97,23 @@ def test_check_custom_disjoint_violates(capsys, tmp_path):
     assert 1 <= len(lines) - 1 <= 10
 
 
+def test_check_replay_not_confirmed_without_the_deciding_accept(capsys, monkeypatch):
+    # The disjoint counterexample without its last accept decides nothing,
+    # so replay cannot show proposal-consistency broken.
+    explore = checker.explore
+
+    def truncated(cfg):
+        res = explore(cfg)
+        v = res.violation
+        return checker.CheckResult(res.states, False, checker.Violation(v.property, v.path[:-1]))
+
+    monkeypatch.setattr(checker, "explore", truncated)
+    code, out, _ = run_cli(capsys, "check", "--custom-q1", "[[0]]", "--custom-q2", "[[1]]", "--n", "2")
+    assert code == 1
+    assert "VIOLATION (proposal-consistency)" in out
+    assert "replay          : NOT CONFIRMED (0 decisions observed)" in out
+
+
 def test_check_config_file(capsys, tmp_path):
     cfgfile = tmp_path / "check.json"
     cfgfile.write_text(json.dumps({"quorum": {"kind": "majority", "n": 3}, "ballots": 2}))
@@ -184,10 +202,11 @@ def test_check_repeated_value_names_exit_2(capsys, tmp_path):
 # ---------------------------------------------------------------- simulate
 
 
-def test_simulate_scenario_matches_golden(capsys):
-    code, out, _ = run_cli(capsys, "simulate", "--scenario", "fig2a")
-    assert code == 0
-    assert out == (GOLDEN / "fig2a.jsonl").read_text()
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_simulate_scenario_matches_golden(capsys, name):
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", name)
+    assert code == (1 if name == "amnesia" else 0)
+    assert out == (GOLDEN / f"{name}.jsonl").read_text()
 
 
 def test_simulate_scenario_amnesia_exits_1(capsys, tmp_path):

@@ -1,10 +1,12 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fpaxos import core
+from fpaxos import core, scenarios
+from fpaxos.checker import CheckConfig, _Space
 from fpaxos.quorum import make_majority
-from fpaxos.scenarios import SCENARIOS, run_scenario
+from fpaxos.scenarios import SCENARIOS, ScenarioOutcomeError, run_scenario
 from fpaxos.sim import to_jsonl
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,6 +55,39 @@ def test_traces_match_goldens(name):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_traces_byte_stable_across_runs(name):
     assert to_jsonl(run_scenario(name).trace) == to_jsonl(run_scenario(name).trace)
+
+
+def _first_step_off_the_model(space, path):
+    """The first action of ``path`` the checker's model cannot take, or None.
+
+    Refusals, answers and crashes are not model actions and are skipped; a
+    propose matches on ballot and value, whatever order its quorum is in.
+    """
+    match = lambda act: act[:3] if act[0] == "propose" else act
+    s = space.initial()
+    for act in path:
+        if act[0] in ("refuse", "answer", "crash"):
+            continue
+        s = next((child for a, child in space.successors(s) if match(a) == match(act)), None)
+        if s is None:
+            return act
+    return None
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_paths_are_model_paths_except_amnesia(name):
+    sc = scenarios._SCENARIOS[name]
+    space = _Space(CheckConfig(sc.quorum, values=sc.values))
+    # the model's A2 keeps (1, x) across the crash, so ballot 2 cannot propose y
+    expected = ("propose", 1, 1, (1, 2)) if name == "amnesia" else None
+    assert _first_step_off_the_model(space, sc.path) == expected
+
+
+@pytest.mark.parametrize("change", [{"decided": ("a",)}, {"proposer_values": {"P1": "a", "P2": "b"}}])
+def test_an_undocumented_outcome_is_an_error(monkeypatch, change):
+    monkeypatch.setitem(scenarios._SCENARIOS, "fig2b", replace(scenarios._SCENARIOS["fig2b"], **change))
+    with pytest.raises(ScenarioOutcomeError):
+        run_scenario("fig2b")
 
 
 def test_unknown_scenario_rejected():
