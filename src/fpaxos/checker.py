@@ -36,9 +36,9 @@ under value and, for threshold kinds, acceptor permutations (scalarset
 reduction, Ip & Dill 1996): same verdicts from fewer states, and a
 violation found that way is searched again without it for a real path.
 
-Counterexample paths replay through :mod:`fpaxos.core`'s transition
-functions, cross-validating the two encodings; :func:`replay` also runs
-the scripted executions of :mod:`fpaxos.scenarios`.
+Counterexample paths replay through :mod:`fpaxos.core`'s rules, the ones
+``multi.Replica`` applies too, cross-validating the model's encoding of
+them; :func:`replay` also runs the scripts of :mod:`fpaxos.scenarios`.
 """
 
 from __future__ import annotations

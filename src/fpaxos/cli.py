@@ -357,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--latency", help="one-way ms: fixed '10' or uniform '5:25'")
     run.add_argument("--loss", type=float)
     run.add_argument("--duplicate", type=float)
-    run.add_argument("--request-size", type=int)
     run.add_argument("--window", type=int)
     run.add_argument("--duration-ms", type=float)
     run.add_argument("--warmup-ms", type=float)

@@ -1,10 +1,11 @@
-"""Single-decree protocol state machines.
+"""Single-decree protocol rules.
 
-Pure transition functions over immutable acceptor and proposer states.
-The callers own message delivery and scheduling: :func:`fpaxos.checker.replay`,
-which also runs the scripted scenarios, the simulator's ``multi.Replica``,
-and the tests, the only users of the proposer functions.  Every function
-here is deterministic in (state, input).
+Pure functions over immutable acceptor states: the acceptor's promise and
+accept rules, the proposer's value choice (:func:`choose_value`) and the
+learner's rule (:func:`decided_proposals`).  The callers own message
+delivery and scheduling: :func:`fpaxos.checker.replay`, which also runs
+the scripted scenarios, and the simulator's ``multi.Replica``, the one
+proposer.  Every function here is deterministic in (state, input).
 
 Messages follow the classic two-phase shape: prepare/promise to win a
 phase-1 quorum, propose/accept to commit a value on a phase-2 quorum.
@@ -21,14 +22,9 @@ from dataclasses import dataclass, fields, replace
 from functools import cache
 from typing import Mapping, Optional, Tuple
 
-from .quorum import QuorumSystem, select_quorum
+from .quorum import QuorumSystem, select_quorum  # noqa: F401 (perfbench/spans.py wraps it)
 
 Value = str
-
-IDLE = "idle"
-PHASE1 = "phase1"
-PHASE2 = "phase2"
-DECIDED = "decided"
 
 
 class AgreementViolation(Exception):
@@ -137,7 +133,11 @@ def message_json(m) -> dict:
 
 
 def acceptor_handle_prepare(st: AcceptorState, m: Prepare):
-    """Promise the ballot if it beats every earlier promise, else nack."""
+    """Promise the ballot if it beats every earlier promise, else nack.
+
+    Reads only ``ballot``, ``src`` and ``dst``, so a ``multi.LeaderPrepare``
+    is handled as it is.
+    """
     if st.promised is None or m.ballot > st.promised:
         st2 = replace(st, promised=m.ballot)
         return st2, Promise(src=m.dst, dst=m.src, ballot=m.ballot, accepted=st.accepted)
@@ -156,32 +156,7 @@ def acceptor_handle_propose(st: AcceptorState, m: Propose):
     return st, Nack(src=m.dst, dst=m.src, ballot=m.ballot, promised=st.promised)
 
 
-# -- proposer -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProposerState:
-    proposer_id: int
-    ballot: Ballot
-    phase: str = IDLE
-    candidate_value: Optional[Value] = None
-    promises: Mapping[int, Optional[Tuple[Ballot, Value]]] = None
-    accepts: frozenset = frozenset()
-    chosen_value: Optional[Value] = None
-    seen_round: int = 0
-
-    def __post_init__(self):
-        if self.promises is None:
-            object.__setattr__(self, "promises", {})
-
-
-def make_proposer(proposer_id: int, round: int, candidate: Value) -> ProposerState:
-    return ProposerState(
-        proposer_id=proposer_id,
-        ballot=Ballot(round, proposer_id),
-        candidate_value=candidate,
-        seen_round=round,
-    )
+# -- value choice -------------------------------------------------------
 
 
 def choose_value(promised_pairs, candidate: Value) -> Value:
@@ -190,75 +165,6 @@ def choose_value(promised_pairs, candidate: Value) -> Value:
     if not pairs:
         return candidate
     return max(pairs, key=lambda p: p[0])[1]
-
-
-def proposer_start(ps: ProposerState, qs: QuorumSystem, targets):
-    """Enter phase 1 by preparing to a phase-1 quorum (or to everyone)."""
-    targets = frozenset(targets)
-    if targets != qs.universe and not qs.is_q1(targets):
-        raise ValueError(f"prepare targets {sorted(targets)} do not contain a phase-1 quorum")
-    ps2 = replace(ps, phase=PHASE1, promises={}, accepts=frozenset(), chosen_value=None)
-    msgs = [Prepare(src=ps.proposer_id, dst=t, ballot=ps.ballot) for t in sorted(targets)]
-    return ps2, msgs
-
-
-def proposer_on_promise(ps: ProposerState, qs: QuorumSystem, m: Promise, q2_targets=None):
-    """Record a promise; on the first full phase-1 quorum, start phase 2.
-
-    The proposed value is forced to the highest-ballot accepted pair among
-    the collected promises; only with a clean slate may the proposer use
-    its own candidate.  ``q2_targets`` overrides the default fixed-first
-    phase-2 quorum choice.
-    """
-    if ps.phase != PHASE1 or m.ballot != ps.ballot:
-        return ps, []
-    promises = dict(ps.promises)
-    promises[m.src] = m.accepted
-    ps2 = replace(ps, promises=promises)
-    if not qs.is_q1(frozenset(promises)):
-        return ps2, []
-    value = choose_value(promises.values(), ps.candidate_value)
-    if q2_targets is None:
-        q2_targets = select_quorum(qs, 2, qs.universe)
-    else:
-        q2_targets = frozenset(q2_targets)
-        if q2_targets != qs.universe and not qs.is_q2(q2_targets):
-            raise ValueError(
-                f"propose targets {sorted(q2_targets)} do not contain a phase-2 quorum"
-            )
-    ps3 = replace(ps2, phase=PHASE2, chosen_value=value)
-    msgs = [
-        Propose(src=ps.proposer_id, dst=t, ballot=ps.ballot, value=value)
-        for t in sorted(q2_targets)
-    ]
-    return ps3, msgs
-
-
-def proposer_on_accept(ps: ProposerState, qs: QuorumSystem, m: Accept) -> ProposerState:
-    """Record an accept; a full phase-2 quorum means the value is decided."""
-    if ps.phase not in (PHASE2, DECIDED) or m.ballot != ps.ballot:
-        return ps
-    accepts = ps.accepts | {m.src}
-    phase = DECIDED if qs.is_q2(accepts) else ps.phase
-    return replace(ps, accepts=accepts, phase=phase)
-
-
-def proposer_on_nack(ps: ProposerState, m: Nack) -> ProposerState:
-    """Track the highest round seen so a retry can outbid it."""
-    return replace(ps, seen_round=max(ps.seen_round, m.promised.round))
-
-
-def proposer_retry(ps: ProposerState, qs: QuorumSystem, targets):
-    """Re-enter phase 1 with a round above everything observed."""
-    round = max(ps.seen_round, ps.ballot.round) + 1
-    ps2 = replace(
-        ps,
-        ballot=Ballot(round, ps.proposer_id),
-        seen_round=round,
-        phase=IDLE,
-        chosen_value=None,
-    )
-    return proposer_start(ps2, qs, targets)
 
 
 # -- learner ------------------------------------------------------------
@@ -274,16 +180,3 @@ def decided_proposals(states: Mapping[int, AcceptorState], qs: QuorumSystem):
         (pair for pair, who in holders.items() if qs.is_q2(frozenset(who))),
         key=lambda p: p[0],
     )
-
-
-def learner_decided(states: Mapping[int, AcceptorState], qs: QuorumSystem):
-    """The decided (ballot, value), or None.
-
-    Raises :class:`AgreementViolation` if quorums hold different values.
-    """
-    qualifying = decided_proposals(states, qs)
-    if not qualifying:
-        return None
-    if len({v for _, v in qualifying}) > 1:
-        raise AgreementViolation(qualifying)
-    return qualifying[-1]

@@ -3,9 +3,10 @@
 One aggregated phase 1 establishes a replica as leader for every slot at
 or above its first undecided index; phase 2 then runs per slot to commit
 client values.  Each replica combines the acceptor, proposer and learner
-roles.  Per-slot acceptor behavior delegates to the single-decree rules
-in :mod:`fpaxos.core`; the one aggregated piece of durable state is the
-promised ballot, which covers all slots.
+roles, and its leader is the only proposer.  The rules are
+:mod:`fpaxos.core`'s: promise or nack a prepare, accept per slot, and at
+recovery choose each slot's value (else a no-op).  The one aggregated
+piece of durable state is the promised ballot, which covers all slots.
 
 Replicas are plain deterministic objects: every method is a function of
 current state and its arguments, and the harness owns all scheduling and
@@ -120,7 +121,6 @@ message_json = core.message_json  # one encoder serves both vocabularies
 class _Inflight:
     value: str
     req_id: Optional[str]
-    targets: frozenset
     acks: set = field(default_factory=set)
 
 
@@ -236,10 +236,9 @@ class Replica:
         targets = self._pick(2, alive, tick=slot)
         if targets is None:
             return []
-        fl.targets = targets
         return [
             SlotPropose(src=self.id, dst=t, ballot=self.ballot, slot=slot, value=fl.value)
-            for t in sorted(fl.targets)
+            for t in sorted(targets)
         ]
 
     def _pick(self, phase, alive, tick):
@@ -252,13 +251,12 @@ class Replica:
 
     def _propose_slot(self, slot, value, req_id, alive) -> list:
         targets = self._pick(2, alive, tick=slot)
-        if targets is None:
-            targets = frozenset()  # no quorum formable; retransmits adapt later
-        self.inflight[slot] = _Inflight(value=value, req_id=req_id, targets=targets)
+        self.inflight[slot] = _Inflight(value=value, req_id=req_id)
         self._new_slots.append(slot)
+        # with no quorum formable nothing is sent; retransmits adapt later
         return [
             SlotPropose(src=self.id, dst=t, ballot=self.ballot, slot=slot, value=value)
-            for t in sorted(targets)
+            for t in sorted(targets or ())
         ]
 
     def take_new_slots(self) -> list:
@@ -279,18 +277,16 @@ class Replica:
     def _finish_election(self, alive) -> list:
         self.electing = False
         self.leading = True
-        pool = {}
+        pool = {}  # slot -> the (ballot, value) pairs the promises report
         for pm in self._promises.values():
             for slot, b, v in pm.accepted:
-                cur = pool.get(slot)
-                if cur is None or b > cur[0]:
-                    pool[slot] = (b, v)
+                pool.setdefault(slot, []).append((b, v))
         horizon = max(pool, default=self._from_slot - 1)
         out = []
         for slot in range(self._from_slot, horizon + 1):
             if slot in self.log:
                 continue
-            value = pool[slot][1] if slot in pool else NOOP
+            value = core.choose_value(pool.get(slot, ()), NOOP)
             out += self._propose_slot(slot, value, None, alive)
         self.next_slot = max(self.next_slot, horizon + 1)
         out += self._drain_pending(alive)
@@ -319,8 +315,9 @@ class Replica:
 
     def _on_LeaderPrepare(self, m: LeaderPrepare, alive) -> list:
         self._observe(m.ballot)
-        if self.promised is None or m.ballot > self.promised:
-            self.promised = m.ballot
+        st, reply = core.acceptor_handle_prepare(core.AcceptorState(promised=self.promised), m)
+        if isinstance(reply, core.Promise):
+            self.promised = st.promised
             pairs = tuple(
                 (s, b, v)
                 for s, (b, v) in sorted(self.accepted.items())
@@ -332,7 +329,7 @@ class Replica:
                     from_slot=m.from_slot, accepted=pairs,
                 )
             ]
-        return [LeaderNack(src=self.id, dst=m.src, ballot=m.ballot, promised=self.promised)]
+        return [LeaderNack(src=self.id, dst=m.src, ballot=m.ballot, promised=reply.promised)]
 
     def _on_LeaderPromise(self, m: LeaderPromise, alive) -> list:
         if not self.electing or m.ballot != self.ballot:

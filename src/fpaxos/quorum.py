@@ -53,6 +53,8 @@ EXPLICIT = "explicit"
 
 _THRESHOLD_KINDS = (MAJORITY, IMPROVED_MAJORITY, SIMPLE)
 STRATEGIES = ("first", "rotating", "random", "fastest")
+MAX_ENUM = 5_000_000  # generator families larger than this are unverifiable
+MAX_N_EXHAUSTIVE = 20  # explicit families larger than this get no tolerance report
 
 
 class UnverifiableError(Exception):
@@ -328,7 +330,7 @@ def make_explicit(n: int, q1_sets, q2_sets) -> QuorumSystem:
 # -- validation and fault tolerance --------------------------------------
 
 
-def validate_cross_intersection(qs: QuorumSystem, max_enum: int = 5_000_000) -> bool:
+def validate_cross_intersection(qs: QuorumSystem) -> bool:
     """True iff every phase-1 quorum intersects every phase-2 quorum.
 
     Exact by upward closure: some Q1 and Q2 are disjoint iff the
@@ -337,18 +339,18 @@ def validate_cross_intersection(qs: QuorumSystem, max_enum: int = 5_000_000) -> 
     generator family is too large to enumerate.
     """
     count = qs.generator_count(1)
-    if count > max_enum:
+    if count > MAX_ENUM:
         raise UnverifiableError(
             f"{count} phase-1 quorum generators exceed the enumeration "
-            f"limit of {max_enum}; intersection unverifiable at this size"
+            f"limit of {MAX_ENUM}; intersection unverifiable at this size"
         )
     universe = qs.universe
     return all(not qs.is_q2(universe - g) for g in qs.generators(1))
 
 
-def find_disjoint_pair(qs: QuorumSystem, max_enum: int = 5_000_000):
+def find_disjoint_pair(qs: QuorumSystem):
     """A witness (q1, q2) pair with empty intersection, or None."""
-    if qs.generator_count(1) > max_enum or qs.generator_count(2) > max_enum:
+    if qs.generator_count(1) > MAX_ENUM or qs.generator_count(2) > MAX_ENUM:
         raise UnverifiableError("quorum family too large to enumerate")
     universe = qs.universe
     for g1 in qs.generators(1):
@@ -378,11 +380,11 @@ class FaultToleranceReport:
     best_case_f: int
 
 
-def failure_tolerance(qs: QuorumSystem, max_n_exhaustive: int = 20) -> FaultToleranceReport:
+def failure_tolerance(qs: QuorumSystem) -> FaultToleranceReport:
     """Compute the tolerance report; closed forms for shipped kinds.
 
     Explicit families fall back to exhaustive failure-set enumeration,
-    which is limited to n <= ``max_n_exhaustive``.
+    which is limited to n <= ``MAX_N_EXHAUSTIVE``.
     """
     n = qs.n
     if qs.kind in _THRESHOLD_KINDS:
@@ -406,9 +408,9 @@ def failure_tolerance(qs: QuorumSystem, max_n_exhaustive: int = 20) -> FaultTole
             phase2_only_max_f=keep,
             best_case_f=keep,
         )
-    if n > max_n_exhaustive:
+    if n > MAX_N_EXHAUSTIVE:
         raise UnverifiableError(
-            f"exhaustive failure enumeration limited to n <= {max_n_exhaustive}"
+            f"exhaustive failure enumeration limited to n <= {MAX_N_EXHAUSTIVE}"
         )
     return _exhaustive_tolerance(qs)
 

@@ -42,6 +42,7 @@ from .multi import CLIENT, NOOP, Replica
 from .quorum import QuorumSystem, is_id_lists
 
 US_PER_MS = 1000
+REQUEST_BYTES = 64  # client payload length; no bandwidth is modeled, so size moves no metric
 
 
 def ms_to_us(ms: float) -> int:
@@ -168,7 +169,6 @@ class SimConfig:
     restores: Tuple[RestoreEvent, ...] = ()
     elections: Tuple[ElectionEvent, ...] = ()
     partitions: Tuple[PartitionEvent, ...] = ()
-    request_size: int = 64
     window: int = 10
     duration_ms: float = 120_000.0
     warmup_ms: float = 10_000.0
@@ -191,8 +191,6 @@ class SimConfig:
             raise ValueError("initial_leader out of range")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.request_size < 12:
-            raise ValueError("request_size must be >= 12 bytes")
         if self.warmup_ms + self.cooldown_ms >= self.duration_ms:
             raise ValueError("warmup + cooldown must leave a steady window")
         for name in ("crashes", "restores", "elections", "partitions"):
@@ -578,7 +576,7 @@ class World:
             return
         req_id = f"r{self.req_seq:06d}"
         self.req_seq += 1
-        payload = (req_id + ":").ljust(self.cfg.request_size, "x")
+        payload = (req_id + ":").ljust(REQUEST_BYTES, "x")
         self.outstanding[req_id] = (self.now, payload)
         self._send(_request_to(self.leader_id, req_id, payload))
 

@@ -17,15 +17,19 @@ from fpaxos.core import (
     acceptor_handle_prepare,
     acceptor_handle_propose,
     choose_value,
-    learner_decided,
-    make_proposer,
-    proposer_on_accept,
-    proposer_on_nack,
-    proposer_on_promise,
-    proposer_retry,
-    proposer_start,
+    decided_proposals,
 )
-from fpaxos.quorum import make_grid, make_majority
+from fpaxos.multi import (
+    CLIENT,
+    LeaderNack,
+    LeaderPrepare,
+    LeaderPromise,
+    Replica,
+    Request,
+    SlotAccept,
+    SlotPropose,
+)
+from fpaxos.quorum import make_grid, make_majority, make_simple
 
 B = Ballot
 P1, P2 = 100, 101  # proposer ids used in scenarios
@@ -92,122 +96,127 @@ def test_propose_without_prior_prepare_is_allowed():
 
 
 # ---------------------------------------------------------------- proposer
+#
+# The one proposer is the leader of ``multi.Replica``; these check core's
+# single-decree proposer rules as it applies them.
+
+
+def candidate(qs, alive=None, rid=0, seen_round=0):
+    """A replica that has just sent its prepares, and those prepares."""
+    r = Replica(rid, qs)
+    r.seen_round = seen_round
+    return r, r.become_leader(set(range(qs.n)) if alive is None else set(alive))
+
+
+def promise(r, src, pairs=(), ballot=None):
+    """src's promise to r's election, reporting (slot, ballot, value) pairs."""
+    return LeaderPromise(
+        src=src, dst=r.id, ballot=ballot or r.ballot, from_slot=0, accepted=tuple(pairs)
+    )
+
+
+def feed_promises(r, promises, alive=None):
+    alive = set(range(r.qs.n)) if alive is None else set(alive)
+    msgs = []
+    for src, pairs in promises:
+        msgs.extend(r.on_message(promise(r, src, pairs), alive))
+    return msgs
 
 
 def test_start_emits_prepares_to_q1():
-    qs = make_majority(4, improved=True)
-    ps = make_proposer(P1, 1, "a")
-    ps1, msgs = proposer_start(ps, qs, {0, 1, 2})
-    assert ps1.phase == core.PHASE1
+    r, msgs = candidate(make_majority(4, improved=True))
+    assert r.electing and not r.leading
     assert [m.dst for m in msgs] == [0, 1, 2]
-    assert all(isinstance(m, Prepare) and m.ballot == B(1, P1) for m in msgs)
+    assert all(isinstance(m, LeaderPrepare) and m.ballot == B(1, 0) for m in msgs)
 
 
 def test_start_single_acceptor():
-    qs = make_majority(1)
-    _, msgs = proposer_start(make_proposer(P1, 1, "a"), qs, {0})
+    _, msgs = candidate(make_majority(1))
     assert len(msgs) == 1
 
 
 def test_start_rejects_non_q1_targets():
-    qs = make_majority(4, improved=True)
-    with pytest.raises(ValueError):
-        proposer_start(make_proposer(P1, 1, "a"), qs, {0, 1})
+    r, msgs = candidate(make_majority(4, improved=True), alive={0, 1})
+    assert msgs == [] and not r.leading
 
 
 def test_quorum_restricted_prepare_count():
-    from fpaxos.quorum import make_simple, select_quorum
-
-    qs = make_simple(10, 3)
-    targets = select_quorum(qs, 1, range(10))
-    _, msgs = proposer_start(make_proposer(P1, 1, "a"), qs, targets)
+    _, msgs = candidate(make_simple(10, 3))
     assert len(msgs) == 8
 
 
-def feed_promises(ps, qs, promises, q2_targets=None):
-    msgs = []
-    for src, accepted in promises:
-        ps, out = proposer_on_promise(
-            ps, qs, Promise(src=src, dst=ps.proposer_id, ballot=ps.ballot, accepted=accepted),
-            q2_targets=q2_targets,
-        )
-        msgs.extend(out)
-    return ps, msgs
-
-
 def test_promise_quorum_adopts_prior_value():
-    qs = make_majority(4, improved=True)
-    ps, _ = proposer_start(make_proposer(P2, 2, "b"), qs, {1, 2, 3})
-    ps, msgs = feed_promises(
-        ps, qs, [(3, None), (2, None), (1, (B(1, P1), "a"))], q2_targets={2, 3}
-    )
-    assert ps.phase == core.PHASE2
-    assert ps.chosen_value == "a"
-    assert sorted(m.dst for m in msgs) == [2, 3]
-    assert all(m.value == "a" for m in msgs)
+    alive = {1, 2, 3}
+    r, _ = candidate(make_majority(4, improved=True), alive=alive, rid=3, seen_round=1)
+    msgs = feed_promises(r, [(3, ()), (2, ()), (1, [(0, B(1, P1), "a")])], alive)
+    assert r.leading
+    assert sorted(m.dst for m in msgs) == [1, 2]
+    assert all(isinstance(m, SlotPropose) and (m.slot, m.value) == (0, "a") for m in msgs)
 
 
 def test_promise_quorum_uses_candidate_when_clean():
     qs = make_majority(4, improved=True)
-    ps, _ = proposer_start(make_proposer(P1, 1, "b"), qs, {0, 1, 2})
-    ps, msgs = feed_promises(ps, qs, [(0, None), (1, None), (2, None)])
-    assert ps.chosen_value == "b"
+    r, _ = candidate(qs)
+    assert feed_promises(r, [(0, ()), (1, ()), (2, ())]) == []  # nothing to recover
+    msgs = r.submit(Request(CLIENT, 0, "r1", "b"), set(range(4)))
     assert len(msgs) == 2  # fixed-first phase-2 quorum of size 2
+    assert all((m.slot, m.value) == (0, "b") for m in msgs)
 
 
 def test_promise_highest_ballot_wins():
-    qs = make_majority(4, improved=True)
-    ps, _ = proposer_start(make_proposer(P2, 4, "mine"), qs, {0, 1, 2})
-    ps, _ = feed_promises(
-        ps, qs, [(0, (B(1, P1), "a")), (1, (B(3, P1), "c")), (2, None)]
+    r, _ = candidate(make_majority(4, improved=True), seen_round=3)
+    msgs = feed_promises(
+        r, [(0, [(0, B(1, P1), "a")]), (1, [(0, B(3, P1), "c")]), (2, ())]
     )
-    assert ps.chosen_value == "c"
+    assert {m.value for m in msgs} == {"c"}
 
 
 def test_promise_stale_ballot_ignored():
     qs = make_majority(4, improved=True)
-    ps, _ = proposer_start(make_proposer(P1, 2, "b"), qs, {0, 1, 2})
-    stale = Promise(src=0, dst=P1, ballot=B(1, P1), accepted=None)
-    ps2, msgs = proposer_on_promise(ps, qs, stale)
-    assert ps2 == ps and msgs == []
+    r, _ = candidate(qs)
+    r.become_leader(set(range(4)))  # a retry: the round-1 election is stale
+    assert r.on_message(promise(r, 0, ballot=B(1, 0)), set(range(4))) == []
+    assert r._promises == {}
 
 
 def test_promise_after_phase2_ignored():
-    qs = make_majority(4, improved=True)
-    ps, _ = proposer_start(make_proposer(P1, 1, "b"), qs, {0, 1, 2, 3})
-    ps, msgs = feed_promises(ps, qs, [(0, None), (1, None), (2, None)])
-    assert ps.phase == core.PHASE2 and msgs
-    ps2, msgs2 = proposer_on_promise(
-        ps, qs, Promise(src=3, dst=P1, ballot=ps.ballot, accepted=None)
-    )
-    assert ps2 == ps and msgs2 == []
+    r, _ = candidate(make_majority(4, improved=True))
+    msgs = feed_promises(r, [(0, ()), (1, ()), (2, [(0, B(1, P1), "a")])])
+    assert r.leading and msgs
+    inflight = dict(r.inflight)
+    assert r.on_message(promise(r, 3, [(1, B(1, P1), "z")]), set(range(4))) == []
+    assert r.inflight == inflight and r.next_slot == 1
 
 
 def test_accepts_reach_decision_on_q2():
-    qs = make_majority(4, improved=True)
-    ps, _ = proposer_start(make_proposer(P1, 1, "a"), qs, {0, 1, 2})
-    ps, _ = feed_promises(ps, qs, [(0, None), (1, None), (2, None)])
-    ps = proposer_on_accept(ps, qs, Accept(src=0, dst=P1, ballot=ps.ballot))
-    assert ps.phase == core.PHASE2
-    ps = proposer_on_accept(ps, qs, Accept(src=1, dst=P1, ballot=ps.ballot))
-    assert ps.phase == core.DECIDED
+    r, _ = candidate(make_majority(4, improved=True))
+    feed_promises(r, [(0, ()), (1, ()), (2, ())])
+    r.submit(Request(CLIENT, 0, "r1", "a"), set(range(4)))
+    alive = set(range(4))
+    assert r.on_message(SlotAccept(src=0, dst=0, ballot=r.ballot, slot=0), alive) == []
+    assert 0 not in r.log
+    out = r.on_message(SlotAccept(src=1, dst=0, ballot=r.ballot, slot=0), alive)
+    assert r.log[0] == (r.ballot, "a")
+    assert [m.req_id for m in out] == ["r1"]
 
 
 def test_accepts_grid_column_decides():
     qs = make_grid(4, 5, mode="fpaxos")
-    ps, _ = proposer_start(make_proposer(P1, 1, "a"), qs, qs.row(0))
-    ps, _ = feed_promises(ps, qs, [(a, None) for a in sorted(qs.row(0))], q2_targets=qs.col(2))
+    r, msgs = candidate(qs)
+    assert {m.dst for m in msgs} == qs.row(0)
+    feed_promises(r, [(a, ()) for a in sorted(qs.row(0))])
+    r.submit(Request(CLIENT, 0, "r1", "a"), qs.universe)
     for a in sorted(qs.col(2)):
-        ps = proposer_on_accept(ps, qs, Accept(src=a, dst=P1, ballot=ps.ballot))
-    assert ps.phase == core.DECIDED
+        assert 0 not in r.log
+        r.on_message(SlotAccept(src=a, dst=0, ballot=r.ballot, slot=0), qs.universe)
+    assert r.log[0] == (r.ballot, "a")
 
 
 def test_nack_then_retry_bumps_round():
-    qs = make_majority(4, improved=True)
-    ps, _ = proposer_start(make_proposer(P1, 1, "a"), qs, {0, 1, 2})
-    ps = proposer_on_nack(ps, Nack(src=0, dst=P1, ballot=ps.ballot, promised=B(5, P2)))
-    ps, msgs = proposer_retry(ps, qs, {0, 1, 2})
-    assert ps.ballot.round == 6
+    r, _ = candidate(make_majority(4, improved=True))
+    r.on_message(LeaderNack(src=1, dst=0, ballot=r.ballot, promised=B(5, P2)), set(range(4)))
+    msgs = r.become_leader(set(range(4)))
+    assert r.ballot == B(6, 0)
     assert len(msgs) == 3
 
 
@@ -222,14 +231,14 @@ def test_learner_examples():
         2: AcceptorState(promised=B(2, P2), accepted=(B(2, P2), "a")),
         3: AcceptorState(promised=B(2, P2), accepted=(B(2, P2), "a")),
     }
-    assert learner_decided(states, qs) == (B(2, P2), "a")
+    assert decided_proposals(states, qs) == [(B(2, P2), "a")]
 
     empty = {i: AcceptorState() for i in range(4)}
-    assert learner_decided(empty, qs) is None
+    assert decided_proposals(empty, qs) == []
 
     lone = dict(empty)
     lone[0] = AcceptorState(promised=B(1, P1), accepted=(B(1, P1), "a"))
-    assert learner_decided(lone, qs) is None
+    assert decided_proposals(lone, qs) == []
 
 
 def test_learner_flags_conflicting_quorums():
@@ -240,8 +249,13 @@ def test_learner_flags_conflicting_quorums():
         0: AcceptorState(promised=B(1, P1), accepted=(B(1, P1), "x")),
         1: AcceptorState(promised=B(2, P2), accepted=(B(2, P2), "y")),
     }
+    assert decided_proposals(states, qs) == [(B(1, P1), "x"), (B(2, P2), "y")]
+    # the replica's learner refuses to log a second value for a slot
+    r, _ = candidate(qs)
+    feed_promises(r, [(0, [(0, B(0, P1), "x")])])
+    r.log[0] = (B(0, P2), "y")
     with pytest.raises(AgreementViolation):
-        learner_decided(states, qs)
+        r.on_message(SlotAccept(src=0, dst=0, ballot=r.ballot, slot=0), qs.universe)
 
 
 def test_choose_value_rule():
@@ -272,28 +286,51 @@ def test_acceptor_ballots_never_decrease(seed, steps):
         st0 = st1
 
 
-@settings(deadline=None, max_examples=60)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_proposer_never_proposes_before_q1_or_decides_before_q2(seed):
-    rng = random.Random(seed)
-    qs = make_majority(rng.randint(1, 6), improved=rng.random() < 0.5)
-    ps, _ = proposer_start(make_proposer(P1, 1, "v"), qs, qs.universe)
-    proposed = False
-    for a in rng.sample(range(qs.n), qs.n):
-        ps, out = proposer_on_promise(
-            ps, qs, Promise(src=a, dst=P1, ballot=ps.ballot, accepted=None)
-        )
-        if out:
-            proposed = True
-            assert qs.is_q1(frozenset(ps.promises))
-    assert proposed  # full universe always reaches a phase-1 quorum
+@st.composite
+def systems(draw):
+    kind = draw(st.sampled_from(["majority", "even-improved", "grid"]))
+    if kind == "majority":
+        return make_majority(draw(st.integers(1, 6)))
+    if kind == "even-improved":
+        return make_majority(2 * draw(st.integers(1, 3)), improved=True)
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return make_grid(rows, cols, mode=draw(st.sampled_from(["fpaxos", "paxos"])))
+
+
+@settings(deadline=None, max_examples=150)
+@given(qs=systems(), data=st.data())
+def test_proposer_never_proposes_before_q1_or_decides_before_q2(qs, data):
+    """A replica leads, and first proposes, exactly when its promisers hold
+    a phase-1 quorum; a slot is logged exactly when its acks hold a phase-2
+    quorum; the logged value is core's choice among the promisers' reports."""
+    n, alive = qs.n, set(range(qs.n))
+    # each acceptor reports for slot 0 nothing or the one value of a round
+    reports = data.draw(st.lists(st.none() | st.integers(1, 3), min_size=n, max_size=n))
+    pairs = {a: [(0, B(rnd, P1), f"v{rnd}")] if rnd else [] for a, rnd in enumerate(reports)}
+    r, _ = candidate(qs, seen_round=3)
+    promisers, proposed = set(), []
+    for a in data.draw(st.permutations(range(n))):
+        was_leading = r.leading
+        out = r.on_message(promise(r, a, pairs[a]), alive)
+        promisers.add(a)
+        assert r.leading == qs.is_q1(frozenset(promisers))
+        if r.leading and not was_leading:
+            quorum = sorted(promisers)
+            proposed = out
+        else:
+            assert out == []
+    reported = [(b, v) for a in quorum for _, b, v in pairs[a]]
+    if not reported:
+        assert proposed == []
+        proposed = r.submit(Request(CLIENT, 0, "r1", "mine"), alive)
+    assert proposed and all(isinstance(m, SlotPropose) and m.slot == 0 for m in proposed)
+    assert {m.value for m in proposed} == {choose_value(reported, "mine")}
     acks = set()
-    for a in rng.sample(range(qs.n), qs.n):
-        before = ps.phase
-        ps = proposer_on_accept(ps, qs, Accept(src=a, dst=P1, ballot=ps.ballot))
+    for a in data.draw(st.permutations(range(n))):
+        r.on_message(SlotAccept(src=a, dst=0, ballot=r.ballot, slot=0), alive)
         acks.add(a)
-        if ps.phase == core.DECIDED and before != core.DECIDED:
-            assert qs.is_q2(frozenset(acks))
+        assert (0 in r.log) == qs.is_q2(frozenset(acks))
+    assert r.log[0] == (r.ballot, choose_value(reported, "mine"))
 
 
 @settings(deadline=None, max_examples=40)

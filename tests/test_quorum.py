@@ -317,6 +317,10 @@ def test_validate_oracle_at_n12():
 def test_validate_unverifiable_at_large_n():
     with pytest.raises(UnverifiableError):
         validate_cross_intersection(make_simple(40, 10))
+    with pytest.raises(UnverifiableError):
+        find_disjoint_pair(make_simple(40, 10))
+    with pytest.raises(UnverifiableError):
+        failure_tolerance(make_explicit(21, [[0]], [[0]]))
 
 
 def test_paxos_equivalence_for_odd_n():

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from fpaxos import core, scenarios
-from fpaxos.checker import CheckConfig, _Space
+from fpaxos import scenarios
+from fpaxos.checker import CheckConfig, ReplayDivergenceError, _Space, replay
 from fpaxos.quorum import make_majority
 from fpaxos.scenarios import SCENARIOS, ScenarioOutcomeError, run_scenario
 from fpaxos.sim import to_jsonl
@@ -98,27 +98,10 @@ def test_unknown_scenario_rejected():
 def test_fig2a_schedule_under_classic_majorities_agrees():
     # same serial schedule, but both phases need 3 of 4: the second
     # proposer still converges on the first value
-    qs = make_majority(4)
-    acc = {a: core.AcceptorState() for a in range(4)}
-
-    def round_trip(proposer, rnd, candidate, q1, q2):
-        ps = core.make_proposer(proposer, rnd, candidate)
-        ps, prepares = core.proposer_start(ps, qs, q1)
-        replies = []
-        for m in prepares:
-            acc[m.dst], reply = core.acceptor_handle_prepare(acc[m.dst], m)
-            replies.append(reply)
-        proposals = []
-        for reply in replies:
-            ps, out = core.proposer_on_promise(ps, qs, reply, q2_targets=q2)
-            proposals.extend(out)
-        for m in proposals:
-            acc[m.dst], reply = core.acceptor_handle_propose(acc[m.dst], m)
-            ps = core.proposer_on_accept(ps, qs, reply)
-        return ps
-
-    p1 = round_trip("P1", 1, "a", {0, 1, 2}, {0, 1, 2})
-    assert p1.phase == core.DECIDED and p1.chosen_value == "a"
-    p2 = round_trip("P2", 2, "b", {1, 2, 3}, {1, 2, 3})
-    assert p2.phase == core.DECIDED and p2.chosen_value == "a"
-    assert core.learner_decided(acc, qs)[1] == "a"
+    cfg = CheckConfig(make_majority(4), values=("a", "b"))
+    first = scenarios._round(0, 0, (0, 1, 2), (0, 1, 2))
+    r = replay(first + scenarios._round(1, 0, (1, 2, 3), (1, 2, 3)), cfg)
+    assert [v for _, v in r.decisions] == ["a", "a"]
+    assert not r.conflicting
+    with pytest.raises(ReplayDivergenceError):
+        replay(first + scenarios._round(1, 1, (1, 2, 3), (1, 2, 3)), cfg)
