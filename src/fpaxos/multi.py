@@ -8,6 +8,15 @@ roles, and its leader is the only proposer.  The rules are
 recovery choose each slot's value (else a no-op).  The one aggregated
 piece of durable state is the promised ballot, which covers all slots.
 
+Followers learn decisions from the leader's commit point, as with Raft's
+``leaderCommit``: every propose carries the sender's first undecided
+slot, and a replica that accepts it logs each slot below that point
+whose accepted pair is at the propose's ballot.  So a new leader's first
+undecided slot, and with it the history its phase 1 recovers, sits about
+one window behind the old leader.  A leader or candidate that accepts a
+higher ballot's propose steps down, since it may then know decisions its
+own ballot never saw.
+
 Replicas are plain deterministic objects: every method is a function of
 current state and its arguments, and the harness owns all scheduling and
 delivery (including the liveness machinery of retries and elections).
@@ -21,6 +30,7 @@ encoder: ``message_json`` is :func:`fpaxos.core.message_json`.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -95,6 +105,7 @@ class SlotPropose:
     ballot: Ballot
     slot: int
     value: str
+    commit: int  # the sender's first undecided slot: every slot below it is decided
 
 
 @dataclass(frozen=True)
@@ -149,6 +160,8 @@ class Replica:
         self.accepted: dict = {}  # slot -> (Ballot, value)
         # learner state
         self.log: dict = {}  # slot -> (Ballot, value)
+        self._undecided = 0  # no slot below it is missing from the log
+        self._unlogged: list = []  # heap of accepted slots not yet checked against a commit
         # volatile leader state
         self.leading = False
         self.electing = False
@@ -170,6 +183,8 @@ class Replica:
             self.promised = None
             self.accepted = {}
             self.log = {}
+            self._undecided = 0
+            self._unlogged = []
             self.seen_round = 0
 
     def demote(self) -> None:
@@ -181,10 +196,16 @@ class Replica:
         self._promises = {}
 
     def first_undecided(self) -> int:
-        s = 0
+        s = self._undecided
         while s in self.log:
             s += 1
+        self._undecided = s
         return s
+
+    def _learn(self, slot: int, pair) -> None:
+        prior = self.log.setdefault(slot, pair)
+        if prior[1] != pair[1]:
+            raise core.AgreementViolation([prior, pair])
 
     def log_json(self) -> list:
         return [
@@ -236,8 +257,11 @@ class Replica:
         targets = self._pick(2, alive, tick=slot)
         if targets is None:
             return []
+        commit = self.first_undecided()
         return [
-            SlotPropose(src=self.id, dst=t, ballot=self.ballot, slot=slot, value=fl.value)
+            SlotPropose(
+                src=self.id, dst=t, ballot=self.ballot, slot=slot, value=fl.value, commit=commit
+            )
             for t in sorted(targets)
         ]
 
@@ -254,8 +278,11 @@ class Replica:
         self.inflight[slot] = _Inflight(value=value, req_id=req_id)
         self._new_slots.append(slot)
         # with no quorum formable nothing is sent; retransmits adapt later
+        commit = self.first_undecided()
         return [
-            SlotPropose(src=self.id, dst=t, ballot=self.ballot, slot=slot, value=value)
+            SlotPropose(
+                src=self.id, dst=t, ballot=self.ballot, slot=slot, value=value, commit=commit
+            )
             for t in sorted(targets or ())
         ]
 
@@ -315,21 +342,24 @@ class Replica:
 
     def _on_LeaderPrepare(self, m: LeaderPrepare, alive) -> list:
         self._observe(m.ballot)
-        st, reply = core.acceptor_handle_prepare(core.AcceptorState(promised=self.promised), m)
-        if isinstance(reply, core.Promise):
+        # A duplicate of the promised ballot's prepare is promised again, not nacked.
+        if m.ballot != self.promised:
+            st, reply = core.acceptor_handle_prepare(core.AcceptorState(promised=self.promised), m)
+            if not isinstance(reply, core.Promise):
+                nack = LeaderNack(src=self.id, dst=m.src, ballot=m.ballot, promised=reply.promised)
+                return [nack]
             self.promised = st.promised
-            pairs = tuple(
-                (s, b, v)
-                for s, (b, v) in sorted(self.accepted.items())
-                if s >= m.from_slot
+        pairs = tuple(
+            (s, b, v)
+            for s, (b, v) in sorted(self.accepted.items())
+            if s >= m.from_slot
+        )
+        return [
+            LeaderPromise(
+                src=self.id, dst=m.src, ballot=m.ballot,
+                from_slot=m.from_slot, accepted=pairs,
             )
-            return [
-                LeaderPromise(
-                    src=self.id, dst=m.src, ballot=m.ballot,
-                    from_slot=m.from_slot, accepted=pairs,
-                )
-            ]
-        return [LeaderNack(src=self.id, dst=m.src, ballot=m.ballot, promised=reply.promised)]
+        ]
 
     def _on_LeaderPromise(self, m: LeaderPromise, alive) -> list:
         if not self.electing or m.ballot != self.ballot:
@@ -350,10 +380,30 @@ class Replica:
         if isinstance(reply, core.Accept):
             self.promised = st2.promised
             self.accepted[m.slot] = st2.accepted
+            if self.ballot is not None and m.ballot > self.ballot:
+                # A higher ballot's commit may log decisions our ballot never
+                # saw; proposing on with that commit point could log ours over them.
+                self.demote()
+            self._learn_commit(m.ballot, m.slot, m.commit)
             return [SlotAccept(src=self.id, dst=m.src, ballot=m.ballot, slot=m.slot)]
         return [
             SlotNack(src=self.id, dst=m.src, ballot=m.ballot, slot=m.slot, promised=reply.promised)
         ]
+
+    def _learn_commit(self, ballot: Ballot, slot: int, commit: int) -> None:
+        """Log every accepted slot below ``commit`` whose pair is at ``ballot``.
+
+        A ballot proposes one value per slot, so a pair accepted at the
+        ballot whose leader reports the slot decided is that decision.  A
+        slot held at another ballot can only be learned once a later ballot
+        proposes it again, which puts it back in the queue.
+        """
+        heapq.heappush(self._unlogged, slot)
+        while self._unlogged and self._unlogged[0] < commit:
+            s = heapq.heappop(self._unlogged)
+            pair = self.accepted.get(s)
+            if pair is not None and pair[0] == ballot:
+                self._learn(s, pair)
 
     def _on_SlotAccept(self, m: SlotAccept, alive) -> list:
         if not self.leading or m.ballot != self.ballot:
@@ -364,10 +414,7 @@ class Replica:
         fl.acks.add(m.src)
         if not self.qs.is_q2(frozenset(fl.acks)):
             return []
-        prior = self.log.get(m.slot)
-        if prior is not None and prior[1] != fl.value:
-            raise core.AgreementViolation([prior, (m.ballot, fl.value)])
-        self.log[m.slot] = (m.ballot, fl.value)
+        self._learn(m.slot, (m.ballot, fl.value))
         del self.inflight[m.slot]
         out = []
         if fl.req_id is not None:

@@ -193,6 +193,10 @@ class SimConfig:
             raise ValueError("window must be >= 1")
         if self.warmup_ms + self.cooldown_ms >= self.duration_ms:
             raise ValueError("warmup + cooldown must leave a steady window")
+        for key in ("election_retry_ms", "retransmit_ms"):
+            ms = getattr(self, key)  # a retry at 0 us would repeat forever at one instant
+            if not (math.isfinite(ms) and ms_to_us(ms) >= 1):
+                raise ValueError(f"{key} must round to at least 1 us (0.001 ms), got {ms!r}")
         for name in ("crashes", "restores", "elections", "partitions"):
             sched = getattr(self, name)
             times = [ev.t_ms for ev in sched]

@@ -383,6 +383,18 @@ def test_malformed_config_value_exits_2_naming_the_key(capsys, tmp_path, entries
     assert not out
 
 
+@pytest.mark.parametrize("key", ["retransmit_ms", "election_retry_ms"])
+@pytest.mark.parametrize("value", [0, -5, 0.0001, float("inf")])
+def test_retry_interval_below_one_microsecond_exits_2(capsys, tmp_path, key, value):
+    # each of these once retried forever at one virtual instant
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"quorum": {"kind": "majority", "n": 3}, key: value}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and key in err
+    assert not out
+
+
 # ----------------------------------------------------------------- goldens
 
 
@@ -452,9 +464,15 @@ def test_simulate_faults_trace_and_metrics_match_golden(capsys, tmp_path):
     )
     assert code == 0
     text = trace.read_text()
-    # the run covers a leader nack and both kinds of network drop
-    assert '"type":"nack","ballot"' in text and '"promised"' in text
+    # the run covers both kinds of network drop, and a duplicated prepare of
+    # the promised ballot that is promised again rather than nacked
     assert '"why":"loss"' in text and '"why":"partition"' in text
+    lines = [json.loads(l) for l in text.splitlines()]
+    prepares = [
+        json.dumps(l["msg"]) for l in lines if l["ev"] == "deliver" and l["msg"]["type"] == "prepare"
+    ]
+    assert len(prepares) > len(set(prepares))
+    assert not any(l["ev"] == "send" and l["msg"]["type"] == "nack" for l in lines)
     assert text == (GOLDEN / "cli_simulate_faults.jsonl").read_text()
     assert metrics.read_text() == (GOLDEN / "cli_simulate_faults.metrics.json").read_text()
 

@@ -177,7 +177,7 @@ def test_propose_to_unknown_slot_creates_state():
     qs = make_majority(3)
     reps = cluster(qs)
     out = reps[1].on_message(
-        SlotPropose(src=0, dst=1, ballot=Ballot(1, 0), slot=3, value="v"), {0, 1, 2}
+        SlotPropose(src=0, dst=1, ballot=Ballot(1, 0), slot=3, value="v", commit=0), {0, 1, 2}
     )
     assert isinstance(out[0], SlotAccept) and out[0].slot == 3
     assert reps[1].accepted[3] == (Ballot(1, 0), "v")
@@ -202,6 +202,90 @@ def test_stale_prepare_is_nacked():
     out = reps[1].on_message(stale, {0, 1, 2})
     assert isinstance(out[0], multi.LeaderNack)
     assert out[0].promised == reps[1].promised
+
+
+def test_duplicate_prepare_of_the_promised_ballot_is_promised_again():
+    qs = make_majority(3)
+    reps = cluster(qs)
+    leader, _ = elect(reps, 0)
+    pump(reps, leader.submit(Request(CLIENT, 0, "r0", "v"), {0, 1, 2}))
+    dup = LeaderPrepare(src=0, dst=1, ballot=leader.ballot, from_slot=0)
+    (out,) = reps[1].on_message(dup, {0, 1, 2})
+    assert isinstance(out, LeaderPromise) and out.ballot == leader.ballot
+    assert out.accepted == ((0, leader.ballot, "v"),)
+    assert reps[1].promised == leader.ballot
+    assert leader.on_message(out, {0, 1, 2}) == [] and leader.leading
+
+
+def test_follower_logs_slots_below_the_commit_point_at_the_propose_ballot():
+    rep = Replica(1, make_majority(3))
+    old, b = Ballot(1, 2), Ballot(2, 0)
+
+    def propose(ballot, slot, value, commit):
+        (out,) = rep.on_message(SlotPropose(0, 1, ballot, slot, value, commit), {0, 1, 2})
+        assert isinstance(out, SlotAccept)
+
+    propose(old, 0, "x", 0)
+    propose(b, 1, "a", 0)
+    propose(b, 2, "b", 2)
+    assert rep.log == {1: (b, "a")}
+    propose(b, 3, "c", 3)
+    # slot 0 is decided too, but the pair held there is another ballot's
+    assert rep.log == {1: (b, "a"), 2: (b, "b")} and rep.first_undecided() == 0
+    propose(b, 0, "x", 3)  # proposed again at b: now it is known
+    assert rep.log[0] == (b, "x") and rep.first_undecided() == 3
+
+
+def test_stale_leader_steps_down_when_it_accepts_a_higher_ballot():
+    """A leader that learned a higher ballot's decision must not send its commit point.
+
+    Leader A = 0 proposes v at slot 0 and only F = 1 accepts it.  B = 2 wins
+    a higher ballot with A's promise and decides w at slot 0; A accepts
+    B's next propose and logs w.  Were A still leading, its next propose
+    would carry commit 1 at its own ballot, and F would log v at slot 0.
+    """
+    qs = make_majority(3)
+    reps = cluster(qs)
+    a, f, b = reps
+    elect(reps, 0)
+    (to_f,) = [m for m in a.submit(Request(CLIENT, 0, "r0", "v"), {0, 1, 2}) if m.dst == 1]
+    f.on_message(to_f, {0, 1, 2})  # F's accept is lost
+    b.seen_round = 5
+    elect(reps, 2, alive={0, 2})
+    assert b.ballot == Ballot(6, 2) and b.leading
+    pump(reps, b.submit(Request(CLIENT, 2, "r1", "w"), {0, 2}), alive={0, 2})
+    pump(reps, b.submit(Request(CLIENT, 2, "r2", "x"), {0, 2}), alive={0, 2})
+    assert b.log[0][1] == "w" and a.log[0][1] == "w"
+    assert not a.leading
+    pump(reps, a.on_message(Request(CLIENT, 0, "r3", "y"), {0, 1, 2}), alive={1})
+    for rep in reps:
+        assert rep.log.get(0, (None, "w"))[1] == "w"
+
+
+def test_candidate_steps_down_when_it_accepts_a_higher_ballot():
+    """The same hazard while phase 1 is still open.
+
+    On simple(4, 3) candidate X = 0 prepares (1, 0) at {1, 2} only.  Y = 3
+    wins (2, 3) with {0, 3}, decides w at slot 0 and tells X.  Were X to
+    finish its election on the promises still in flight, which report
+    nothing, it would give slot 0 a client value at commit 1, and F = 1
+    would log it.
+    """
+    qs = make_simple(4, 3)
+    reps = cluster(qs)
+    x, _, _, y = reps
+    held = [reps[m.dst].on_message(m, {1, 2}) for m in x.become_leader({1, 2})]
+    y.seen_round = 1
+    elect(reps, 3, alive={0, 3})
+    pump(reps, y.submit(Request(CLIENT, 3, "r0", "w"), {0, 2, 3}), alive={0, 2, 3})
+    pump(reps, y.submit(Request(CLIENT, 3, "r1", "x"), {0, 2, 3}), alive={0, 2, 3})
+    assert x.log[0][1] == "w"
+    assert not x.electing
+    for (promise,) in held:
+        x.on_message(promise, {1, 2})
+    pump(reps, x.on_message(Request(CLIENT, 0, "r2", "u"), {1, 2, 3}), alive={1})
+    for rep in reps:
+        assert rep.log.get(0, (None, "w"))[1] == "w"
 
 
 def test_preemption_by_higher_ballot_demotes_leader():
@@ -316,12 +400,13 @@ def test_crash_semantics():
 
 
 def test_message_json_has_slot_fields():
-    d = message_json(SlotPropose(src=0, dst=1, ballot=Ballot(2, 0), slot=7, value="v"))
+    d = message_json(SlotPropose(src=0, dst=1, ballot=Ballot(2, 0), slot=7, value="v", commit=4))
     assert d == {
         "type": "propose",
         "ballot": [2, 0],
         "slot": 7,
         "value": "v",
+        "commit": 4,
         "src": 0,
         "dst": 1,
     }
@@ -355,8 +440,8 @@ def test_message_json_pins_every_class():
          '{"type":"promise","ballot":[2,0],"from_slot":0,"accepted":[],"src":1,"dst":0}'),
         (multi.LeaderNack(1, 0, b, p),
          '{"type":"nack","ballot":[2,0],"promised":[3,1],"src":1,"dst":0}'),
-        (SlotPropose(0, 1, b, 7, "x"),
-         '{"type":"propose","ballot":[2,0],"slot":7,"value":"x","src":0,"dst":1}'),
+        (SlotPropose(0, 1, b, 7, "x", 4),
+         '{"type":"propose","ballot":[2,0],"slot":7,"value":"x","commit":4,"src":0,"dst":1}'),
         (SlotAccept(1, 0, b, 7), '{"type":"accept","ballot":[2,0],"slot":7,"src":1,"dst":0}'),
         (multi.SlotNack(1, 0, b, 7, p),
          '{"type":"nack","ballot":[2,0],"slot":7,"promised":[3,1],"src":1,"dst":0}'),

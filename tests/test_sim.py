@@ -2,6 +2,8 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpaxos.quorum import make_grid, make_majority, make_simple
 from fpaxos.sim import (
@@ -239,6 +241,112 @@ def test_post_run_structural_invariants():
                 assert a.log[slot][1] == b.log[slot][1]
         for slot, (_, value) in a.log.items():
             assert world.registry.get(slot) in (None, value)
+
+
+def assert_logs_hold_decisions(world):
+    for rep in world.replicas:
+        for slot, (_, value) in rep.log.items():
+            assert world.registry.get(slot) == value, (rep.id, slot)
+
+
+def test_failover_recovery_is_flat_in_history_length():
+    """Promise entries and re-proposals after a crash track the window, not the history."""
+    from fpaxos import multi
+    from fpaxos.sim import World
+
+    class Counting(World):
+        def __init__(self, cfg, crash_us):
+            super().__init__(cfg)
+            self.crash_us, self.entries, self.proposes = crash_us, 0, 0
+
+        def _send(self, m):
+            if self.now >= self.crash_us:
+                if isinstance(m, multi.LeaderPromise):
+                    self.entries += len(m.accepted)
+                elif isinstance(m, multi.SlotPropose):
+                    self.proposes += 1
+            super()._send(m)
+
+    costs = []
+    for t_ms in (5000, 20000):
+        cfg = quick(
+            make_majority(5), seed=1, duration_ms=t_ms + 5000, warmup_ms=100, cooldown_ms=100,
+            crashes=(CrashEvent(t_ms, 0),), elections=(ElectionEvent(t_ms + 1, 1),),
+            record_trace=False,
+        )
+        world = Counting(cfg, crash_us=t_ms * 1000)
+        world.run()
+        costs.append((world.entries, world.proposes))
+        # followers learned the commit point: the new leader and its
+        # acceptors hold most of the history, all of it decided
+        assert len(world.replicas[1].log) > len(world.registry) - 2 * cfg.window
+        assert_logs_hold_decisions(world)
+    (e5, p5), (e20, p20) = costs
+    assert 0 < e20 <= 2 * e5 and 0 < p20 <= 2 * p5
+
+
+FAMILIES = [
+    make_majority(3),
+    make_majority(4, improved=True),
+    make_simple(4, 2),
+    make_grid(2, 2),
+    make_grid(2, 3),
+]
+FAULT_MS = 300  # every drawn fault lies before this
+SETTLE_MS = 20  # beyond the longest link, so nothing sent before the faults ends is in flight
+PROGRESS_MS = 3000
+
+
+@st.composite
+def fault_schedules(draw):
+    qs = draw(st.sampled_from(FAMILIES))
+    replica = st.integers(0, qs.n - 1)
+    t = st.integers(0, FAULT_MS - 1)
+    crashes = draw(st.lists(st.tuples(t, replica), max_size=3))
+    restores = draw(st.lists(st.tuples(t, replica), max_size=3))
+    elections = draw(st.lists(st.tuples(t, replica), max_size=3))
+    groups = st.lists(st.integers(0, 1), min_size=qs.n, max_size=qs.n).map(
+        lambda side: tuple(tuple(a for a in range(qs.n) if side[a] == g) for g in (0, 1))
+    )
+    partitions = draw(st.lists(st.tuples(t, groups | st.just(())), max_size=2))
+    final = FAULT_MS + SETTLE_MS
+    lo = draw(st.integers(1, 8))
+    return quick(
+        qs,
+        seed=draw(st.integers(0, 2**16)),
+        latency=Latency(lo, draw(st.integers(lo, 8))),
+        loss=draw(st.sampled_from([0.0, 0.02, 0.05])),
+        duplicate=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        window=draw(st.integers(1, 3)),
+        election_retry_ms=draw(st.integers(1, 60)),
+        retransmit_ms=draw(st.integers(1, 60)),
+        initial_leader=draw(replica),
+        crashes=tuple(CrashEvent(t, r) for t, r in sorted(crashes)),
+        # then everything heals, and one replica is elected
+        restores=tuple(RestoreEvent(t, r) for t, r in sorted(restores))
+        + tuple(RestoreEvent(FAULT_MS, r) for r in range(qs.n)),
+        partitions=tuple(PartitionEvent(t, g) for t, g in sorted(partitions))
+        + (PartitionEvent(FAULT_MS, ()),),
+        elections=tuple(ElectionEvent(t, r) for t, r in sorted(elections))
+        + (ElectionEvent(final, draw(replica)),),
+        duration_ms=final + PROGRESS_MS,
+        warmup_ms=0,
+        cooldown_ms=0,
+        record_trace=False,
+    )
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(cfg=fault_schedules())
+def test_fault_schedules_stay_safe_and_recover(cfg):
+    """Durable faults never break agreement, and service resumes after them."""
+    from fpaxos.sim import World
+
+    world = World(cfg)
+    world.run()  # a SafetyViolationError fails the test
+    assert_logs_hold_decisions(world)
+    final_us = (FAULT_MS + SETTLE_MS) * 1000
+    assert any(t >= final_us for t, _, _ in world.responses.values())
 
 
 # --------------------------------------------------------- durability
