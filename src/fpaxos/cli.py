@@ -28,11 +28,12 @@ from dataclasses import asdict, fields
 from . import checker as chk
 from . import scenarios, sim
 from .quorum import (
+    EXPLICIT,
+    SIMPLE,
     STRATEGIES,
     QuorumSystem,
     UnverifiableError,
     failure_tolerance,
-    make_explicit,
     make_grid,
     make_majority,
     make_simple,
@@ -174,7 +175,8 @@ def cmd_check(args) -> int:
     if args.custom_q1 or args.custom_q2:
         if not (args.custom_q1 and args.custom_q2 and args.n):
             raise ValueError("--custom-q1/--custom-q2 require each other and --n")
-        qs = make_explicit(args.n, json.loads(args.custom_q1), json.loads(args.custom_q2))
+        sets = {"q1_sets": json.loads(args.custom_q1), "q2_sets": json.loads(args.custom_q2)}
+        qs = QuorumSystem.from_json({"kind": EXPLICIT, "n": args.n, **sets})
     cfg = chk.check_config_from_json(merge_entries(args.config, args, CHECK_KEYS, qs))
     res = chk.explore(cfg)
     print(f"states explored : {res.states}")
@@ -214,12 +216,12 @@ def _timed_row(crash: bool):
             part = part.strip()
             if "=" in part:
                 k, v = part.split("=", 1)
-                given[k.strip()] = float(v)
+                given[k.strip()] = v
             elif part:
                 flags.append(part)
         if "t" not in given or "r" not in given:
             raise argparse.ArgumentTypeError("needs t=<ms>,r=<replica>")
-        row = [given["t"], int(given["r"])]
+        row = [float(given["t"]), int(given["r"])]
         return row + ["wipe" in flags] if crash else row
 
     return parse
@@ -287,6 +289,9 @@ def build_sweep(args):
     """Expand a JSON spec, overridden by the flags given, into a run list."""
     d = merge_entries(args.spec, args, SWEEP_KEYS)
     q2_list = d.pop("q2_list", None)
+    quorum = d.get("quorum")
+    if q2_list is not None and not (isinstance(quorum, dict) and quorum.get("kind") == SIMPLE):
+        raise ValueError(f"q2_list needs a simple quorum, got {quorum!r}")
     seeds = d.pop("seeds", 1)
     out = d.pop("out", None)
     fmt = d.pop("format", "csv")
@@ -294,7 +299,7 @@ def build_sweep(args):
     configs = []
     for q2 in q2_list or [None]:
         if q2 is not None:
-            d["quorum"] = {**d["quorum"], "kind": "simple", "q2_size": q2}
+            d["quorum"] = {**quorum, "q2_size": q2}
         for seed in seed_list:
             configs.append(sim.SimConfig.from_json({**d, "seed": seed, "record_trace": False}))
     return configs, out, fmt

@@ -241,9 +241,8 @@ class Replica:
             raise NotLeaderError(f"replica {self.id} is not the leader")
         if len(self.inflight) >= self.window:
             raise WindowFullError(f"{len(self.inflight)} proposals already in flight")
-        slot = self.next_slot
-        self.next_slot += 1
-        return self._propose_slot(slot, req.payload, req.req_id, alive)
+        self.pending.append(req)
+        return self._drain_pending(alive)
 
     def retransmit(self, slot: int, alive) -> list:
         """Re-send an undecided proposal, re-picking targets among alive.
@@ -254,16 +253,7 @@ class Replica:
         fl = self.inflight.get(slot)
         if not self.leading or fl is None:
             return []
-        targets = self._pick(2, alive, tick=slot)
-        if targets is None:
-            return []
-        commit = self.first_undecided()
-        return [
-            SlotPropose(
-                src=self.id, dst=t, ballot=self.ballot, slot=slot, value=fl.value, commit=commit
-            )
-            for t in sorted(targets)
-        ]
+        return self._fan_out(slot, fl.value, alive)
 
     def _pick(self, phase, alive, tick):
         if self.send_to_all:
@@ -274,16 +264,21 @@ class Replica:
         )
 
     def _propose_slot(self, slot, value, req_id, alive) -> list:
-        targets = self._pick(2, alive, tick=slot)
         self.inflight[slot] = _Inflight(value=value, req_id=req_id)
         self._new_slots.append(slot)
-        # with no quorum formable nothing is sent; retransmits adapt later
+        return self._fan_out(slot, value, alive)
+
+    def _fan_out(self, slot, value, alive) -> list:
+        """Propose ``value`` at ``slot`` to a phase-2 quorum of alive; if none is formable, nothing."""
+        targets = self._pick(2, alive, tick=slot)
+        if targets is None:
+            return []
         commit = self.first_undecided()
         return [
             SlotPropose(
                 src=self.id, dst=t, ballot=self.ballot, slot=slot, value=value, commit=commit
             )
-            for t in sorted(targets or ())
+            for t in sorted(targets)
         ]
 
     def take_new_slots(self) -> list:
@@ -335,10 +330,8 @@ class Replica:
     def _on_Request(self, m: Request, alive) -> list:
         if not self.leading:
             return []  # client is expected to redirect
-        if len(self.inflight) >= self.window:
-            self.pending.append(m)
-            return []
-        return self.submit(m, alive)
+        self.pending.append(m)
+        return self._drain_pending(alive)
 
     def _on_LeaderPrepare(self, m: LeaderPrepare, alive) -> list:
         self._observe(m.ballot)

@@ -333,10 +333,20 @@ def make_explicit(n: int, q1_sets, q2_sets) -> QuorumSystem:
 def validate_cross_intersection(qs: QuorumSystem) -> bool:
     """True iff every phase-1 quorum intersects every phase-2 quorum.
 
+    Raises :class:`UnverifiableError` instead of silently passing when the
+    phase-1 generator family is too large to enumerate.
+    """
+    return find_disjoint_pair(qs) is None
+
+
+def find_disjoint_pair(qs: QuorumSystem):
+    """A witness (q1, q2) pair with empty intersection, or None.
+
     Exact by upward closure: some Q1 and Q2 are disjoint iff the
-    complement of a generating Q1 still contains a Q2.  Raises
-    :class:`UnverifiableError` instead of silently passing when the
-    generator family is too large to enumerate.
+    complement of a phase-1 generator still contains a Q2.  The witness is
+    the first such generator and the first phase-2 generator inside its
+    complement.  Only phase 1 is enumerated, so only a phase-1 family over
+    ``MAX_ENUM`` generators raises :class:`UnverifiableError`.
     """
     count = qs.generator_count(1)
     if count > MAX_ENUM:
@@ -345,20 +355,10 @@ def validate_cross_intersection(qs: QuorumSystem) -> bool:
             f"limit of {MAX_ENUM}; intersection unverifiable at this size"
         )
     universe = qs.universe
-    return all(not qs.is_q2(universe - g) for g in qs.generators(1))
-
-
-def find_disjoint_pair(qs: QuorumSystem):
-    """A witness (q1, q2) pair with empty intersection, or None."""
-    if qs.generator_count(1) > MAX_ENUM or qs.generator_count(2) > MAX_ENUM:
-        raise UnverifiableError("quorum family too large to enumerate")
-    universe = qs.universe
     for g1 in qs.generators(1):
         rest = universe - g1
         if qs.is_q2(rest):
-            for g2 in qs.generators(2):
-                if g2 <= rest:
-                    return g1, g2
+            return g1, select_quorum(qs, 2, rest)
     return None
 
 
@@ -381,71 +381,40 @@ class FaultToleranceReport:
 
 
 def failure_tolerance(qs: QuorumSystem) -> FaultToleranceReport:
-    """Compute the tolerance report; closed forms for shipped kinds.
+    """Compute the tolerance report from the compiled quorums.
 
-    Explicit families fall back to exhaustive failure-set enumeration,
-    which is limited to n <= ``MAX_N_EXHAUSTIVE``.
+    Phase 2 survives exactly while its smallest quorum does, for every
+    kind.  Threshold kinds and grids have closed forms for the other two
+    counts.  For explicit families the best case keeps the smallest union
+    of a phase-1 and a phase-2 generator alive, and the guaranteed count
+    scans failure sets by size, which is limited to n <= ``MAX_N_EXHAUSTIVE``.
     """
     n = qs.n
+    phase2_only = n - qs.min_q2_size()
     if qs.kind in _THRESHOLD_KINDS:
-        q1, q2 = qs._threshold(1), qs._threshold(2)
-        both = n - max(q1, q2)
+        both = n - max(qs._threshold(1), qs._threshold(2))
+        return FaultToleranceReport(both, phase2_only, both)
+    if qs.kind in (GRID_PAXOS, GRID_FPAXOS):
+        # One dead column leaves no complete row, and one dead row no complete
+        # column; the best placement keeps one row plus one column alive.
         return FaultToleranceReport(
-            guaranteed_f=both, phase2_only_max_f=n - q2, best_case_f=both
-        )
-    if qs.kind == GRID_FPAXOS:
-        # Cheapest way to kill all rows is one full column (rows failures),
-        # and symmetrically for columns; best case keeps one row + one column.
-        return FaultToleranceReport(
-            guaranteed_f=min(qs.rows, qs.cols) - 1,
-            phase2_only_max_f=n - qs.rows,
-            best_case_f=n - (qs.rows + qs.cols - 1),
-        )
-    if qs.kind == GRID_PAXOS:
-        keep = n - (qs.rows + qs.cols - 1)
-        return FaultToleranceReport(
-            guaranteed_f=min(qs.rows, qs.cols) - 1,
-            phase2_only_max_f=keep,
-            best_case_f=keep,
+            min(qs.rows, qs.cols) - 1, phase2_only, n - (qs.rows + qs.cols - 1)
         )
     if n > MAX_N_EXHAUSTIVE:
         raise UnverifiableError(
             f"exhaustive failure enumeration limited to n <= {MAX_N_EXHAUSTIVE}"
         )
-    return _exhaustive_tolerance(qs)
-
-
-def _exhaustive_tolerance(qs: QuorumSystem) -> FaultToleranceReport:
-    universe = qs.universe
-    n = qs.n
-
-    def survives(alive, phase):
-        # Upward closure: a quorum is formable iff the whole alive set passes.
-        return qs.is_quorum(phase, alive)
-
-    guaranteed = -1
-    for f in range(n + 1):
-        if all(
-            survives(universe - frozenset(dead), 1) and survives(universe - frozenset(dead), 2)
-            for dead in itertools.combinations(range(n), f)
-        ):
-            guaranteed = f
-        else:
-            break
-
-    def best(phases):
-        for f in range(n, -1, -1):
-            for dead in itertools.combinations(range(n), f):
-                alive = universe - frozenset(dead)
-                if all(survives(alive, p) for p in phases):
-                    return f
-        return -1
-
-    return FaultToleranceReport(
-        guaranteed_f=max(guaranteed, 0),
-        phase2_only_max_f=best([2]),
-        best_case_f=best([1, 2]),
-    )
+    masks1, masks2 = qs._phases[0].masks, qs._phases[1].masks
+    best = n - min((m1 | m2).bit_count() for m1 in masks1 for m2 in masks2)
+    full = (1 << n) - 1
+    f = 1  # with no failures both phases can form; find the first size that can stop one
+    while all(
+        qs.is_q1_mask(alive) and qs.is_q2_mask(alive)
+        for alive in (full - sum(1 << a for a in dead)
+                      for dead in itertools.combinations(range(n), f))
+    ):
+        f += 1
+    return FaultToleranceReport(f - 1, phase2_only, best)
 
 
 # -- quorum selection (used by the simulator's senders) -------------------

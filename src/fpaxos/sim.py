@@ -67,8 +67,8 @@ class Latency:
     hi_ms: float = 10.0
 
     def __post_init__(self):
-        if self.lo_ms < 0 or self.hi_ms < self.lo_ms:
-            raise ValueError("need 0 <= lo_ms <= hi_ms")
+        if not 0 <= self.lo_ms <= self.hi_ms < math.inf:
+            raise ValueError(f"latency needs finite 0 <= lo_ms <= hi_ms, got {self.spec()!r}")
 
     def sample_us(self, rng: random.Random) -> int:
         if self.lo_ms == self.hi_ms:
@@ -191,6 +191,9 @@ class SimConfig:
             raise ValueError("initial_leader out of range")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        for key in ("duration_ms", "warmup_ms", "cooldown_ms"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be a finite time >= 0, got {getattr(self, key)!r}")
         if self.warmup_ms + self.cooldown_ms >= self.duration_ms:
             raise ValueError("warmup + cooldown must leave a steady window")
         for key in ("election_retry_ms", "retransmit_ms"):
@@ -203,9 +206,14 @@ class SimConfig:
             if times != sorted(times):
                 raise ValueError(f"{name} schedule must be time-ordered")
             for ev in sched:
-                r = getattr(ev, "replica", None)
-                if r is not None and not 0 <= r < self.n:
-                    raise ValueError(f"{name} entry names replica {r} outside [0, {self.n})")
+                if not 0 <= ev.t_ms < math.inf:
+                    raise ValueError(f"{name} entry time must be finite and >= 0, got {ev.t_ms!r}")
+                ids = [ev.replica] if hasattr(ev, "replica") else [a for g in ev.groups for a in g]
+                for r in ids:
+                    if not 0 <= r < self.n:
+                        raise ValueError(f"{name} entry names replica {r} outside [0, {self.n})")
+                if len(set(ids)) < len(ids):
+                    raise ValueError(f"{name} entry puts a replica in two groups: {ev.groups!r}")
 
     def to_json(self) -> dict:
         """Every field as a JSON value; ``from_json`` inverts it exactly."""
@@ -346,7 +354,6 @@ class World:
         self.slot_client = defaultdict(int)
         self.req_msgs = Counter()
         self.registry = {}  # slot -> first decided value (world learner)
-        self.nacks = 0
         self.drops = 0
         self.pending_retransmit = set()
         self.faults_possible = bool(
@@ -438,10 +445,6 @@ class World:
             self.sent[m.src] += 1
         if isinstance(m, _PROTO_SLOT):
             self.slot_proto[m.slot] += 1
-            if isinstance(m, multi.SlotNack):
-                self.nacks += 1
-        elif isinstance(m, multi.LeaderNack):
-            self.nacks += 1
         elif isinstance(m, multi.Request):
             self.req_msgs[m.req_id] += 1
         elif isinstance(m, multi.Response):
@@ -514,26 +517,26 @@ class World:
         for rep in self.replicas:
             rep.demote()
         self.intended = r
-        if self.leader_id is not None:
-            self.leader_id = None
+        self.leader_id = None
         if r not in self.alive:
             self._trace("election", replica=r, note="crashed")
             return
-        msgs = self.replicas[r].become_leader(self.reachable(r))
-        self._trace("election", replica=r, round=self.replicas[r].seen_round)
-        self._dispatch(msgs, owner=self.replicas[r])
-        wait_us = ms_to_us(self.cfg.election_retry_ms)
-        self._schedule(self.now + wait_us, "election_retry", (r, wait_us))
+        self._campaign(r, ms_to_us(self.cfg.election_retry_ms))
 
     def _on_election_retry(self, retry) -> None:
         r, wait_us = retry
         if self.intended != r or self.replicas[r].leading:
             return
         if r in self.alive:
-            msgs = self.replicas[r].become_leader(self.reachable(r))
-            self._trace("election", replica=r, round=self.replicas[r].seen_round)
-            self._dispatch(msgs, owner=self.replicas[r])
-            wait_us *= 2  # back off: a retry drops the promises still in flight
+            self._campaign(r, 2 * wait_us)  # back off: a retry drops the promises still in flight
+        else:
+            self._schedule(self.now + wait_us, "election_retry", retry)
+
+    def _campaign(self, r: int, wait_us: int) -> None:
+        """Start r's phase 1 now and retry it after ``wait_us`` unless r leads by then."""
+        msgs = self.replicas[r].become_leader(self.reachable(r))
+        self._trace("election", replica=r, round=self.replicas[r].seen_round)
+        self._dispatch(msgs, owner=self.replicas[r])
         self._schedule(self.now + wait_us, "election_retry", (r, wait_us))
 
     def _on_retransmit(self, key) -> None:
@@ -650,7 +653,7 @@ class World:
             message_counts=dict(self.msg_counts),
             per_replica_sent=tuple(self.sent),
             per_replica_received=tuple(self.recv),
-            nacks=self.nacks,
+            nacks=self.msg_counts["SlotNack"] + self.msg_counts["LeaderNack"],
             drops=self.drops,
             decided_slots=len(self.registry),
             noop_slots=sum(1 for v in self.registry.values() if v == NOOP),

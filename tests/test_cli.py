@@ -372,6 +372,7 @@ def test_unknown_config_key_exits_2_naming_it(capsys, tmp_path, command, flag, e
         ({"quorum": {"kind": "majority", "n": "3"}}, "'n'"),
         ({"quorum": {"kind": "majority", "n": 3}, "loss": "x"}, "loss"),
         ({"quorum": {"kind": "majority", "n": 3}, "latency": "abc"}, "latency"),
+        ({"quorum": {"kind": "majority", "n": 3}, "duration_ms": float("inf")}, "duration_ms"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(capsys, tmp_path, entries, key):
@@ -381,6 +382,48 @@ def test_malformed_config_value_exits_2_naming_the_key(capsys, tmp_path, entries
     assert code == 2
     assert err.startswith("error: ") and key in err
     assert not out
+
+
+SHORT_RUN = ("--kind", "majority", "--n", "3",
+             "--duration-ms", "300", "--warmup-ms", "50", "--cooldown-ms", "50")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate", *SHORT_RUN, "--duration-ms", "inf"], "duration_ms"),
+        (["simulate", *SHORT_RUN, "--duration-ms", "nan"], "duration_ms"),
+        (["simulate", *SHORT_RUN, "--cooldown-ms", "nan"], "cooldown_ms"),
+        (["simulate", *SHORT_RUN, "--warmup-ms", "-100"], "warmup_ms"),
+        (["simulate", *SHORT_RUN, "--latency", "inf"], "latency"),
+        (["simulate", *SHORT_RUN, "--crash", "t=inf,r=1"], "crashes"),
+        (["simulate", *SHORT_RUN, "--crash", "t=nan,r=1"], "crashes"),
+        (["simulate", *SHORT_RUN, "--crash", "t=-5,r=1"], "crashes"),
+        (["simulate", *SHORT_RUN, "--elect", "t=1e400,r=1"], "elections"),
+        (["simulate", *SHORT_RUN, "--partition", "t=1;0|9"], "partitions"),
+        (["simulate", *SHORT_RUN, "--partition", "t=1;0,1|1,2"], "partitions"),
+        (["check", "--custom-q1", "[[0]]", "--custom-q2", "[1]", "--n", "2"], "'q2_sets'"),
+        (["check", "--custom-q1", '[["x"]]', "--custom-q2", "[[1]]", "--n", "2"], "'q1_sets'"),
+        (["sweep", *SHORT_RUN, "--q2-list", "1", "--out", "never.csv"], "q2_list"),
+    ],
+)
+def test_malformed_flag_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, argv, key):
+    # each of these once ended in a traceback, or ran a different input than given
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and key in err
+    assert not out
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("row", ["t=1,r=inf", "t=1,r=1.5"])
+def test_schedule_row_replica_must_be_an_integer(capsys, row):
+    # r=inf once raised OverflowError, and r=1.5 crashed replica 1
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", *SHORT_RUN, "--crash", row])
+    assert exit_info.value.code == 2
+    assert "argument --crash" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["retransmit_ms", "election_retry_ms"])

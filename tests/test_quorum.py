@@ -389,6 +389,32 @@ def test_tolerance_explicit_exhaustive():
     assert failure_tolerance(qs) == oracle_tolerance(qs)
 
 
+@st.composite
+def explicit_families(draw):
+    n = draw(st.integers(1, 7))
+    family = st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=5)
+    return make_explicit(n, draw(family), draw(family))
+
+
+@settings(deadline=None, max_examples=200)
+@given(qs=explicit_families())
+def test_explicit_analysis_matches_powerset_oracles(qs):
+    assert failure_tolerance(qs) == oracle_tolerance(qs)
+    intersects = oracle_cross_intersection(qs)
+    assert validate_cross_intersection(qs) == intersects
+    witness = find_disjoint_pair(qs)
+    assert (witness is None) == intersects
+    if witness is not None:
+        # the first phase-1 generator whose complement holds a Q2, and the
+        # first phase-2 generator inside that complement
+        g1, g2 = witness
+        q2s = list(qs.generators(2))
+        firsts = [g for g in qs.generators(1) if any(h <= qs.universe - g for h in q2s)]
+        assert g1 == firsts[0]
+        assert g2 == next(h for h in q2s if h <= qs.universe - g1)
+        assert not g1 & g2
+
+
 def test_simple_guaranteed_formula_in_small_q2_regime():
     # With |Q2| <= |Q1| (the configuration simple quorums are built for),
     # the system always rides out exactly |Q2| - 1 failures.
