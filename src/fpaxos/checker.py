@@ -43,7 +43,6 @@ them; :func:`replay` also runs the scripts of :mod:`fpaxos.scenarios`.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -60,6 +59,7 @@ from .core import (
     acceptor_handle_propose,
     choose_value,
     decided_proposals,
+    to_jsonl,
 )
 from .quorum import (
     EXPLICIT,
@@ -186,7 +186,7 @@ def action_json(action: tuple, cfg: CheckConfig) -> dict:
 def counterexample_jsonl(violation: Violation, cfg: CheckConfig) -> str:
     lines = [{"violated": violation.property}]
     lines += [action_json(a, cfg) for a in violation.path]
-    return "".join(json.dumps(l, separators=(",", ":")) + "\n" for l in lines)
+    return to_jsonl(lines)
 
 
 # -- state space ----------------------------------------------------------

@@ -13,13 +13,16 @@ Explicit nacks are an artifact addition so rejected proposers can react
 promptly; they never change acceptor state, so safety is unaffected.
 
 :func:`message_json`, which reads a message's JSON off its fields, is the
-one trace encoder for these messages and the slot-level ones of ``multi``.
+one trace encoder for these messages and the slot-level ones of ``multi``;
+:func:`to_jsonl` is the one writer of JSON lines, for traces and
+counterexamples alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import cache
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Mapping, Optional, Tuple
 
 from .quorum import QuorumSystem, select_quorum  # noqa: F401 (perfbench/spans.py wraps it)
@@ -127,6 +130,27 @@ def message_json(m) -> dict:
     d["src"] = m.src
     d["dst"] = m.dst
     return d
+
+
+_COMPACT = JSONEncoder(separators=(",", ":"))  # json.dumps(v, separators=(",", ":"))
+
+
+def to_jsonl(lines) -> str:
+    """``json.dumps(line, separators=(",", ":")) + "\\n"`` for each line, joined.
+
+    ``json.dumps`` with non-default separators builds a new encoder for
+    every line; this builds one C encoder with the same settings and runs it
+    on them all.  It is built per call so that its circular-reference
+    markers, which an encoding error leaves filled, are never shared.
+    """
+    if c_make_encoder is None:  # an interpreter without the _json accelerator
+        return "".join([_COMPACT.encode(line) + "\n" for line in lines])
+    c = _COMPACT
+    encode = c_make_encoder(
+        {}, c.default, encode_basestring_ascii, c.indent, c.key_separator,
+        c.item_separator, c.sort_keys, c.skipkeys, c.allow_nan,
+    )
+    return "".join(["".join(encode(line, 0)) + "\n" for line in lines])
 
 
 # -- acceptor -----------------------------------------------------------

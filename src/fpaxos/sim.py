@@ -30,7 +30,6 @@ with the trace as counterexample.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 from collections import Counter, defaultdict
@@ -38,6 +37,7 @@ from dataclasses import MISSING, astuple, dataclass, fields
 from typing import Optional, Tuple
 
 from . import multi
+from .core import to_jsonl  # noqa: F401 (the CLI and perfbench call sim.to_jsonl)
 from .multi import CLIENT, NOOP, Replica
 from .quorum import QuorumSystem, is_id_lists
 
@@ -185,8 +185,10 @@ class SimConfig:
         return self.quorum.n
 
     def validate(self) -> None:
-        if not 0.0 <= self.loss <= 1.0 or not 0.0 <= self.duplicate <= 1.0:
-            raise ValueError("probabilities must lie in [0, 1]")
+        for key in ("loss", "duplicate"):
+            p = getattr(self, key)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{key} must be a probability in [0, 1], got {p!r}")
         if not 0 <= self.initial_leader < self.n:
             raise ValueError("initial_leader out of range")
         if self.window < 1:
@@ -297,10 +299,6 @@ class RunMetrics:
             f"{self.throughput:.6f},{self.mean_latency_ms:.6f},"
             f"{self.p99_latency_ms:.6f},{self.msgs_per_commit:.6f}"
         )
-
-
-def to_jsonl(lines) -> str:
-    return "".join(json.dumps(l, separators=(",", ":")) + "\n" for l in lines)
 
 
 _PROTO_SLOT = (multi.SlotPropose, multi.SlotAccept, multi.SlotNack)

@@ -32,10 +32,12 @@ def test_span_recorder_installs_and_uninstalls():
     with rec:
         for (owner, attr, _, _), orig in zip(targets, before):
             assert owner.__dict__[attr] is not orig, attr
-        metrics, _ = sim.run(cfg)
+        metrics, trace = sim.run(cfg)
+        text = sim.to_jsonl(trace)
     rec.fold()
     assert [owner.__dict__[attr] for owner, attr, _, _ in targets] == before
     assert multi.message_json is core.message_json
-    assert metrics.committed > 0
-    for name in ("sim.run", "multi.on_message", "trace.message_json", "quorum.is_q2"):
+    assert sim.to_jsonl is core.to_jsonl
+    assert metrics.committed > 0 and text.count("\n") == len(trace)
+    for name in ("sim.run", "multi.on_message", "trace.message_json", "trace.to_jsonl", "quorum.is_q2"):
         assert rec.calls[name] > 0, name

@@ -405,6 +405,8 @@ SHORT_RUN = ("--kind", "majority", "--n", "3",
         (["check", "--custom-q1", "[[0]]", "--custom-q2", "[1]", "--n", "2"], "'q2_sets'"),
         (["check", "--custom-q1", '[["x"]]', "--custom-q2", "[[1]]", "--n", "2"], "'q1_sets'"),
         (["sweep", *SHORT_RUN, "--q2-list", "1", "--out", "never.csv"], "q2_list"),
+        (["simulate", *SHORT_RUN, "--loss", "nan"], "loss"),
+        (["simulate", *SHORT_RUN, "--duplicate", "2"], "duplicate"),
     ],
 )
 def test_malformed_flag_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, argv, key):

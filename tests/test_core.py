@@ -1,10 +1,11 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpaxos import core
+from fpaxos import core, sim
 from fpaxos.core import (
     Accept,
     AcceptorState,
@@ -368,3 +369,69 @@ def test_message_json_shape():
         "src": "P1",
         "dst": "A2",
     }
+
+
+def dumps_lines(lines) -> str:
+    """The reference writer: one ``json.dumps`` call per line."""
+    return "".join(json.dumps(l, separators=(",", ":")) + "\n" for l in lines)
+
+
+_text = st.text(st.characters(blacklist_categories=())) | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x1f\x7f", "\u2028\ud800", "é😀", ""]
+)
+_scalars = (
+    _text
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e308])
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.none()
+    | st.booleans()
+)
+_ballots = st.builds(B, st.integers(0, 10**12), st.integers(-5, 5))
+_accepted = st.tuples(st.integers(0, 99), _ballots, _text)
+_messages = st.one_of(
+    st.builds(Promise, st.integers(), st.integers(), _ballots, st.none() | st.tuples(_ballots, _text)),
+    st.builds(Propose, _text, st.integers(), _ballots, _text),
+    st.builds(Nack, st.integers(), _text, _ballots, _ballots),
+    st.builds(LeaderPromise, st.integers(), st.integers(), _ballots, st.integers(0, 99),
+              st.lists(_accepted, max_size=3).map(tuple)),
+    st.builds(SlotPropose, st.integers(), st.integers(), _ballots, st.integers(0, 99), _text,
+              st.integers(0, 99)),
+).map(core.message_json)
+_keys = _text | st.integers() | st.floats() | st.booleans() | st.none()
+_values = st.recursive(
+    _scalars | _messages,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=20,
+)
+_lines = st.lists(st.dictionaries(_text, _values, max_size=5) | _messages | _values, max_size=6)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_lines)
+def test_to_jsonl_matches_json_dumps_per_line(lines):
+    assert core.to_jsonl(lines) == dumps_lines(lines)
+
+
+def test_to_jsonl_serves_sim_and_matches_without_the_c_encoder(monkeypatch):
+    assert sim.to_jsonl is core.to_jsonl
+    lines = [{"a": [1, 2.5, float("nan")], "é": None}, core.message_json(prop(B(1, 2), "v"))]
+    assert core.to_jsonl([]) == ""
+    monkeypatch.setattr(core, "c_make_encoder", None)  # the pure-Python path gives the same text
+    assert core.to_jsonl(lines) == dumps_lines(lines)
+
+
+def test_to_jsonl_errors_like_json_dumps_and_recovers():
+    shared = {"ok": [1]}
+    bad = [shared, {"x": [shared, object()]}]
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        core.to_jsonl(bad)
+    loop = {"ok": 1}
+    loop["self"] = loop
+    with pytest.raises(ValueError, match="Circular reference"):
+        core.to_jsonl([loop])
+    # the failed call's circular-reference markers die with it: the same containers encode again
+    bad[1]["x"].pop()
+    assert core.to_jsonl(bad) == dumps_lines(bad) == '{"ok":[1]}\n{"x":[{"ok":[1]}]}\n'
