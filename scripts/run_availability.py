@@ -4,7 +4,9 @@
 Three schedules: the even-size majority improvement riding out exactly
 n/2 failures, simple quorums replicating with 7 of 10 acceptors down,
 and a grid routing around a dead column while a dead row only blocks
-replication (leader election still completes).
+replication (leader election still completes).  An election reaches only
+its candidate, so the old leader's in-flight window still commits just
+after it; that drain is printed apart from the blocked window.
 """
 
 from fpaxos.quorum import make_grid, make_majority, make_simple
@@ -36,8 +38,9 @@ def main() -> int:
         restores=(RestoreEvent(6000, 2),),
     )
     _, trace = run(cfg)
-    a, b, c = window_counts(trace, 2100, 4000, 6000, 8000)
-    print(f"commits after crash: {a}   during blocked election: {b}   after restore: {c}")
+    a, d, b, c = window_counts(trace, 2100, 4000, 4100, 6000, 8000)
+    print(f"commits after crash: {a}   old leader's window drained: {d}")
+    print(f"during blocked election: {b}   after restore: {c}")
 
     print("\n== simple(10,3): 7 of 10 down, replication continues until a new leader is needed ==")
     cfg = SimConfig(
@@ -48,8 +51,9 @@ def main() -> int:
         restores=tuple(RestoreEvent(5000, r) for r in range(3, 8)),
     )
     _, trace = run(cfg)
-    a, b, c = window_counts(trace, 2100, 3500, 5000, 7000)
-    print(f"commits with 7 down: {a}   during blocked election: {b}   after restores: {c}")
+    a, d, b, c = window_counts(trace, 2100, 3500, 3600, 5000, 7000)
+    print(f"commits with 7 down: {a}   old leader's window drained: {d}")
+    print(f"during blocked election: {b}   after restores: {c}")
 
     print("\n== grid 4x5 fpaxos: column crash vs row crash ==")
     grid = make_grid(4, 5, mode="fpaxos")

@@ -45,14 +45,6 @@ NOOP = ""  # reserved payload proposed to close log gaps during recovery
 CLIENT = "client"
 
 
-class NotLeaderError(Exception):
-    """Submit sent to a replica that is not the established leader."""
-
-
-class WindowFullError(Exception):
-    """Backpressure: the leader already has a full window in flight."""
-
-
 # -- wire messages ------------------------------------------------------
 
 
@@ -177,7 +169,7 @@ class Replica:
     # -- lifecycle ----------------------------------------------------
 
     def crash(self, lose_memory: bool = False) -> None:
-        self.demote()
+        self._demote()
         self.seen_round = self.promised.round if self.promised else 0
         if lose_memory:
             self.promised = None
@@ -187,7 +179,7 @@ class Replica:
             self._unlogged = []
             self.seen_round = 0
 
-    def demote(self) -> None:
+    def _demote(self) -> None:
         self.leading = False
         self.electing = False
         self.ballot = None
@@ -207,12 +199,6 @@ class Replica:
         if prior[1] != pair[1]:
             raise core.AgreementViolation([prior, pair])
 
-    def log_json(self) -> list:
-        return [
-            {"slot": s, "ballot": self.log[s][0].json(), "value": self.log[s][1]}
-            for s in sorted(self.log)
-        ]
-
     # -- leader side ----------------------------------------------------
 
     def become_leader(self, alive) -> list:
@@ -221,7 +207,7 @@ class Replica:
         Returns no messages when the alive set cannot form a phase-1
         quorum; the harness retries after restores.
         """
-        self.demote()
+        self._demote()
         self.electing = True
         self.seen_round += 1
         self.ballot = Ballot(self.seen_round, self.id)
@@ -234,15 +220,6 @@ class Replica:
             LeaderPrepare(src=self.id, dst=t, ballot=self.ballot, from_slot=self._from_slot)
             for t in sorted(targets)
         ]
-
-    def submit(self, req: Request, alive) -> list:
-        """Assign the next slot to a client value and propose it."""
-        if not self.leading:
-            raise NotLeaderError(f"replica {self.id} is not the leader")
-        if len(self.inflight) >= self.window:
-            raise WindowFullError(f"{len(self.inflight)} proposals already in flight")
-        self.pending.append(req)
-        return self._drain_pending(alive)
 
     def retransmit(self, slot: int, alive) -> list:
         """Re-send an undecided proposal, re-picking targets among alive.
@@ -376,7 +353,7 @@ class Replica:
             if self.ballot is not None and m.ballot > self.ballot:
                 # A higher ballot's commit may log decisions our ballot never
                 # saw; proposing on with that commit point could log ours over them.
-                self.demote()
+                self._demote()
             self._learn_commit(m.ballot, m.slot, m.commit)
             return [SlotAccept(src=self.id, dst=m.src, ballot=m.ballot, slot=m.slot)]
         return [
@@ -420,5 +397,5 @@ class Replica:
     def _on_SlotNack(self, m: SlotNack, alive) -> list:
         self._observe(m.promised)
         if self.leading and self.ballot is not None and m.promised > self.ballot:
-            self.demote()  # preempted by a higher ballot
+            self._demote()  # preempted by a higher ballot
         return []

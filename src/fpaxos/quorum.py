@@ -181,9 +181,6 @@ class QuorumSystem:
         """``is_q2`` over a bitmask of acceptor ids; ``m`` must lie in the universe."""
         return self._phases[1].holds_mask(m)
 
-    def is_quorum(self, phase: int, s) -> bool:
-        return self.is_q1(s) if phase == 1 else self.is_q2(s)
-
     # -- generators: sets whose upward closure is the whole family -----
 
     def generators(self, phase: int) -> Iterator[AcceptorSet]:

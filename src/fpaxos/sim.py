@@ -17,6 +17,14 @@ fixed window of requests outstanding and submits a new one per response.
 Client links have zero latency and never fail, so protocol messages and
 client messages can be accounted separately.
 
+Elections follow a schedule, which stands in for a failure detector: an
+election starts its candidate's phase 1, holds the client back until the
+candidate leads, and reaches no other replica.  A deposed leader steps
+down only as a real one would: on a nack naming a higher ballot, on
+accepting a higher ballot's propose, by a crash or by campaigning again.
+Until then one cut off by a partition keeps leading its side, so two
+proposers can compete.
+
 Safety is checked online.  Only a propose delivery changes what an
 acceptor holds, and then only for the recipient's slot, so it is the one
 (ballot, value) pair the recipient now holds there that can newly reach a
@@ -512,8 +520,6 @@ class World:
         self._trace("restore", replica=ev.replica)
 
     def _on_election(self, r: int) -> None:
-        for rep in self.replicas:
-            rep.demote()
         self.intended = r
         self.leader_id = None
         if r not in self.alive:

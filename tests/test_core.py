@@ -159,7 +159,7 @@ def test_promise_quorum_uses_candidate_when_clean():
     qs = make_majority(4, improved=True)
     r, _ = candidate(qs)
     assert feed_promises(r, [(0, ()), (1, ()), (2, ())]) == []  # nothing to recover
-    msgs = r.submit(Request(CLIENT, 0, "r1", "b"), set(range(4)))
+    msgs = r.on_message(Request(CLIENT, 0, "r1", "b"), set(range(4)))
     assert len(msgs) == 2  # fixed-first phase-2 quorum of size 2
     assert all((m.slot, m.value) == (0, "b") for m in msgs)
 
@@ -192,7 +192,7 @@ def test_promise_after_phase2_ignored():
 def test_accepts_reach_decision_on_q2():
     r, _ = candidate(make_majority(4, improved=True))
     feed_promises(r, [(0, ()), (1, ()), (2, ())])
-    r.submit(Request(CLIENT, 0, "r1", "a"), set(range(4)))
+    r.on_message(Request(CLIENT, 0, "r1", "a"), set(range(4)))
     alive = set(range(4))
     assert r.on_message(SlotAccept(src=0, dst=0, ballot=r.ballot, slot=0), alive) == []
     assert 0 not in r.log
@@ -206,7 +206,7 @@ def test_accepts_grid_column_decides():
     r, msgs = candidate(qs)
     assert {m.dst for m in msgs} == qs.row(0)
     feed_promises(r, [(a, ()) for a in sorted(qs.row(0))])
-    r.submit(Request(CLIENT, 0, "r1", "a"), qs.universe)
+    r.on_message(Request(CLIENT, 0, "r1", "a"), qs.universe)
     for a in sorted(qs.col(2)):
         assert 0 not in r.log
         r.on_message(SlotAccept(src=a, dst=0, ballot=r.ballot, slot=0), qs.universe)
@@ -323,7 +323,7 @@ def test_proposer_never_proposes_before_q1_or_decides_before_q2(qs, data):
     reported = [(b, v) for a in quorum for _, b, v in pairs[a]]
     if not reported:
         assert proposed == []
-        proposed = r.submit(Request(CLIENT, 0, "r1", "mine"), alive)
+        proposed = r.on_message(Request(CLIENT, 0, "r1", "mine"), alive)
     assert proposed and all(isinstance(m, SlotPropose) and m.slot == 0 for m in proposed)
     assert {m.value for m in proposed} == {choose_value(reported, "mine")}
     acks = set()

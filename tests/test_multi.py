@@ -1,7 +1,6 @@
 import json
 from collections import deque
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,13 +11,11 @@ from fpaxos.multi import (
     NOOP,
     LeaderPrepare,
     LeaderPromise,
-    NotLeaderError,
     Replica,
     Request,
     Response,
     SlotAccept,
     SlotPropose,
-    WindowFullError,
     message_json,
 )
 from fpaxos.quorum import make_majority, make_simple
@@ -76,7 +73,7 @@ def test_single_replica_cluster_leads_immediately():
     elect(reps, 0)
     assert reps[0].leading
     assert len(reps[0].inflight) == 0
-    out = reps[0].submit(Request(CLIENT, 0, "r1", "v"), {0})
+    out = reps[0].on_message(Request(CLIENT, 0, "r1", "v"), {0})
     resp = pump(reps, out)
     assert [m.req_id for m in resp] == ["r1"]
     assert reps[0].log[0][1] == "v"
@@ -129,7 +126,7 @@ def test_submit_counts_and_quorum_restriction():
     qs = make_simple(10, 3)
     reps = cluster(qs)
     leader, _ = elect(reps, 0)
-    out = leader.submit(Request(CLIENT, 0, "r1", "payload"), set(range(10)))
+    out = leader.on_message(Request(CLIENT, 0, "r1", "payload"), set(range(10)))
     assert len(out) == 3
     assert all(isinstance(m, SlotPropose) and m.slot == 0 for m in out)
     responses = pump(reps, out)
@@ -141,19 +138,17 @@ def test_submit_window_backpressure():
     reps = cluster(qs, window=10)
     leader, _ = elect(reps, 0)
     for i in range(10):
-        leader._propose_slot(i, f"v{i}", None, {0, 1, 2})
-        leader.next_slot = i + 1
-    with pytest.raises(WindowFullError):
-        leader.submit(Request(CLIENT, 0, "r11", "v"), {0, 1, 2})
+        assert leader.on_message(Request(CLIENT, 0, f"r{i}", f"v{i}"), {0, 1, 2})
+    assert len(leader.inflight) == 10
+    assert leader.on_message(Request(CLIENT, 0, "r10", "v"), {0, 1, 2}) == []
+    assert [r.req_id for r in leader.pending] == ["r10"]
 
 
 def test_submit_to_non_leader_redirects():
     qs = make_majority(3)
     reps = cluster(qs)
     elect(reps, 0)
-    with pytest.raises(NotLeaderError):
-        reps[1].submit(Request(CLIENT, 1, "r1", "v"), {0, 1, 2})
-    # the total dispatcher drops instead of raising
+    # the client is expected to redirect
     assert reps[1].on_message(Request(CLIENT, 1, "r1", "v"), {0, 1, 2}) == []
 
 
@@ -187,7 +182,7 @@ def test_duplicate_accept_after_decision_is_idempotent():
     qs = make_majority(3)
     reps = cluster(qs)
     leader, _ = elect(reps, 0)
-    pump(reps, leader.submit(Request(CLIENT, 0, "r1", "v"), {0, 1, 2}))
+    pump(reps, leader.on_message(Request(CLIENT, 0, "r1", "v"), {0, 1, 2}))
     log_before = dict(leader.log)
     dup = SlotAccept(src=1, dst=0, ballot=leader.ballot, slot=0)
     assert leader.on_message(dup, {0, 1, 2}) == []
@@ -208,7 +203,7 @@ def test_duplicate_prepare_of_the_promised_ballot_is_promised_again():
     qs = make_majority(3)
     reps = cluster(qs)
     leader, _ = elect(reps, 0)
-    pump(reps, leader.submit(Request(CLIENT, 0, "r0", "v"), {0, 1, 2}))
+    pump(reps, leader.on_message(Request(CLIENT, 0, "r0", "v"), {0, 1, 2}))
     dup = LeaderPrepare(src=0, dst=1, ballot=leader.ballot, from_slot=0)
     (out,) = reps[1].on_message(dup, {0, 1, 2})
     assert isinstance(out, LeaderPromise) and out.ballot == leader.ballot
@@ -248,13 +243,13 @@ def test_stale_leader_steps_down_when_it_accepts_a_higher_ballot():
     reps = cluster(qs)
     a, f, b = reps
     elect(reps, 0)
-    (to_f,) = [m for m in a.submit(Request(CLIENT, 0, "r0", "v"), {0, 1, 2}) if m.dst == 1]
+    (to_f,) = [m for m in a.on_message(Request(CLIENT, 0, "r0", "v"), {0, 1, 2}) if m.dst == 1]
     f.on_message(to_f, {0, 1, 2})  # F's accept is lost
     b.seen_round = 5
     elect(reps, 2, alive={0, 2})
     assert b.ballot == Ballot(6, 2) and b.leading
-    pump(reps, b.submit(Request(CLIENT, 2, "r1", "w"), {0, 2}), alive={0, 2})
-    pump(reps, b.submit(Request(CLIENT, 2, "r2", "x"), {0, 2}), alive={0, 2})
+    pump(reps, b.on_message(Request(CLIENT, 2, "r1", "w"), {0, 2}), alive={0, 2})
+    pump(reps, b.on_message(Request(CLIENT, 2, "r2", "x"), {0, 2}), alive={0, 2})
     assert b.log[0][1] == "w" and a.log[0][1] == "w"
     assert not a.leading
     pump(reps, a.on_message(Request(CLIENT, 0, "r3", "y"), {0, 1, 2}), alive={1})
@@ -277,8 +272,8 @@ def test_candidate_steps_down_when_it_accepts_a_higher_ballot():
     held = [reps[m.dst].on_message(m, {1, 2}) for m in x.become_leader({1, 2})]
     y.seen_round = 1
     elect(reps, 3, alive={0, 3})
-    pump(reps, y.submit(Request(CLIENT, 3, "r0", "w"), {0, 2, 3}), alive={0, 2, 3})
-    pump(reps, y.submit(Request(CLIENT, 3, "r1", "x"), {0, 2, 3}), alive={0, 2, 3})
+    pump(reps, y.on_message(Request(CLIENT, 3, "r0", "w"), {0, 2, 3}), alive={0, 2, 3})
+    pump(reps, y.on_message(Request(CLIENT, 3, "r1", "x"), {0, 2, 3}), alive={0, 2, 3})
     assert x.log[0][1] == "w"
     assert not x.electing
     for (promise,) in held:
@@ -293,7 +288,7 @@ def test_preemption_by_higher_ballot_demotes_leader():
     reps = cluster(qs)
     leader, _ = elect(reps, 0)
     elect(reps, 1)  # round 2 overtakes
-    out = leader.submit(Request(CLIENT, 0, "r1", "v"), {0, 1, 2})
+    out = leader.on_message(Request(CLIENT, 0, "r1", "v"), {0, 1, 2})
     pump(reps, out)
     assert not leader.leading
 
@@ -448,11 +443,3 @@ def test_message_json_pins_every_class():
     ]
     for m, want in cases:
         assert json.dumps(message_json(m), separators=(",", ":")) == want, m
-
-
-def test_log_json_dump():
-    qs = make_majority(3)
-    reps = cluster(qs)
-    leader, _ = elect(reps, 0)
-    pump(reps, leader.on_message(Request(CLIENT, 0, "r0", "v0"), {0, 1, 2}))
-    assert leader.log_json() == [{"slot": 0, "ballot": [1, 0], "value": "v0"}]

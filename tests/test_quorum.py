@@ -42,19 +42,19 @@ def oracle_tolerance(qs):
 
     def every(f, phases):
         return all(
-            all(qs.is_quorum(p, universe - frozenset(dead)) for p in phases)
+            all(is_q(universe - frozenset(dead)) for is_q in phases)
             for dead in itertools.combinations(range(n), f)
         )
 
     def some(f, phases):
         return any(
-            all(qs.is_quorum(p, universe - frozenset(dead)) for p in phases)
+            all(is_q(universe - frozenset(dead)) for is_q in phases)
             for dead in itertools.combinations(range(n), f)
         )
 
-    guaranteed = max((f for f in range(n + 1) if every(f, (1, 2))), default=0)
-    phase2 = max((f for f in range(n + 1) if some(f, (2,))), default=0)
-    best = max((f for f in range(n + 1) if some(f, (1, 2))), default=0)
+    guaranteed = max((f for f in range(n + 1) if every(f, (qs.is_q1, qs.is_q2))), default=0)
+    phase2 = max((f for f in range(n + 1) if some(f, (qs.is_q2,))), default=0)
+    best = max((f for f in range(n + 1) if some(f, (qs.is_q1, qs.is_q2))), default=0)
     return FaultToleranceReport(guaranteed, phase2, best)
 
 
@@ -252,7 +252,6 @@ def test_compiled_predicates_match_definitions(qs, data):
             want = plain_is_quorum(qs, phase, s)
             assert is_q(s) == want
             assert is_q_mask(mask) == want
-            assert qs.is_quorum(phase, s) == want
             for strategy in ("first", "rotating", "random", "fastest"):
                 got = select_quorum(
                     qs, phase, s, strategy=strategy, tick=tick,

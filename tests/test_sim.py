@@ -2,7 +2,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from fpaxos.quorum import make_grid, make_majority, make_simple
@@ -14,6 +14,7 @@ from fpaxos.sim import (
     RestoreEvent,
     SafetyViolationError,
     SimConfig,
+    World,
     commit_times_us,
     run,
     to_jsonl,
@@ -32,6 +33,24 @@ def quick(quorum, duration_ms=2000, warmup_ms=200, cooldown_ms=200, **kw):
 
 def commits_between(trace, lo_ms, hi_ms):
     return len([t for t in commit_times_us(trace) if lo_ms * 1000 <= t < hi_ms * 1000])
+
+
+class LeaderWatch(World):
+    """A world that records who leads after each delivery, as (t_us, ids) at every change."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.leaders = [(0, ())]
+
+    def _on_deliver(self, m):
+        super()._on_deliver(m)
+        ids = tuple(r.id for r in self.replicas if r.leading)
+        if ids != self.leaders[-1][1]:
+            self.leaders.append((self.now, ids))
+
+    def dueling(self) -> list:
+        """The times at which two or more replicas began to lead at once."""
+        return [t for t, ids in self.leaders if len(ids) > 1]
 
 
 # ----------------------------------------------------------- steady state
@@ -181,6 +200,31 @@ def test_partition_stops_commits_until_healed():
     assert m.drops > 0
 
 
+def test_partitioned_leader_keeps_its_side_then_yields():
+    """An election reaches only its candidate, so a cut-off leader is deposed by the protocol.
+
+    On simple(5, 2) leader 0 keeps a phase-2 quorum {0, 1} on its side and
+    commits its in-flight window; candidate 2 cannot form a phase-1 quorum
+    of 4 from {2, 3, 4}.  After the heal both lead until 0 meets 2's
+    higher ballot and steps down.
+    """
+    cfg = quick(
+        make_simple(5, 2),
+        duration_ms=4000,
+        partitions=(PartitionEvent(1000, ((0, 1), (2, 3, 4))), PartitionEvent(2000, ())),
+        elections=(ElectionEvent(1000, 2),),
+    )
+    world = LeaderWatch(cfg)
+    world.run()
+    drained = sorted(slot for t, slot, _ in world.responses.values() if 1_000_000 <= t < 2_000_000)
+    assert drained == list(range(480, 490))
+    assert not any(2 in ids for t, ids in world.leaders if t < 2_000_000)
+    assert any(t >= 2_000_000 for t in world.dueling())
+    assert [r.id for r in world.replicas if r.leading] == [2]
+    assert all(world.replicas[2].log[s][1] == world.registry[s] for s in drained)
+    assert_logs_hold_decisions(world)
+
+
 def test_leader_crash_failover_preserves_log_values():
     cfg = quick(
         make_majority(3),
@@ -216,8 +260,6 @@ def test_faulty_run_metrics_do_not_depend_on_tracing():
 
 
 def test_post_run_structural_invariants():
-    from fpaxos.sim import World
-
     world = World(
         quick(
             make_majority(4, improved=True),
@@ -252,7 +294,6 @@ def assert_logs_hold_decisions(world):
 def test_failover_recovery_is_flat_in_history_length():
     """Promise entries and re-proposals after a crash track the window, not the history."""
     from fpaxos import multi
-    from fpaxos.sim import World
 
     class Counting(World):
         def __init__(self, cfg, crash_us):
@@ -340,13 +381,33 @@ def fault_schedules(draw):
 @given(cfg=fault_schedules())
 def test_fault_schedules_stay_safe_and_recover(cfg):
     """Durable faults never break agreement, and service resumes after them."""
-    from fpaxos.sim import World
-
     world = World(cfg)
     world.run()  # a SafetyViolationError fails the test
     assert_logs_hold_decisions(world)
     final_us = (FAULT_MS + SETTLE_MS) * 1000
     assert any(t >= final_us for t, _, _ in world.responses.values())
+
+
+def test_drawn_fault_schedules_run_dueling_leaders():
+    """The drawn schedules do put two leaders up at once, and such a run stays safe."""
+
+    def dueling(cfg):
+        world = LeaderWatch(cfg)
+        world.run()
+        return bool(world.dueling())
+
+    cfg = find(
+        fault_schedules(),
+        dueling,
+        settings=settings(
+            phases=[Phase.generate], deadline=None, derandomize=True, database=None,
+            max_examples=200,
+        ),
+    )
+    world = LeaderWatch(cfg)
+    world.run()  # a SafetyViolationError fails the test
+    assert world.dueling()
+    assert_logs_hold_decisions(world)
 
 
 # --------------------------------------------------------- durability
@@ -366,8 +427,6 @@ def amnesia_config(wipe: bool) -> SimConfig:
 
 
 def test_reachable_cache_tracks_crash_restore_and_partition():
-    from fpaxos.sim import World
-
     world = World(quick(make_majority(5)))
 
     def check():
@@ -395,8 +454,6 @@ def test_reachable_cache_tracks_crash_restore_and_partition():
 
 
 def test_inject_crash_is_idempotent_and_restore_reverses():
-    from fpaxos.sim import World
-
     world = World(quick(make_majority(3)))
     world.inject_crash(1)
     world.inject_crash(1)  # double crash: no-op
