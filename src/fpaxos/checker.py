@@ -39,6 +39,8 @@ violation found that way is searched again without it for a real path.
 Counterexample paths replay through :mod:`fpaxos.core`'s rules, the ones
 ``multi.Replica`` applies too, cross-validating the model's encoding of
 them; :func:`replay` also runs the scripts of :mod:`fpaxos.scenarios`.
+:func:`check_config_from_json` decodes a check through
+:func:`fpaxos.core.read_config`, the simulator's reader too.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .core import (
     acceptor_handle_propose,
     choose_value,
     decided_proposals,
+    read_config,
     to_jsonl,
 )
 from .quorum import (
@@ -85,15 +88,11 @@ class CheckConfig:
     quorum: QuorumSystem
     ballots: int = 2
     values: Tuple[str, ...] = ("a", "b")
-    proposers: int = 2
     max_states: int = 2_000_000
     properties: Tuple[str, ...] = (AGREEMENT, PROPOSAL_CONSISTENCY)
     symmetry: bool = False
 
     def __post_init__(self):
-        for name in ("ballots", "proposers", "max_states"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.ballots < 1:
             raise ValueError("need at least one ballot")
         if not self.values:
@@ -101,26 +100,29 @@ class CheckConfig:
         for i, v in enumerate(self.values):
             if v in self.values[:i]:
                 raise ValueError(f"value names must be distinct, {v!r} is repeated")
-        if self.proposers < 1:
-            raise ValueError("need at least one proposer")
         if self.max_states < 1:
             raise ValueError(f"max_states must be at least 1, got {self.max_states}")
-        if type(self.symmetry) is not bool:
-            raise ValueError(f"symmetry must be true or false, got {self.symmetry!r}")
         for p in self.properties:
             if p not in (AGREEMENT, PROPOSAL_CONSISTENCY):
                 raise ValueError(f"unknown property {p!r}")
 
     def ballot_list(self):
-        """Distinct totally ordered ballots, attributed round-robin."""
-        return [Ballot(i + 1, i % self.proposers) for i in range(self.ballots)]
+        """Distinct totally ordered ballots, owned in turn by two proposers."""
+        return [Ballot(i + 1, i % 2) for i in range(self.ballots)]
 
 
-def value_names(k: int):
-    """Default value alphabet for a k-value check."""
-    if not 1 <= k <= 8:
-        raise ValueError("value count must be in [1, 8]; pass explicit names beyond that")
-    return tuple("abcdefgh"[:k])
+def value_names(values) -> Tuple[str, ...]:
+    """A check's value names: a list of names as given, or for a count k <= 8, ``a``, ``b``, ..."""
+    if isinstance(values, (list, tuple)) and all(type(v) is str for v in values):
+        return tuple(values)
+    if not (type(values) is int and 1 <= values <= 8):
+        raise ValueError(f"values must be a count in [1, 8] or a list of names, got {values!r}")
+    return tuple("abcdefgh"[:values])
+
+
+FLAT_QUORUM_KEYS = ("n", "q1_sets", "q2_sets")
+_DEFAULTS = {f.name: f.default for f in fields(CheckConfig) if f.name != "properties"}
+_DECODERS = {"quorum": QuorumSystem.from_json, "values": value_names}
 
 
 def check_config_from_json(d: dict) -> CheckConfig:
@@ -128,23 +130,13 @@ def check_config_from_json(d: dict) -> CheckConfig:
 
     The quorum is a ``quorum`` entry in ``QuorumSystem.to_json`` form or,
     failing that, an explicit family given flat as ``n``/``q1_sets``/``q2_sets``.
-    ``values`` is a list of names or a count; ``properties`` is not accepted.
+    ``values`` is a count or a list of names; ``properties`` is not accepted.
     """
-    flat = ("n", "q1_sets", "q2_sets")
-    kw = {k: v for k, v in d.items() if k not in flat}
-    known = {f.name for f in fields(CheckConfig)} - {"properties"}
-    unknown = sorted(set(kw) - known)
-    if unknown:
-        raise ValueError(f"unknown check config key(s): {', '.join(unknown)}")
-    if "quorum" in d:
-        kw["quorum"] = QuorumSystem.from_json(d["quorum"])
-    else:
-        explicit = {k: d[k] for k in flat if k in d}
-        kw["quorum"] = QuorumSystem.from_json({"kind": EXPLICIT, **explicit})
-    if "values" in kw:
-        values = kw["values"]
-        kw["values"] = value_names(values) if isinstance(values, int) else tuple(values)
-    return CheckConfig(**kw)
+    if "quorum" not in d:
+        flat = {k: d[k] for k in FLAT_QUORUM_KEYS if k in d}
+        d = {k: v for k, v in d.items() if k not in flat}
+        d["quorum"] = {"kind": EXPLICIT, **flat}
+    return CheckConfig(**read_config(d, _DEFAULTS, _DECODERS, "check"))
 
 
 @dataclass(frozen=True)
@@ -704,20 +696,8 @@ def quorum_safety_sweep(
         raise ValueError("combinatorial sweep limited to n_max <= 4")
     report = []
     for name, qs in sweep_catalog(n_max):
-        cfg = CheckConfig(
-            quorum=qs,
-            ballots=ballots,
-            values=value_names(values),
-            max_states=max_states,
-        )
+        cfg = CheckConfig(qs, ballots=ballots, values=value_names(values), max_states=max_states)
         res = explore(cfg)
-        report.append(
-            SweepEntry(
-                name=name,
-                quorum=qs,
-                intersects=validate_cross_intersection(qs),
-                violation_found=res.violation is not None,
-                states=res.states,
-            )
-        )
+        intersects = validate_cross_intersection(qs)
+        report.append(SweepEntry(name, qs, intersects, res.violation is not None, res.states))
     return report

@@ -27,6 +27,7 @@ from dataclasses import asdict, fields
 
 from . import checker as chk
 from . import scenarios, sim
+from .core import read_config
 from .quorum import (
     EXPLICIT,
     SIMPLE,
@@ -42,9 +43,12 @@ from .quorum import (
 
 USAGE_ERROR = 2
 
+# A sweep spec's own keys, besides the SimConfig keys of every run, and their defaults.
+SWEEP_DEFAULTS = {"q2_list": [], "seeds": 1, "out": "", "format": "csv"}
+
 # Config keys a flag may set: a flag's dest is the key it overrides.
 SIM_KEYS = frozenset(f.name for f in fields(sim.SimConfig))
-SWEEP_KEYS = SIM_KEYS | {"q2_list", "seeds", "out", "format"}
+SWEEP_KEYS = SIM_KEYS | SWEEP_DEFAULTS.keys()
 CHECK_KEYS = frozenset(f.name for f in fields(chk.CheckConfig))
 
 
@@ -93,6 +97,7 @@ def merge_entries(path, args, keys, quorum=None) -> dict:
     if quorum is None and (args.kind is not None or not {"quorum", "q1_sets"} & d.keys()):
         quorum = quorum_from_args(args)  # without --kind: "no quorum system given"
     if quorum is not None:
+        d = {k: v for k, v in d.items() if k not in chk.FLAT_QUORUM_KEYS}
         d["quorum"] = quorum.to_json()
     return d
 
@@ -144,7 +149,7 @@ def cmd_quorum_analyze(args) -> int:
 # ``check`` flags that the ``--sweep`` catalog has no use for, by dest.
 NOT_WITH_SWEEP = (
     "kind", "n", "improved", "q2", "rows", "cols", "mode", "custom_q1", "custom_q2",
-    "proposers", "symmetry", "config", "counterexample",
+    "symmetry", "config", "counterexample",
 )
 
 
@@ -286,23 +291,29 @@ def cmd_simulate(args) -> int:
 
 
 def build_sweep(args):
-    """Expand a JSON spec, overridden by the flags given, into a run list."""
+    """Expand a JSON spec, overridden by the flags given, into a run list.
+
+    The spec's own keys (``SWEEP_DEFAULTS``) go through ``read_config``; the
+    rest is every run's ``SimConfig`` but ``seed`` and ``record_trace``.
+    """
     d = merge_entries(args.spec, args, SWEEP_KEYS)
-    q2_list = d.pop("q2_list", None)
-    quorum = d.get("quorum")
-    if q2_list is not None and not (isinstance(quorum, dict) and quorum.get("kind") == SIMPLE):
+    for key in ("seed", "record_trace"):
+        if key in d:
+            raise ValueError(f"{key} cannot be set in a sweep spec: the sweep sets it on every run")
+    own = {key: d.pop(key) for key in SWEEP_DEFAULTS if key in d}
+    spec = {**SWEEP_DEFAULTS, **read_config(own, SWEEP_DEFAULTS, {}, "sweep")}
+    q2_list, quorum = spec["q2_list"], d.get("quorum")
+    if q2_list and not (isinstance(quorum, dict) and quorum.get("kind") == SIMPLE):
         raise ValueError(f"q2_list needs a simple quorum, got {quorum!r}")
-    seeds = d.pop("seeds", 1)
-    out = d.pop("out", None)
-    fmt = d.pop("format", "csv")
-    seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
+    if spec["format"] not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {spec['format']!r}")
     configs = []
     for q2 in q2_list or [None]:
         if q2 is not None:
             d["quorum"] = {**quorum, "q2_size": q2}
-        for seed in seed_list:
+        for seed in range(spec["seeds"]):
             configs.append(sim.SimConfig.from_json({**d, "seed": seed, "record_trace": False}))
-    return configs, out, fmt
+    return configs, spec["out"], spec["format"]
 
 
 def cmd_sweep(args) -> int:
@@ -347,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--custom-q2", help="explicit phase-2 sets as JSON, e.g. '[[1]]'")
     pc.add_argument("--ballots", type=int, default=S, help="distinct ballots to explore")
     pc.add_argument("--values", type=int, default=S, help="distinct proposable values")
-    pc.add_argument("--proposers", type=int, default=S, help="ballot owners")
     pc.add_argument("--max-states", type=int, default=S)
     pc.add_argument("--symmetry", action="store_true", default=S,
                     help="search one state per orbit of value and threshold-kind acceptor symmetry")

@@ -5,7 +5,9 @@ accept rules, the proposer's value choice (:func:`choose_value`) and the
 learner's rule (:func:`decided_proposals`).  The callers own message
 delivery and scheduling: :func:`fpaxos.checker.replay`, which also runs
 the scripted scenarios, and the simulator's ``multi.Replica``, the one
-proposer.  Every function here is deterministic in (state, input).
+proposer, which applies the acceptor rules :func:`can_promise` and
+:func:`can_accept` to its per-slot state.  Every function here is
+deterministic in (state, input).
 
 Messages follow the classic two-phase shape: prepare/promise to win a
 phase-1 quorum, propose/accept to commit a value on a phase-2 quorum.
@@ -15,7 +17,8 @@ promptly; they never change acceptor state, so safety is unaffected.
 :func:`message_json`, which reads a message's JSON off its fields, is the
 one trace encoder for these messages and the slot-level ones of ``multi``;
 :func:`to_jsonl` is the one writer of JSON lines, for traces and
-counterexamples alike.
+counterexamples alike; :func:`read_config` is the one reader of JSON run
+configurations, for simulations, checks and sweep specs alike.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from functools import cache
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
-from typing import Mapping, Optional, Tuple
+from typing import Callable, Mapping, Optional, Tuple
 
 from .quorum import QuorumSystem, select_quorum  # noqa: F401 (perfbench/spans.py wraps it)
 
@@ -153,28 +156,55 @@ def to_jsonl(lines) -> str:
     return "".join(["".join(encode(line, 0)) + "\n" for line in lines])
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               list: "a list"}
+
+
+def read_config(d, defaults: Mapping, decoders: Mapping[str, Callable], what: str) -> dict:
+    """The keyword arguments that the JSON object ``d`` gives a configuration.
+
+    Each key must be in ``defaults``.  A key in ``decoders`` takes what its
+    decoder returns; any other value must have its default's type (an int
+    passes for a float, a bool for no number).  A violation is a
+    ``ValueError`` naming the key.  Absent keys stay absent.
+    """
+    unknown = sorted(set(d) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {what} config key(s): {', '.join(unknown)}")
+    kw = dict(d)
+    for key, value in d.items():
+        want = type(defaults[key])
+        if key in decoders:
+            kw[key] = decoders[key](value)
+        elif not (type(value) is want or want is float and type(value) is int):
+            raise ValueError(f"{key} must be {_TYPE_NAMES[want]}, got {value!r}")
+    return kw
+
+
 # -- acceptor -----------------------------------------------------------
 
 
-def acceptor_handle_prepare(st: AcceptorState, m: Prepare):
-    """Promise the ballot if it beats every earlier promise, else nack.
+def can_promise(promised: Optional[Ballot], ballot: Ballot) -> bool:
+    """The promise rule: a prepare is promised if its ballot beats every earlier promise."""
+    return promised is None or ballot > promised
 
-    Reads only ``ballot``, ``src`` and ``dst``, so a ``multi.LeaderPrepare``
-    is handled as it is.
-    """
-    if st.promised is None or m.ballot > st.promised:
+
+def can_accept(promised: Optional[Ballot], ballot: Ballot) -> bool:
+    """The accept rule: a proposal is accepted at or above the promised ballot."""
+    return promised is None or ballot >= promised
+
+
+def acceptor_handle_prepare(st: AcceptorState, m: Prepare):
+    """Promise the ballot if :func:`can_promise` allows it, else nack."""
+    if can_promise(st.promised, m.ballot):
         st2 = replace(st, promised=m.ballot)
         return st2, Promise(src=m.dst, dst=m.src, ballot=m.ballot, accepted=st.accepted)
     return st, Nack(src=m.dst, dst=m.src, ballot=m.ballot, promised=st.promised)
 
 
 def acceptor_handle_propose(st: AcceptorState, m: Propose):
-    """Accept at or above the promised ballot; re-accepting is idempotent.
-
-    Reads only ``ballot``, ``value``, ``src`` and ``dst``, so a
-    ``multi.SlotPropose`` is handled as it is.
-    """
-    if st.promised is None or m.ballot >= st.promised:
+    """Accept if :func:`can_accept` allows it, else nack; re-accepting is idempotent."""
+    if can_accept(st.promised, m.ballot):
         st2 = AcceptorState(promised=m.ballot, accepted=(m.ballot, m.value))
         return st2, Accept(src=m.dst, dst=m.src, ballot=m.ballot)
     return st, Nack(src=m.dst, dst=m.src, ballot=m.ballot, promised=st.promised)

@@ -4,8 +4,9 @@ One aggregated phase 1 establishes a replica as leader for every slot at
 or above its first undecided index; phase 2 then runs per slot to commit
 client values.  Each replica combines the acceptor, proposer and learner
 roles, and its leader is the only proposer.  The rules are
-:mod:`fpaxos.core`'s: promise or nack a prepare, accept per slot, and at
-recovery choose each slot's value (else a no-op).  The one aggregated
+:mod:`fpaxos.core`'s: promise or nack a prepare (``core.can_promise``),
+accept or nack per slot (``core.can_accept``), and at recovery choose
+each slot's value (``core.choose_value``, else a no-op).  The one aggregated
 piece of durable state is the promised ballot, which covers all slots.
 
 Followers learn decisions from the leader's commit point, as with Raft's
@@ -313,23 +314,12 @@ class Replica:
     def _on_LeaderPrepare(self, m: LeaderPrepare, alive) -> list:
         self._observe(m.ballot)
         # A duplicate of the promised ballot's prepare is promised again, not nacked.
-        if m.ballot != self.promised:
-            st, reply = core.acceptor_handle_prepare(core.AcceptorState(promised=self.promised), m)
-            if not isinstance(reply, core.Promise):
-                nack = LeaderNack(src=self.id, dst=m.src, ballot=m.ballot, promised=reply.promised)
-                return [nack]
-            self.promised = st.promised
-        pairs = tuple(
-            (s, b, v)
-            for s, (b, v) in sorted(self.accepted.items())
-            if s >= m.from_slot
-        )
-        return [
-            LeaderPromise(
-                src=self.id, dst=m.src, ballot=m.ballot,
-                from_slot=m.from_slot, accepted=pairs,
-            )
-        ]
+        if m.ballot != self.promised and not core.can_promise(self.promised, m.ballot):
+            return [LeaderNack(src=self.id, dst=m.src, ballot=m.ballot, promised=self.promised)]
+        self.promised = m.ballot
+        pairs = tuple((s, b, v) for s, (b, v) in sorted(self.accepted.items()) if s >= m.from_slot)
+        return [LeaderPromise(src=self.id, dst=m.src, ballot=m.ballot,
+                              from_slot=m.from_slot, accepted=pairs)]
 
     def _on_LeaderPromise(self, m: LeaderPromise, alive) -> list:
         if not self.electing or m.ballot != self.ballot:
@@ -345,20 +335,18 @@ class Replica:
 
     def _on_SlotPropose(self, m: SlotPropose, alive) -> list:
         self._observe(m.ballot)
-        st = core.AcceptorState(promised=self.promised, accepted=self.accepted.get(m.slot))
-        st2, reply = core.acceptor_handle_propose(st, m)
-        if isinstance(reply, core.Accept):
-            self.promised = st2.promised
-            self.accepted[m.slot] = st2.accepted
-            if self.ballot is not None and m.ballot > self.ballot:
-                # A higher ballot's commit may log decisions our ballot never
-                # saw; proposing on with that commit point could log ours over them.
-                self._demote()
-            self._learn_commit(m.ballot, m.slot, m.commit)
-            return [SlotAccept(src=self.id, dst=m.src, ballot=m.ballot, slot=m.slot)]
-        return [
-            SlotNack(src=self.id, dst=m.src, ballot=m.ballot, slot=m.slot, promised=reply.promised)
-        ]
+        if not core.can_accept(self.promised, m.ballot):
+            nack = SlotNack(src=self.id, dst=m.src, ballot=m.ballot, slot=m.slot,
+                            promised=self.promised)
+            return [nack]
+        self.promised = m.ballot
+        self.accepted[m.slot] = (m.ballot, m.value)
+        if self.ballot is not None and m.ballot > self.ballot:
+            # A higher ballot's commit may log decisions our ballot never
+            # saw; proposing on with that commit point could log ours over them.
+            self._demote()
+        self._learn_commit(m.ballot, m.slot, m.commit)
+        return [SlotAccept(src=self.id, dst=m.src, ballot=m.ballot, slot=m.slot)]
 
     def _learn_commit(self, ballot: Ballot, slot: int, commit: int) -> None:
         """Log every accepted slot below ``commit`` whose pair is at ``ballot``.

@@ -4,7 +4,8 @@ A world hosts n combined acceptor/proposer/learner replicas, a virtual
 clock in integer microseconds, and a single seeded RNG.  Identical
 configurations (including the seed) produce byte-identical traces and
 metrics.  Events are processed in (time, insertion-sequence) order, so
-ties break deterministically.
+ties break deterministically.  ``SimConfig.from_json`` decodes a config
+through :func:`fpaxos.core.read_config`; every time must be finite in us.
 
 The network model is one-way link latency per replica pair (fixed, or
 sampled once per pair from a uniform range), optional message loss and
@@ -41,11 +42,11 @@ import heapq
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import MISSING, astuple, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Tuple
 
 from . import multi
-from .core import to_jsonl  # noqa: F401 (the CLI and perfbench call sim.to_jsonl)
+from .core import read_config, to_jsonl  # noqa: F401 (the CLI and perfbench call sim.to_jsonl)
 from .multi import CLIENT, NOOP, Replica
 from .quorum import QuorumSystem, is_id_lists
 
@@ -55,6 +56,11 @@ REQUEST_BYTES = 64  # client payload length; no bandwidth is modeled, so size mo
 
 def ms_to_us(ms: float) -> int:
     return int(round(ms * US_PER_MS))
+
+
+def _is_time(ms) -> bool:
+    """``ms`` is >= 0 and stays finite in microseconds, so ``ms_to_us`` takes it."""
+    return 0 <= ms * US_PER_MS < math.inf
 
 
 class SafetyViolationError(Exception):
@@ -75,8 +81,8 @@ class Latency:
     hi_ms: float = 10.0
 
     def __post_init__(self):
-        if not 0 <= self.lo_ms <= self.hi_ms < math.inf:
-            raise ValueError(f"latency needs finite 0 <= lo_ms <= hi_ms, got {self.spec()!r}")
+        if not (0 <= self.lo_ms <= self.hi_ms and _is_time(self.hi_ms)):
+            raise ValueError(f"latency needs 0 <= lo_ms <= hi_ms, finite in us, got {self!r}")
 
     def sample_us(self, rng: random.Random) -> int:
         if self.lo_ms == self.hi_ms:
@@ -92,10 +98,6 @@ class Latency:
         except ValueError:
             raise ValueError(f"latency must be 'MS' or 'LO:HI' in ms, got {text!r}") from None
         return Latency(lo_ms, hi_ms)
-
-    def spec(self) -> str:
-        lo, hi = (str(ms).removesuffix(".0") for ms in (self.lo_ms, self.hi_ms))
-        return lo if lo == hi else f"{lo}:{hi}"
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ _ROW_ENTRIES = {
 }
 
 
-def _schedule_codec(key: str, event):
+def _schedule_decoder(key: str, event):
     names = [f.name for f in fields(event)]
     required = sum(f.default is MISSING for f in fields(event))
     shape = ", ".join(names[:required]) + "".join(f" [, {n}]" for n in names[required:])
@@ -152,17 +154,19 @@ def _schedule_codec(key: str, event):
                     raise ValueError(f"{key} row {row!r}: {name} must be {what}")
         return tuple(event(*row) for row in rows)
 
-    return (lambda events: [list(astuple(e)) for e in events], decode)
+    return decode
 
 
-# (encode, decode) for the SimConfig fields that are not plain JSON values.
-_CODECS = {
-    "quorum": (QuorumSystem.to_json, QuorumSystem.from_json),
-    "latency": (Latency.spec, lambda text: Latency.parse(str(text))),
-    "crashes": _schedule_codec("crashes", CrashEvent),
-    "restores": _schedule_codec("restores", RestoreEvent),
-    "elections": _schedule_codec("elections", ElectionEvent),
-    "partitions": _schedule_codec("partitions", PartitionEvent),
+_SCHEDULES = {
+    "crashes": CrashEvent, "restores": RestoreEvent,
+    "elections": ElectionEvent, "partitions": PartitionEvent,
+}
+
+# Decoders for the SimConfig fields that are not plain JSON values.
+_DECODERS = {
+    "quorum": QuorumSystem.from_json,
+    "latency": lambda text: Latency.parse(str(text)),
+    **{key: _schedule_decoder(key, event) for key, event in _SCHEDULES.items()},
 }
 
 
@@ -201,23 +205,23 @@ class SimConfig:
             raise ValueError("initial_leader out of range")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        for key in ("duration_ms", "warmup_ms", "cooldown_ms"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise ValueError(f"{key} must be a finite time >= 0, got {getattr(self, key)!r}")
+        retries = ("election_retry_ms", "retransmit_ms")  # a retry at 0 us repeats forever
+        keys = ("duration_ms", "warmup_ms", "cooldown_ms", *retries)
+        times = [(key, getattr(self, key)) for key in keys]
+        times += [(f"{name} entry", ev.t_ms) for name in _SCHEDULES for ev in getattr(self, name)]
+        for key, ms in times:
+            least_us = 1 if key in retries else 0
+            if not (_is_time(ms) and ms_to_us(ms) >= least_us):
+                what = "that rounds to at least 1 us (0.001 ms)" if least_us else ">= 0"
+                raise ValueError(f"{key} must be a time {what}, finite in us, got {ms!r}")
         if self.warmup_ms + self.cooldown_ms >= self.duration_ms:
             raise ValueError("warmup + cooldown must leave a steady window")
-        for key in ("election_retry_ms", "retransmit_ms"):
-            ms = getattr(self, key)  # a retry at 0 us would repeat forever at one instant
-            if not (math.isfinite(ms) and ms_to_us(ms) >= 1):
-                raise ValueError(f"{key} must round to at least 1 us (0.001 ms), got {ms!r}")
-        for name in ("crashes", "restores", "elections", "partitions"):
+        for name in _SCHEDULES:
             sched = getattr(self, name)
             times = [ev.t_ms for ev in sched]
             if times != sorted(times):
                 raise ValueError(f"{name} schedule must be time-ordered")
             for ev in sched:
-                if not 0 <= ev.t_ms < math.inf:
-                    raise ValueError(f"{name} entry time must be finite and >= 0, got {ev.t_ms!r}")
                 ids = [ev.replica] if hasattr(ev, "replica") else [a for g in ev.groups for a in g]
                 for r in ids:
                     if not 0 <= r < self.n:
@@ -225,36 +229,15 @@ class SimConfig:
                 if len(set(ids)) < len(ids):
                     raise ValueError(f"{name} entry puts a replica in two groups: {ev.groups!r}")
 
-    def to_json(self) -> dict:
-        """Every field as a JSON value; ``from_json`` inverts it exactly."""
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key, (encode, _) in _CODECS.items():
-            d[key] = encode(d[key])
-        return d
-
     @staticmethod
     def from_json(d: dict) -> "SimConfig":
-        """Inverse of ``to_json``; absent keys keep the defaults above.
+        """Decode a JSON configuration with :func:`fpaxos.core.read_config`.
 
-        An unknown key, or a value of the wrong type or shape, is a
-        ``ValueError`` naming the key.
+        Absent keys keep the defaults above; an unknown key, or a value of
+        the wrong type or shape, is a ``ValueError`` naming the key.
         """
         defaults = {f.name: f.default for f in fields(SimConfig)}
-        unknown = sorted(set(d) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown simulation config key(s): {', '.join(unknown)}")
-        kw = dict(d)
-        for key, value in kw.items():
-            want = type(defaults[key])
-            if key not in _CODECS and not (
-                type(value) is want or want is float and type(value) is int
-            ):
-                what = {int: "an integer", float: "a number", bool: "true or false"}
-                raise ValueError(f"{key} must be {what.get(want, 'a string')}, got {value!r}")
-        for key, (_, decode) in _CODECS.items():
-            if key in kw:
-                kw[key] = decode(kw[key])
-        return SimConfig(**kw)
+        return SimConfig(**read_config(d, defaults, _DECODERS, "simulation"))
 
 
 def _pctl(sorted_xs, p: float) -> float:
@@ -363,8 +346,7 @@ class World:
         self.drops = 0
         self.pending_retransmit = set()
         self.faults_possible = bool(
-            cfg.loss or cfg.duplicate or cfg.crashes or cfg.restores
-            or cfg.partitions or cfg.elections
+            cfg.loss or cfg.duplicate or any(getattr(cfg, key) for key in _SCHEDULES)
         )
 
     # -- plumbing -----------------------------------------------------

@@ -520,6 +520,10 @@ def test_cli_check_flag_overrides_config_file(capsys, tmp_path):
     path.write_text(json.dumps({"quorum": {"kind": "majority", "n": 3}, "ballots": 2}))
     assert main(["check", "--config", str(path), "--ballots", "3"]) == 0
     assert f"states explored : {STATE_COUNTS['majority3_b3']}\n" in capsys.readouterr().out
+    # the quorum flags replace a family given flat, too
+    path.write_text(json.dumps({"n": 2, "q1_sets": [[0]], "q2_sets": [[1]], "ballots": 3}))
+    assert main(["check", "--config", str(path), "--kind", "majority", "--n", "3"]) == 0
+    assert f"states explored : {STATE_COUNTS['majority3_b3']}\n" in capsys.readouterr().out
 
 
 def test_counterexample_jsonl_shape():

@@ -163,7 +163,7 @@ def test_check_sweep_passes_ballots_and_values(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "flag, extra",
     [
-        ("--proposers", ["1"]),
+        ("--rows", ["2"]),
         ("--symmetry", []),
         ("--config", ["check.json"]),
         ("--counterexample", ["cx.jsonl"]),
@@ -407,6 +407,9 @@ SHORT_RUN = ("--kind", "majority", "--n", "3",
         (["sweep", *SHORT_RUN, "--q2-list", "1", "--out", "never.csv"], "q2_list"),
         (["simulate", *SHORT_RUN, "--loss", "nan"], "loss"),
         (["simulate", *SHORT_RUN, "--duplicate", "2"], "duplicate"),
+        (["simulate", *SHORT_RUN, "--duration-ms", "1e308"], "duration_ms"),
+        (["simulate", *SHORT_RUN, "--crash", "t=1e308,r=1"], "crashes"),
+        (["simulate", *SHORT_RUN, "--latency", "1e306"], "latency"),
     ],
 )
 def test_malformed_flag_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, argv, key):
@@ -429,7 +432,7 @@ def test_schedule_row_replica_must_be_an_integer(capsys, row):
 
 
 @pytest.mark.parametrize("key", ["retransmit_ms", "election_retry_ms"])
-@pytest.mark.parametrize("value", [0, -5, 0.0001, float("inf")])
+@pytest.mark.parametrize("value", [0, -5, 0.0001, float("inf"), 1e308])
 def test_retry_interval_below_one_microsecond_exits_2(capsys, tmp_path, key, value):
     # each of these once retried forever at one virtual instant
     path = tmp_path / "sim.json"
@@ -438,6 +441,46 @@ def test_retry_interval_below_one_microsecond_exits_2(capsys, tmp_path, key, val
     assert code == 2
     assert err.startswith("error: ") and key in err
     assert not out
+
+
+@pytest.mark.parametrize("values", [[[1], [2]], True, "ab", [1, 2]])
+def test_check_config_values_of_the_wrong_shape_exit_2(capsys, tmp_path, monkeypatch, values):
+    # [[1], [2]] once raised TypeError; the others ran a check on something else
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "check.json"
+    path.write_text(json.dumps({"quorum": {"kind": "majority", "n": 3}, "values": values}))
+    code, out, err = run_cli(capsys, "check", "--config", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "values" in err
+    assert not out
+    assert [p.name for p in tmp_path.iterdir()] == ["check.json"]
+
+
+@pytest.mark.parametrize(
+    "entries, key",
+    [
+        ({"out": True}, "out"),
+        ({"out": "never.csv", "format": "xml"}, "format"),
+        ({"out": "never.csv", "seeds": 2.5}, "seeds"),
+        ({"out": "never.csv", "seeds": True}, "seeds"),
+        ({"out": "never.csv", "q2_list": 5}, "q2_list"),
+        ({"out": "never.csv", "seed": 3}, "seed"),
+        ({"out": "never.csv", "record_trace": True}, "record_trace"),
+    ],
+)
+def test_malformed_sweep_spec_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, entries, key):
+    # out: true once wrote the CSV to fd 1 and closed stdout, format: xml wrote
+    # JSON, seeds: 2.5 and q2_list: 5 raised TypeError, and a seed or
+    # record_trace was silently overridden
+    monkeypatch.chdir(tmp_path)
+    spec = {"quorum": {"kind": "simple", "n": 3, "q2_size": 2}, "duration_ms": 300,
+            "warmup_ms": 50, "cooldown_ms": 50, **entries}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "sweep", "--spec", "spec.json")
+    assert code == 2
+    assert err.startswith("error: ") and key in err
+    assert not out
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 # ----------------------------------------------------------------- goldens
