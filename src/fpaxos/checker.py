@@ -72,6 +72,7 @@ from .quorum import (
     make_grid,
     make_majority,
     make_simple,
+    mask_of,
     validate_cross_intersection,
 )
 
@@ -239,8 +240,8 @@ class _Space:
         self.row_sh = [self.CELL + b * n * wC for b in range(B)]
         self.pmask, self.vmask = (1 << wP) - 1, (1 << wV) - 1
         self.amask, self.cmask = (1 << wA) - 1, (1 << wC) - 1
-        self.is_q1 = qs.is_q1_mask
-        self.q2 = _Memo(qs.is_q2_mask)  # holders mask -> is a phase-2 quorum
+        self.is_q1 = qs.is_q1
+        self.q2 = _Memo(qs.is_q2)  # holders mask -> is a phase-2 quorum
         self.threshold_kind = qs.kind in _THRESHOLD_KINDS  # acceptors interchangeable
         # Sets of pairs are masks with bit k = b*V+v for (b, v).  A checked
         # property breaks when pair k becomes chosen while a pair of
@@ -593,7 +594,7 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
             promises[(a, b)] = reply
         elif kind == "propose":
             b, v, senders = act[1], act[2], act[3]
-            if not qs.is_q1(frozenset(senders)):
+            if not qs.is_q1(mask_of(senders)):
                 raise ReplayDivergenceError(f"justifying set for {act} is not a phase-1 quorum")
             try:
                 cited = [promises[(a, b)] for a in senders]

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields
+from typing import Optional
 
 from . import checker as chk
 from . import scenarios, sim
@@ -65,27 +66,67 @@ def add_quorum_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["paxos", "fpaxos"], help="grid mode (default fpaxos)")
 
 
-def quorum_from_args(args) -> QuorumSystem:
-    if args.kind == "majority":
+# The quorum flags each family reads, by dest; "custom" is --custom-q1/--custom-q2.
+KIND_FLAGS = {
+    "majority": ("n", "improved"),
+    "simple": ("n", "q2"),
+    "grid": ("rows", "cols", "mode"),
+    "custom": ("n",),
+}
+NO_QUORUM = "no quorum system given (use --kind)"
+
+
+def _given(args, dest) -> bool:
+    """Whether a flag was on the command line: unset flags are None, False or absent."""
+    value = getattr(args, dest, None)
+    return value is not None and value is not False
+
+
+def _json_flag(args, dest):
+    try:
+        return json.loads(getattr(args, dest))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"--{dest.replace('_', '-')} must be JSON: {e}") from None
+
+
+def quorum_from_args(args) -> Optional[QuorumSystem]:
+    """The quorum the quorum flags name, or None when they name none.
+
+    A quorum flag that the chosen family does not read is a ``ValueError``.
+    """
+    custom = _given(args, "custom_q1") or _given(args, "custom_q2")
+    if custom and args.kind is not None:
+        raise ValueError("--kind cannot be combined with --custom-q1/--custom-q2")
+    kind = "custom" if custom else args.kind
+    for dest in ("n", "improved", "q2", "rows", "cols", "mode"):
+        if _given(args, dest) and dest not in KIND_FLAGS.get(kind, ()):
+            raise ValueError(f"--{dest} is not read by --kind {kind}" if kind
+                             else f"--{dest} needs --kind")
+    if kind == "majority":
         if args.n is None:
             raise ValueError("--kind majority requires --n")
         return make_majority(args.n, improved=args.improved)
-    if args.kind == "simple":
+    if kind == "simple":
         if args.n is None or args.q2 is None:
             raise ValueError("--kind simple requires --n and --q2")
         return make_simple(args.n, args.q2)
-    if args.kind == "grid":
+    if kind == "grid":
         if args.rows is None or args.cols is None:
             raise ValueError("--kind grid requires --rows and --cols")
         return make_grid(args.rows, args.cols, mode=args.mode or "fpaxos")
-    raise ValueError("no quorum system given (use --kind)")
+    if kind == "custom":
+        if not (args.custom_q1 and args.custom_q2 and args.n):
+            raise ValueError("--custom-q1/--custom-q2 require each other and --n")
+        sets = {"q1_sets": _json_flag(args, "custom_q1"), "q2_sets": _json_flag(args, "custom_q2")}
+        return QuorumSystem.from_json({"kind": EXPLICIT, "n": args.n, **sets})
+    return None
 
 
-def merge_entries(path, args, keys, quorum=None) -> dict:
+def merge_entries(path, args, keys) -> dict:
     """The JSON object at ``path`` (if any), overridden by the flags given.
 
     A flag counts when its dest is in ``keys`` and it was on the command
-    line.  A quorum from the quorum flags (or ``quorum``) replaces the file's.
+    line.  A quorum from the quorum flags replaces the file's.
     """
     d = {}
     if path:
@@ -94,8 +135,9 @@ def merge_entries(path, args, keys, quorum=None) -> dict:
         if not isinstance(d, dict):
             raise ValueError(f"{path}: expected a JSON object")
     d.update((k, v) for k, v in vars(args).items() if k in keys)
-    if quorum is None and (args.kind is not None or not {"quorum", "q1_sets"} & d.keys()):
-        quorum = quorum_from_args(args)  # without --kind: "no quorum system given"
+    quorum = quorum_from_args(args)
+    if quorum is None and not {"quorum", "q1_sets"} & d.keys():
+        raise ValueError(NO_QUORUM)
     if quorum is not None:
         d = {k: v for k, v in d.items() if k not in chk.FLAT_QUORUM_KEYS}
         d["quorum"] = quorum.to_json()
@@ -107,6 +149,8 @@ def merge_entries(path, args, keys, quorum=None) -> dict:
 
 def cmd_quorum_analyze(args) -> int:
     qs = quorum_from_args(args)
+    if qs is None:
+        raise ValueError(NO_QUORUM)
     try:
         intersects = validate_cross_intersection(qs)
     except UnverifiableError as e:
@@ -155,9 +199,10 @@ NOT_WITH_SWEEP = (
 
 def cmd_check(args) -> int:
     if args.sweep is not None:
+        if args.sweep < 1:
+            raise ValueError(f"--sweep must be at least 1, got {args.sweep}")
         for dest in NOT_WITH_SWEEP:
-            given = getattr(args, dest, None)  # unset flags are None, False or absent
-            if given is not None and given is not False:
+            if _given(args, dest):
                 raise ValueError(f"--{dest.replace('_', '-')} cannot be combined with --sweep")
         report = chk.quorum_safety_sweep(
             args.sweep,
@@ -176,13 +221,7 @@ def cmd_check(args) -> int:
         print("sweep:", "consistent" if ok else "INCONSISTENT")
         return 0 if ok else 1
 
-    qs = None
-    if args.custom_q1 or args.custom_q2:
-        if not (args.custom_q1 and args.custom_q2 and args.n):
-            raise ValueError("--custom-q1/--custom-q2 require each other and --n")
-        sets = {"q1_sets": json.loads(args.custom_q1), "q2_sets": json.loads(args.custom_q2)}
-        qs = QuorumSystem.from_json({"kind": EXPLICIT, "n": args.n, **sets})
-    cfg = chk.check_config_from_json(merge_entries(args.config, args, CHECK_KEYS, qs))
+    cfg = chk.check_config_from_json(merge_entries(args.config, args, CHECK_KEYS))
     res = chk.explore(cfg)
     print(f"states explored : {res.states}")
     if res.complete:
@@ -245,7 +284,11 @@ def sim_config_from_args(args) -> sim.SimConfig:
     """``--config`` entries, then the flags given; seed falls back to ``$FPAXOS_SEED``."""
     d = merge_entries(args.config, args, SIM_KEYS)
     if "seed" not in d:
-        d["seed"] = int(os.environ.get("FPAXOS_SEED", "0"))
+        text = os.environ.get("FPAXOS_SEED", "0")
+        try:
+            d["seed"] = int(text)
+        except ValueError:
+            raise ValueError(f"FPAXOS_SEED must be an integer, got {text!r}") from None
     d["record_trace"] = bool(args.trace)
     return sim.SimConfig.from_json(d)
 
@@ -307,6 +350,8 @@ def build_sweep(args):
         raise ValueError(f"q2_list needs a simple quorum, got {quorum!r}")
     if spec["format"] not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {spec['format']!r}")
+    if spec["seeds"] < 1:
+        raise ValueError(f"seeds must be at least 1, got {spec['seeds']}")
     configs = []
     for q2 in q2_list or [None]:
         if q2 is not None:

@@ -229,8 +229,5 @@ def decided_proposals(states: Mapping[int, AcceptorState], qs: QuorumSystem):
     holders = {}
     for aid, st in states.items():
         if st.accepted is not None:
-            holders.setdefault(st.accepted, set()).add(aid)
-    return sorted(
-        (pair for pair, who in holders.items() if qs.is_q2(frozenset(who))),
-        key=lambda p: p[0],
-    )
+            holders[st.accepted] = holders.get(st.accepted, 0) | 1 << aid
+    return sorted((pair for pair, who in holders.items() if qs.is_q2(who)), key=lambda p: p[0])

@@ -39,7 +39,7 @@ from typing import Optional, Tuple
 
 from . import core
 from .core import Ballot
-from .quorum import QuorumSystem, select_quorum
+from .quorum import QuorumSystem, mask_of, select_quorum
 
 NOOP = ""  # reserved payload proposed to close log gaps during recovery
 
@@ -125,7 +125,7 @@ message_json = core.message_json  # one encoder serves both vocabularies
 class _Inflight:
     value: str
     req_id: Optional[str]
-    acks: set = field(default_factory=set)
+    acks: int = 0  # bitmask of the acceptors that accepted
 
 
 class Replica:
@@ -325,7 +325,7 @@ class Replica:
         if not self.electing or m.ballot != self.ballot:
             return []
         self._promises[m.src] = m
-        if not self.qs.is_q1(frozenset(self._promises)):
+        if not self.qs.is_q1(mask_of(self._promises)):
             return []
         return self._finish_election(alive)
 
@@ -369,8 +369,8 @@ class Replica:
         fl = self.inflight.get(m.slot)
         if fl is None:
             return []  # duplicate accept after decision: idempotent
-        fl.acks.add(m.src)
-        if not self.qs.is_q2(frozenset(fl.acks)):
+        fl.acks |= 1 << m.src
+        if not self.qs.is_q2(fl.acks):
             return []
         self._learn(m.slot, (m.ballot, fl.value))
         del self.inflight[m.slot]

@@ -26,10 +26,11 @@ All predicates are upward closed: any superset of a quorum is a quorum.
 Each system compiles once, on first use, to one form per phase: a size
 threshold for threshold kinds (their C(n, k) generators are never
 enumerated), else the generators as frozensets and as bitmasks (bit a is
-acceptor a), in ``generators()`` order.  ``is_q1``/``is_q2`` and
-``select_quorum`` test sets against it; ``is_q1_mask``/``is_q2_mask`` test
-bitmasks, for the simulator's safety check and the checker.  The compiled
-form is derived state, outside equality, hashing and serialization.
+acceptor a), in ``generators()`` order.  ``is_q1``/``is_q2`` are the one
+membership test: they take an acceptor set as a bitmask (``mask_of``
+builds one from ids).  ``select_quorum`` names destinations, so it takes
+and returns id sets.  The compiled form is derived state, outside
+equality, hashing and serialization.
 """
 
 from __future__ import annotations
@@ -61,26 +62,32 @@ class UnverifiableError(Exception):
     """An exhaustive check would exceed the configured size limit."""
 
 
+def mask_of(ids) -> int:
+    """The bitmask of an iterable of acceptor ids: bit a is acceptor a."""
+    m = 0
+    for a in ids:
+        m |= 1 << a
+    return m
+
+
 class _Phase:
     """One phase of a quorum system in compiled form.
 
     ``threshold`` is set for threshold kinds; otherwise ``gens`` lists the
-    generators and ``masks`` the same sets as bitmasks.
+    generators and ``masks`` the same sets as bitmasks, over acceptors 0..n-1.
     """
 
-    __slots__ = ("threshold", "gens", "masks")
+    __slots__ = ("n", "threshold", "gens", "masks")
 
-    def __init__(self, threshold: Optional[int], gens: tuple = ()):
+    def __init__(self, n: int, threshold: Optional[int], gens: tuple = ()):
+        self.n = n
         self.threshold = threshold
         self.gens = gens
-        self.masks = tuple(sum(1 << a for a in g) for g in gens)
+        self.masks = tuple(mask_of(g) for g in gens)
 
-    def holds(self, s: frozenset) -> bool:
-        if self.threshold is not None:
-            return len(s) >= self.threshold
-        return any(g <= s for g in self.gens)
-
-    def holds_mask(self, m: int) -> bool:
+    def holds(self, m: int) -> bool:
+        if m < 0 or m >> self.n:
+            raise ValueError(f"acceptor mask {m:#b} reaches outside universe [0, {self.n})")
         if self.threshold is not None:
             return m.bit_count() >= self.threshold
         return any(g & m == g for g in self.masks)
@@ -110,17 +117,17 @@ class QuorumSystem:
     def _phases(self) -> tuple:
         """The compiled form of phases 1 and 2, built on first use."""
         if self.kind in _THRESHOLD_KINDS:
-            return (_Phase(self._threshold(1)), _Phase(self._threshold(2)))
+            return (_Phase(self.n, self._threshold(1)), _Phase(self.n, self._threshold(2)))
         if self.kind == GRID_FPAXOS:
             rows = tuple(self.row(r) for r in range(self.rows))
             cols = tuple(self.col(c) for c in range(self.cols))
-            return (_Phase(None, rows), _Phase(None, cols))
+            return (_Phase(self.n, None, rows), _Phase(self.n, None, cols))
         if self.kind == GRID_PAXOS:
-            both = _Phase(None, tuple(
+            both = _Phase(self.n, None, tuple(
                 self.row(r) | self.col(c) for r in range(self.rows) for c in range(self.cols)
             ))
             return (both, both)
-        return (_Phase(None, self.q1_sets), _Phase(None, self.q2_sets))
+        return (_Phase(self.n, None, self.q1_sets), _Phase(self.n, None, self.q2_sets))
 
     # -- thresholds ---------------------------------------------------
 
@@ -157,29 +164,13 @@ class QuorumSystem:
 
     # -- membership predicates ----------------------------------------
 
-    def _check_members(self, s) -> frozenset:
-        s = frozenset(s)
-        if not s <= self.universe:
-            raise ValueError(
-                f"acceptors {sorted(s - self.universe)} outside universe [0, {self.n})"
-            )
-        return s
+    def is_q1(self, m: int) -> bool:
+        """True iff the acceptor bitmask ``m`` contains a valid phase-1 quorum."""
+        return self._phases[0].holds(m)
 
-    def is_q1(self, s) -> bool:
-        """True iff ``s`` contains a valid phase-1 quorum."""
-        return self._phases[0].holds(self._check_members(s))
-
-    def is_q2(self, s) -> bool:
-        """True iff ``s`` contains a valid phase-2 quorum."""
-        return self._phases[1].holds(self._check_members(s))
-
-    def is_q1_mask(self, m: int) -> bool:
-        """``is_q1`` over a bitmask of acceptor ids; ``m`` must lie in the universe."""
-        return self._phases[0].holds_mask(m)
-
-    def is_q2_mask(self, m: int) -> bool:
-        """``is_q2`` over a bitmask of acceptor ids; ``m`` must lie in the universe."""
-        return self._phases[1].holds_mask(m)
+    def is_q2(self, m: int) -> bool:
+        """True iff the acceptor bitmask ``m`` contains a valid phase-2 quorum."""
+        return self._phases[1].holds(m)
 
     # -- generators: sets whose upward closure is the whole family -----
 
@@ -212,11 +203,17 @@ class QuorumSystem:
 
     @staticmethod
     def from_json(d: dict) -> "QuorumSystem":
-        """Inverse of ``to_json``; a missing or ill-typed key is a ``ValueError`` naming it."""
+        """Inverse of ``to_json``; a key missing, ill-typed or unread by the kind is an error.
+
+        Errors are ``ValueError``s naming the key.  A grid may give ``n``, as
+        ``to_json`` writes it, if it is rows x cols.
+        """
         if not isinstance(d, dict):
             raise ValueError(f"quorum must be a JSON object, got {d!r}")
+        read = set()
 
         def entry(key, valid, what):
+            read.add(key)
             if key not in d:
                 raise ValueError(f"quorum needs key {key!r}")
             if not valid(d[key]):
@@ -230,18 +227,23 @@ class QuorumSystem:
             return entry(key, is_id_lists, "a list of lists of acceptor ids")
 
         kind = entry("kind", lambda x: isinstance(x, str), "a string")
-        if kind == MAJORITY:
-            return make_majority(count("n"))
-        if kind == IMPROVED_MAJORITY:
-            return make_majority(count("n"), improved=True)
-        if kind == SIMPLE:
-            return make_simple(count("n"), count("q2_size"))
-        if kind in (GRID_PAXOS, GRID_FPAXOS):
+        if kind in (MAJORITY, IMPROVED_MAJORITY):
+            qs = make_majority(count("n"), improved=kind == IMPROVED_MAJORITY)
+        elif kind == SIMPLE:
+            qs = make_simple(count("n"), count("q2_size"))
+        elif kind in (GRID_PAXOS, GRID_FPAXOS):
             mode = "paxos" if kind == GRID_PAXOS else "fpaxos"
-            return make_grid(count("rows"), count("cols"), mode=mode)
-        if kind == EXPLICIT:
-            return make_explicit(count("n"), sets("q1_sets"), sets("q2_sets"))
-        raise ValueError(f"unknown quorum kind {kind!r}")
+            qs = make_grid(count("rows"), count("cols"), mode=mode)
+            if "n" in d and count("n") != qs.n:
+                raise ValueError(f"quorum key 'n' must be rows x cols = {qs.n}, got {d['n']!r}")
+        elif kind == EXPLICIT:
+            qs = make_explicit(count("n"), sets("q1_sets"), sets("q2_sets"))
+        else:
+            raise ValueError(f"unknown quorum kind {kind!r}")
+        unread = sorted(set(d) - read)
+        if unread:
+            raise ValueError(f"quorum kind {kind!r} reads no key(s) {', '.join(unread)}")
+        return qs
 
     def describe(self) -> str:
         if self.kind in (GRID_PAXOS, GRID_FPAXOS):
@@ -351,11 +353,10 @@ def find_disjoint_pair(qs: QuorumSystem):
             f"{count} phase-1 quorum generators exceed the enumeration "
             f"limit of {MAX_ENUM}; intersection unverifiable at this size"
         )
-    universe = qs.universe
+    full = (1 << qs.n) - 1
     for g1 in qs.generators(1):
-        rest = universe - g1
-        if qs.is_q2(rest):
-            return g1, select_quorum(qs, 2, rest)
+        if qs.is_q2(full & ~mask_of(g1)):
+            return g1, select_quorum(qs, 2, qs.universe - g1)
     return None
 
 
@@ -406,9 +407,8 @@ def failure_tolerance(qs: QuorumSystem) -> FaultToleranceReport:
     full = (1 << n) - 1
     f = 1  # with no failures both phases can form; find the first size that can stop one
     while all(
-        qs.is_q1_mask(alive) and qs.is_q2_mask(alive)
-        for alive in (full - sum(1 << a for a in dead)
-                      for dead in itertools.combinations(range(n), f))
+        qs.is_q1(alive) and qs.is_q2(alive)
+        for alive in (full & ~mask_of(dead) for dead in itertools.combinations(range(n), f))
     ):
         f += 1
     return FaultToleranceReport(f - 1, phase2_only, best)
@@ -438,7 +438,9 @@ def select_quorum(
         raise ValueError("strategy 'random' needs a seeded rng")
     if strategy == "fastest" and latency is None:
         raise ValueError("strategy 'fastest' needs a latency map")
-    alive_set = qs._check_members(alive)
+    alive_set = frozenset(alive)
+    if not alive_set <= qs.universe:
+        raise ValueError(f"acceptors {sorted(alive_set - qs.universe)} outside [0, {qs.n})")
     compiled = qs._phases[phase - 1]
     if compiled.threshold is not None:
         k = compiled.threshold

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from . import core
 from .checker import CheckConfig, replay
-from .quorum import QuorumSystem, make_majority
+from .quorum import QuorumSystem, make_majority, mask_of
 
 
 class ScenarioOutcomeError(AssertionError):
@@ -140,7 +140,7 @@ def run_scenario(name: str) -> ScenarioResult:
     rr = replay(sc.path, CheckConfig(sc.quorum, values=sc.values))
     # a proposer learns its value once accepts from a phase-2 quorum reach it
     accepts = [m for kind, m, *_ in rr.events if kind == "msg" and isinstance(m, core.Accept)]
-    learned = lambda b: sc.quorum.is_q2(frozenset(m.src for m in accepts if m.ballot == b))
+    learned = lambda b: sc.quorum.is_q2(mask_of(m.src for m in accepts if m.ballot == b))
     result = ScenarioResult(
         name=name,
         trace=[{"step": i, **l} for i, l in enumerate(l for e in rr.events for l in _lines(*e))],

@@ -43,7 +43,7 @@ import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import multi
 from .core import read_config, to_jsonl  # noqa: F401 (the CLI and perfbench call sim.to_jsonl)
@@ -331,7 +331,6 @@ class World:
         self.leader_id = None
         self.intended = None
         # client
-        self.client_started = False
         self.req_seq = 0
         self.outstanding = {}  # req_id -> (submit_us, payload)
         self.responses = {}  # req_id -> (t_us, slot, latency_us)
@@ -409,11 +408,9 @@ class World:
 
     # -- sending --------------------------------------------------------
 
-    def _dispatch(self, msgs, owner: Optional[Replica] = None) -> None:
+    def _dispatch(self, msgs, owner: Replica) -> None:
         for m in msgs:
             self._send(m)
-        if owner is None:
-            return
         new_slots = owner.take_new_slots()
         if self.faults_possible:
             for slot in new_slots:
@@ -553,16 +550,11 @@ class World:
     def _leader_established(self, r: int) -> None:
         self.leader_id = r
         self._trace("leader", replica=r, ballot=self.replicas[r].ballot.json())
-        if not self.client_started:
-            self.client_started = True
-            for _ in range(self.cfg.window):
-                self._client_submit_new()
-        else:
-            for req_id in sorted(self.outstanding):
-                _, payload = self.outstanding[req_id]
-                self._send(_request_to(self.leader_id, req_id, payload))
-            while self.now < self.end_us and len(self.outstanding) < self.cfg.window:
-                self._client_submit_new()  # top the window back up after churn
+        for req_id in sorted(self.outstanding):  # re-send what an earlier leader left
+            _, payload = self.outstanding[req_id]
+            self._send(_request_to(r, req_id, payload))
+        while self.now < self.end_us and len(self.outstanding) < self.cfg.window:
+            self._client_submit_new()  # fill the window, or top it back up after churn
 
     def _client_submit_new(self) -> None:
         if self.now >= self.end_us or self.leader_id is None:
@@ -595,7 +587,7 @@ class World:
         for i, rep in enumerate(self.replicas):
             if rep.accepted.get(slot) == pair:
                 holders |= 1 << i
-        if not self.cfg.quorum.is_q2_mask(holders):
+        if not self.cfg.quorum.is_q2(holders):
             return
         b, v = pair
         prev = self.registry.get(slot)

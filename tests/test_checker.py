@@ -216,8 +216,8 @@ def _full_violation(space, cfg, s):
     n, B, V = space.n, space.B, space.V
     chosen = [
         (b, v) for b in range(B) for v in range(V)
-        if cfg.quorum.is_q2(frozenset(
-            a for a in range(n) if s >> space.AMSG + (b * V + v) * n + a & 1))
+        if cfg.quorum.is_q2(sum(
+            1 << a for a in range(n) if s >> space.AMSG + (b * V + v) * n + a & 1))
     ]
     proposed = {}
     for b in range(B):
@@ -322,13 +322,13 @@ def test_max_states_below_one_is_rejected():
 
 def test_setup_does_not_enumerate_every_acceptor_subset(monkeypatch):
     calls = []
-    is_q1_mask = QuorumSystem.is_q1_mask
+    is_q1 = QuorumSystem.is_q1
 
     def counting(qs, mask):
         calls.append(mask)
-        return is_q1_mask(qs, mask)
+        return is_q1(qs, mask)
 
-    monkeypatch.setattr(QuorumSystem, "is_q1_mask", counting)
+    monkeypatch.setattr(QuorumSystem, "is_q1", counting)
     res = explore(CheckConfig(make_majority(20), max_states=10))
     assert res.states == 10
     assert len(calls) < 100  # enumerating all subsets makes 2**20 - 1

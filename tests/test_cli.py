@@ -360,6 +360,11 @@ def test_unknown_config_key_exits_2_naming_it(capsys, tmp_path, command, flag, e
     assert not out
 
 
+SHORT_RUN = ("--kind", "majority", "--n", "3",
+             "--duration-ms", "300", "--warmup-ms", "50", "--cooldown-ms", "50")
+SHORT_RUN_KEYS = {"duration_ms": 300, "warmup_ms": 50, "cooldown_ms": 50}
+
+
 @pytest.mark.parametrize(
     "entries, key",
     [
@@ -373,6 +378,9 @@ def test_unknown_config_key_exits_2_naming_it(capsys, tmp_path, command, flag, e
         ({"quorum": {"kind": "majority", "n": 3}, "loss": "x"}, "loss"),
         ({"quorum": {"kind": "majority", "n": 3}, "latency": "abc"}, "latency"),
         ({"quorum": {"kind": "majority", "n": 3}, "duration_ms": float("inf")}, "duration_ms"),
+        ({"quorum": {"kind": "majority", "n": 4, "improved": True}, **SHORT_RUN_KEYS}, "improved"),
+        ({"quorum": {"kind": "grid-fpaxos", "n": 7, "rows": 4, "cols": 5}, **SHORT_RUN_KEYS},
+         "'n'"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(capsys, tmp_path, entries, key):
@@ -384,8 +392,6 @@ def test_malformed_config_value_exits_2_naming_the_key(capsys, tmp_path, entries
     assert not out
 
 
-SHORT_RUN = ("--kind", "majority", "--n", "3",
-             "--duration-ms", "300", "--warmup-ms", "50", "--cooldown-ms", "50")
 
 
 @pytest.mark.parametrize(
@@ -410,16 +416,40 @@ SHORT_RUN = ("--kind", "majority", "--n", "3",
         (["simulate", *SHORT_RUN, "--duration-ms", "1e308"], "duration_ms"),
         (["simulate", *SHORT_RUN, "--crash", "t=1e308,r=1"], "crashes"),
         (["simulate", *SHORT_RUN, "--latency", "1e306"], "latency"),
+        (["simulate", *SHORT_RUN, "--q2", "2"], "--q2"),
+        (["simulate", *SHORT_RUN, "--mode", "paxos"], "--mode"),
+        (["quorum", "analyze", "--kind", "simple", "--n", "3", "--q2", "2", "--improved"],
+         "--improved"),
+        (["quorum", "analyze", "--kind", "simple", "--n", "4", "--q2", "2", "--rows", "2"],
+         "--rows"),
+        (["check", "--kind", "simple", "--n", "2", "--q2", "1", "--cols", "2"], "--cols"),
+        (["quorum", "analyze", "--kind", "grid", "--rows", "2", "--cols", "2", "--n", "9"],
+         "--n"),
+        (["check", "--kind", "grid", "--rows", "1", "--cols", "2", "--improved"], "--improved"),
+        (["check", "--kind", "majority", "--n", "2", "--custom-q1", "[[0]]",
+          "--custom-q2", "[[1]]"], "--kind"),
+        (["simulate", "--config", "sim.json", "--n", "7"], "--n"),
+        (["check", "--custom-q1", "x", "--custom-q2", "[[1]]", "--n", "2"], "--custom-q1"),
+        (["FPAXOS_SEED=abc", "simulate", *SHORT_RUN], "FPAXOS_SEED"),
+        (["sweep", *SHORT_RUN, "--seeds", "-2", "--out", "never.csv"], "seeds"),
+        (["check", "--sweep", "0"], "--sweep"),
+        (["check", "--sweep", "-1"], "--sweep"),
     ],
 )
 def test_malformed_flag_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, argv, key):
-    # each of these once ended in a traceback, or ran a different input than given
+    # each of these once ended in a traceback, or ran a different input than given;
+    # a leading NAME=VALUE sets an environment variable, and sim.json is a valid config
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.json").write_text(json.dumps({"quorum": {"kind": "majority", "n": 3},
+                                                   **SHORT_RUN_KEYS}))
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and key in err
     assert not out
-    assert not list(tmp_path.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]
 
 
 @pytest.mark.parametrize("row", ["t=1,r=inf", "t=1,r=1.5"])
@@ -466,6 +496,7 @@ def test_check_config_values_of_the_wrong_shape_exit_2(capsys, tmp_path, monkeyp
         ({"out": "never.csv", "q2_list": 5}, "q2_list"),
         ({"out": "never.csv", "seed": 3}, "seed"),
         ({"out": "never.csv", "record_trace": True}, "record_trace"),
+        ({"out": "never.csv", "seeds": 0}, "seeds"),
     ],
 )
 def test_malformed_sweep_spec_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, entries, key):

@@ -309,14 +309,14 @@ def test_proposer_never_proposes_before_q1_or_decides_before_q2(qs, data):
     reports = data.draw(st.lists(st.none() | st.integers(1, 3), min_size=n, max_size=n))
     pairs = {a: [(0, B(rnd, P1), f"v{rnd}")] if rnd else [] for a, rnd in enumerate(reports)}
     r, _ = candidate(qs, seen_round=3)
-    promisers, proposed = set(), []
+    promisers, proposed = 0, []
     for a in data.draw(st.permutations(range(n))):
         was_leading = r.leading
         out = r.on_message(promise(r, a, pairs[a]), alive)
-        promisers.add(a)
-        assert r.leading == qs.is_q1(frozenset(promisers))
+        promisers |= 1 << a
+        assert r.leading == qs.is_q1(promisers)
         if r.leading and not was_leading:
-            quorum = sorted(promisers)
+            quorum = [a for a in range(n) if promisers >> a & 1]
             proposed = out
         else:
             assert out == []
@@ -326,11 +326,11 @@ def test_proposer_never_proposes_before_q1_or_decides_before_q2(qs, data):
         proposed = r.on_message(Request(CLIENT, 0, "r1", "mine"), alive)
     assert proposed and all(isinstance(m, SlotPropose) and m.slot == 0 for m in proposed)
     assert {m.value for m in proposed} == {choose_value(reported, "mine")}
-    acks = set()
+    acks = 0
     for a in data.draw(st.permutations(range(n))):
         r.on_message(SlotAccept(src=a, dst=0, ballot=r.ballot, slot=0), alive)
-        acks.add(a)
-        assert (0 in r.log) == qs.is_q2(frozenset(acks))
+        acks |= 1 << a
+        assert (0 in r.log) == qs.is_q2(acks)
     assert r.log[0] == (r.ballot, choose_value(reported, "mine"))
 
 

@@ -14,6 +14,7 @@ from fpaxos.quorum import (
     make_grid,
     make_majority,
     make_simple,
+    mask_of,
     select_quorum,
     validate_cross_intersection,
 )
@@ -31,8 +32,8 @@ def subsets(n):
 
 
 def oracle_cross_intersection(qs):
-    q1s = [s for s in subsets(qs.n) if qs.is_q1(s)]
-    q2s = [s for s in subsets(qs.n) if qs.is_q2(s)]
+    q1s = [s for s in subsets(qs.n) if qs.is_q1(mask_of(s))]
+    q2s = [s for s in subsets(qs.n) if qs.is_q2(mask_of(s))]
     return all(s1 & s2 for s1 in q1s for s2 in q2s)
 
 
@@ -42,13 +43,13 @@ def oracle_tolerance(qs):
 
     def every(f, phases):
         return all(
-            all(is_q(universe - frozenset(dead)) for is_q in phases)
+            all(is_q(mask_of(universe - frozenset(dead))) for is_q in phases)
             for dead in itertools.combinations(range(n), f)
         )
 
     def some(f, phases):
         return any(
-            all(is_q(universe - frozenset(dead)) for is_q in phases)
+            all(is_q(mask_of(universe - frozenset(dead))) for is_q in phases)
             for dead in itertools.combinations(range(n), f)
         )
 
@@ -101,7 +102,7 @@ def test_grid_sizes():
     fp = make_grid(4, 5, mode="fpaxos")
     assert (fp.min_q1_size(), fp.min_q2_size()) == (5, 4)
     one = make_grid(1, 1, mode="fpaxos")
-    assert one.is_q1({0}) and one.is_q2({0})
+    assert one.is_q1(0b1) and one.is_q2(0b1)
 
 
 def test_grid_rejects_bad_params():
@@ -116,22 +117,24 @@ def test_grid_rejects_bad_params():
 
 def test_membership_examples():
     qs = make_majority(4, improved=True)
-    assert qs.is_q2({0, 1})
-    assert qs.is_q1({1, 2, 3})
-    assert not qs.is_q1({1, 2})
+    assert qs.is_q2(mask_of({0, 1}))
+    assert qs.is_q1(mask_of({1, 2, 3}))
+    assert not qs.is_q1(mask_of({1, 2}))
 
     grid = make_grid(4, 5, mode="fpaxos")
-    assert grid.is_q2(grid.col(2))
+    assert grid.is_q2(mask_of(grid.col(2)))
     # four acceptors spanning two columns are never a Q2
-    assert not grid.is_q2({0, 5, 11, 16})
+    assert not grid.is_q2(mask_of({0, 5, 11, 16}))
 
 
 def test_membership_outside_universe_raises():
     qs = make_majority(3)
     with pytest.raises(ValueError):
-        qs.is_q1({0, 5})
+        qs.is_q1(mask_of({0, 5}))
     with pytest.raises(ValueError):
-        qs.is_q2({-1})
+        qs.is_q2(0b1000)  # bit n
+    with pytest.raises(ValueError):
+        qs.is_q2(-1)
 
 
 @given(
@@ -152,18 +155,18 @@ def test_membership_monotone_under_superset(n, seed):
     small = frozenset(a for a in range(n) if rng.random() < 0.5)
     extra = frozenset(a for a in range(n) if rng.random() < 0.5)
     big = small | extra
-    if qs.is_q1(small):
-        assert qs.is_q1(big)
-    if qs.is_q2(small):
-        assert qs.is_q2(big)
+    if qs.is_q1(mask_of(small)):
+        assert qs.is_q1(mask_of(big))
+    if qs.is_q2(mask_of(small)):
+        assert qs.is_q2(mask_of(big))
 
 
 def test_grid_membership_monotone():
     qs = make_grid(3, 4, mode="fpaxos")
     for r in range(3):
         base = qs.row(r)
-        assert qs.is_q1(base)
-        assert qs.is_q1(base | {0, 5})
+        assert qs.is_q1(mask_of(base))
+        assert qs.is_q1(mask_of(base | {0, 5}))
 
 
 # ------------------------------------- compiled form against the definitions
@@ -248,10 +251,8 @@ def test_compiled_predicates_match_definitions(qs, data):
     latency = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     for mask in range(1 << n):
         s = frozenset(a for a in range(n) if mask >> a & 1)
-        for phase, is_q, is_q_mask in ((1, qs.is_q1, qs.is_q1_mask), (2, qs.is_q2, qs.is_q2_mask)):
-            want = plain_is_quorum(qs, phase, s)
-            assert is_q(s) == want
-            assert is_q_mask(mask) == want
+        for phase, is_q in ((1, qs.is_q1), (2, qs.is_q2)):
+            assert is_q(mask) == plain_is_quorum(qs, phase, s)
             for strategy in ("first", "rotating", "random", "fastest"):
                 got = select_quorum(
                     qs, phase, s, strategy=strategy, tick=tick,
@@ -260,10 +261,13 @@ def test_compiled_predicates_match_definitions(qs, data):
                 assert got == plain_select(
                     qs, phase, s, strategy, tick, random.Random(seed), latency
                 )
-    for bad in ({n}, {-1}, {0, n + 3}):
-        for call in (qs.is_q1, qs.is_q2, lambda b: select_quorum(qs, 1, b)):
+    for bad in (1 << n, -1, 1 | 1 << n + 3):
+        for is_q in (qs.is_q1, qs.is_q2):
             with pytest.raises(ValueError):
-                call(bad)
+                is_q(bad)
+    for bad in ({n}, {-1}, {0, n + 3}):
+        with pytest.raises(ValueError):
+            select_quorum(qs, 1, bad)
     # the compiled form is derived state: an uncompiled twin is equal
     twin = QuorumSystem.from_json(qs.to_json())
     assert twin == qs and hash(twin) == hash(qs) and twin.to_json() == qs.to_json()
@@ -330,8 +334,8 @@ def test_paxos_equivalence_for_odd_n():
         simple = make_simple(n, n // 2 + 1)
         classic = make_majority(n)
         for s in subsets(n):
-            assert simple.is_q1(s) == classic.is_q1(s)
-            assert simple.is_q2(s) == classic.is_q2(s)
+            assert simple.is_q1(mask_of(s)) == classic.is_q1(mask_of(s))
+            assert simple.is_q2(mask_of(s)) == classic.is_q2(mask_of(s))
 
 
 def test_grid_fpaxos_same_phase_minimal_quorums_disjoint():
@@ -467,7 +471,7 @@ def test_select_threshold_strategies():
     assert select_quorum(qs, 2, alive) == frozenset({0, 1})
     assert select_quorum(qs, 2, alive, strategy="rotating", tick=4) == frozenset({4, 5})
     rng = random.Random(7)
-    assert qs.is_q2(select_quorum(qs, 2, alive, strategy="random", rng=rng))
+    assert qs.is_q2(mask_of(select_quorum(qs, 2, alive, strategy="random", rng=rng)))
     lat = [50, 10, 40, 20, 30, 60]
     assert select_quorum(qs, 2, alive, strategy="fastest", latency=lat) == frozenset({1, 3})
 
