@@ -122,6 +122,7 @@ def value_names(values) -> Tuple[str, ...]:
 
 
 FLAT_QUORUM_KEYS = ("n", "q1_sets", "q2_sets")
+MAX_SWEEP_N = 4  # the largest n_max the constructor/falsification sweep explores
 _DEFAULTS = {f.name: f.default for f in fields(CheckConfig) if f.name != "properties"}
 _DECODERS = {"quorum": QuorumSystem.from_json, "values": value_names}
 
@@ -693,8 +694,8 @@ def quorum_safety_sweep(
     For every catalog entry, a violation must be found exactly when the
     quorum family fails cross-phase intersection.
     """
-    if n_max > 4:
-        raise ValueError("combinatorial sweep limited to n_max <= 4")
+    if n_max > MAX_SWEEP_N:
+        raise ValueError(f"combinatorial sweep limited to n_max <= {MAX_SWEEP_N}")
     report = []
     for name, qs in sweep_catalog(n_max):
         cfg = CheckConfig(qs, ballots=ballots, values=value_names(values), max_states=max_states)

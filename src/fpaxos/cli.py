@@ -34,7 +34,6 @@ from .quorum import (
     SIMPLE,
     STRATEGIES,
     QuorumSystem,
-    UnverifiableError,
     failure_tolerance,
     make_grid,
     make_majority,
@@ -151,11 +150,7 @@ def cmd_quorum_analyze(args) -> int:
     qs = quorum_from_args(args)
     if qs is None:
         raise ValueError(NO_QUORUM)
-    try:
-        intersects = validate_cross_intersection(qs)
-    except UnverifiableError as e:
-        intersects = None
-        note = str(e)
+    intersects = validate_cross_intersection(qs)
     report = failure_tolerance(qs)
     placement = None
     if report.guaranteed_f != report.best_case_f:
@@ -175,16 +170,13 @@ def cmd_quorum_analyze(args) -> int:
         print(f"acceptors                : {qs.n}")
         print(f"min |Q1|                 : {out['q1']}")
         print(f"min |Q2|                 : {out['q2']}")
-        status = {True: "OK", False: "BROKEN", None: "UNVERIFIABLE"}[intersects]
-        print(f"cross-phase intersection : {status}")
-        if intersects is None:
-            print(f"  note: {note}")
+        print(f"cross-phase intersection : {'OK' if intersects else 'BROKEN'}")
         print(f"guaranteed f (both phases) : {report.guaranteed_f}")
         print(f"best-case f (both phases)  : {report.best_case_f}")
         print(f"best-case f (phase 2 only) : {report.phase2_only_max_f}")
         if placement:
             print(f"placement-sensitive range  : {placement[0]}..{placement[1]}")
-    return 1 if intersects is False else 0
+    return 0 if intersects else 1
 
 
 # -- check ----------------------------------------------------------------
@@ -199,8 +191,8 @@ NOT_WITH_SWEEP = (
 
 def cmd_check(args) -> int:
     if args.sweep is not None:
-        if args.sweep < 1:
-            raise ValueError(f"--sweep must be at least 1, got {args.sweep}")
+        if not 1 <= args.sweep <= chk.MAX_SWEEP_N:
+            raise ValueError(f"--sweep must be in [1, {chk.MAX_SWEEP_N}], got {args.sweep}")
         for dest in NOT_WITH_SWEEP:
             if _given(args, dest):
                 raise ValueError(f"--{dest.replace('_', '-')} cannot be combined with --sweep")

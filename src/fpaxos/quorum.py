@@ -25,25 +25,24 @@ All predicates are upward closed: any superset of a quorum is a quorum.
 
 Each system compiles once, on first use, to one form per phase: a size
 threshold for threshold kinds (their C(n, k) generators are never
-enumerated), else the generators as frozensets and as bitmasks (bit a is
-acceptor a), in ``generators()`` order.  ``is_q1``/``is_q2`` are the one
-membership test: they take an acceptor set as a bitmask (``mask_of``
-builds one from ids).  ``select_quorum`` names destinations, so it takes
-and returns id sets.  The compiled form is derived state, outside
-equality, hashing and serialization.
+enumerated), else the listed generators (grid rows and columns, or the
+explicit sets) as frozensets and as bitmasks (bit a is acceptor a).
+Sizes, membership, intersection and selection all read this form.
+``is_q1``/``is_q2`` are the one membership test: they take an acceptor
+set as a bitmask (``mask_of`` builds one from ids).  ``select_quorum``
+names destinations, so it takes and returns id sets.  The compiled form
+is derived state, outside equality, hashing and serialization.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-AcceptorId = int
-AcceptorSet = frozenset  # of AcceptorId
+AcceptorSet = frozenset  # of acceptor ids
 
 MAJORITY = "majority"
 IMPROVED_MAJORITY = "even-improved-majority"
@@ -54,7 +53,6 @@ EXPLICIT = "explicit"
 
 _THRESHOLD_KINDS = (MAJORITY, IMPROVED_MAJORITY, SIMPLE)
 STRATEGIES = ("first", "rotating", "random", "fastest")
-MAX_ENUM = 5_000_000  # generator families larger than this are unverifiable
 MAX_N_EXHAUSTIVE = 20  # explicit families larger than this get no tolerance report
 
 
@@ -91,6 +89,12 @@ class _Phase:
         if self.threshold is not None:
             return m.bit_count() >= self.threshold
         return any(g & m == g for g in self.masks)
+
+    def min_size(self) -> int:
+        """Size of the smallest quorum: the threshold, else the smallest generator."""
+        if self.threshold is not None:
+            return self.threshold
+        return min(len(g) for g in self.gens)
 
 
 @dataclass(frozen=True)
@@ -142,15 +146,11 @@ class QuorumSystem:
 
     def min_q1_size(self) -> int:
         """Size of the smallest valid phase-1 quorum."""
-        if self.kind in _THRESHOLD_KINDS:
-            return self._threshold(1)
-        return min(len(g) for g in self._phases[0].gens)
+        return self._phases[0].min_size()
 
     def min_q2_size(self) -> int:
         """Size of the smallest valid phase-2 quorum."""
-        if self.kind in _THRESHOLD_KINDS:
-            return self._threshold(2)
-        return min(len(g) for g in self._phases[1].gens)
+        return self._phases[1].min_size()
 
     # -- grid geometry ------------------------------------------------
 
@@ -171,21 +171,6 @@ class QuorumSystem:
     def is_q2(self, m: int) -> bool:
         """True iff the acceptor bitmask ``m`` contains a valid phase-2 quorum."""
         return self._phases[1].holds(m)
-
-    # -- generators: sets whose upward closure is the whole family -----
-
-    def generators(self, phase: int) -> Iterator[AcceptorSet]:
-        if self.kind in _THRESHOLD_KINDS:
-            k = self._threshold(phase)
-            for combo in itertools.combinations(range(self.n), k):
-                yield frozenset(combo)
-        else:
-            yield from self._phases[phase - 1].gens
-
-    def generator_count(self, phase: int) -> int:
-        if self.kind in _THRESHOLD_KINDS:
-            return math.comb(self.n, self._threshold(phase))
-        return len(self._phases[phase - 1].gens)
 
     # -- serialization --------------------------------------------------
 
@@ -330,11 +315,7 @@ def make_explicit(n: int, q1_sets, q2_sets) -> QuorumSystem:
 
 
 def validate_cross_intersection(qs: QuorumSystem) -> bool:
-    """True iff every phase-1 quorum intersects every phase-2 quorum.
-
-    Raises :class:`UnverifiableError` instead of silently passing when the
-    phase-1 generator family is too large to enumerate.
-    """
+    """True iff every phase-1 quorum intersects every phase-2 quorum."""
     return find_disjoint_pair(qs) is None
 
 
@@ -343,18 +324,19 @@ def find_disjoint_pair(qs: QuorumSystem):
 
     Exact by upward closure: some Q1 and Q2 are disjoint iff the
     complement of a phase-1 generator still contains a Q2.  The witness is
-    the first such generator and the first phase-2 generator inside its
-    complement.  Only phase 1 is enumerated, so only a phase-1 family over
-    ``MAX_ENUM`` generators raises :class:`UnverifiableError`.
+    the first such generator and the first phase-2 quorum inside its
+    complement.  Threshold families are invariant under every permutation
+    of the acceptors, so the first phase-1 quorum ``{0, ..., t-1}`` stands
+    for all of them, and |Q1| + |Q2| > n is decided at any n without
+    enumeration.  Grids and explicit families test each listed generator.
     """
-    count = qs.generator_count(1)
-    if count > MAX_ENUM:
-        raise UnverifiableError(
-            f"{count} phase-1 quorum generators exceed the enumeration "
-            f"limit of {MAX_ENUM}; intersection unverifiable at this size"
-        )
+    phase1 = qs._phases[0]
+    if phase1.threshold is not None:
+        gens = (frozenset(range(phase1.threshold)),)
+    else:
+        gens = phase1.gens
     full = (1 << qs.n) - 1
-    for g1 in qs.generators(1):
+    for g1 in gens:
         if qs.is_q2(full & ~mask_of(g1)):
             return g1, select_quorum(qs, 2, qs.universe - g1)
     return None
@@ -390,7 +372,7 @@ def failure_tolerance(qs: QuorumSystem) -> FaultToleranceReport:
     n = qs.n
     phase2_only = n - qs.min_q2_size()
     if qs.kind in _THRESHOLD_KINDS:
-        both = n - max(qs._threshold(1), qs._threshold(2))
+        both = n - max(qs.min_q1_size(), qs.min_q2_size())
         return FaultToleranceReport(both, phase2_only, both)
     if qs.kind in (GRID_PAXOS, GRID_FPAXOS):
         # One dead column leaves no complete row, and one dead row no complete

@@ -451,16 +451,6 @@ class World:
         if cfg.duplicate and self.rng.random() < cfg.duplicate:
             self._schedule(self.now + d, "deliver", m)
 
-    # -- fault injection (also usable directly between events) -------------
-
-    def inject_crash(self, replica: int, lose_memory: bool = False) -> None:
-        """Crash a replica now; a second crash of the same replica is a no-op."""
-        self._on_crash(CrashEvent(self.now / US_PER_MS, replica, lose_memory))
-
-    def restore(self, replica: int) -> None:
-        """Bring a crashed replica back; durable state survived unless wiped."""
-        self._on_restore(RestoreEvent(self.now / US_PER_MS, replica))
-
     # -- event handlers ---------------------------------------------------
 
     def _on_deliver(self, m) -> None:

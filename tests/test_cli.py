@@ -63,6 +63,17 @@ def test_analyze_missing_flags_exit_2(capsys):
     assert code == 2
 
 
+def test_analyze_large_threshold_family_gets_a_verdict(capsys):
+    # C(40, 31) phase-1 quorums: one stands for all of them
+    flags = ["quorum", "analyze", "--kind", "simple", "--n", "40", "--q2", "10"]
+    code, out, _ = run_cli(capsys, *flags)
+    assert code == 0
+    assert "cross-phase intersection : OK" in out
+    code, out, _ = run_cli(capsys, *flags, "--json")
+    assert code == 0
+    assert json.loads(out)["intersects"] is True
+
+
 # ------------------------------------------------------------------- check
 
 
@@ -434,6 +445,7 @@ def test_malformed_config_value_exits_2_naming_the_key(capsys, tmp_path, entries
         (["sweep", *SHORT_RUN, "--seeds", "-2", "--out", "never.csv"], "seeds"),
         (["check", "--sweep", "0"], "--sweep"),
         (["check", "--sweep", "-1"], "--sweep"),
+        (["check", "--sweep", "5"], "--sweep"),
     ],
 )
 def test_malformed_flag_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, argv, key):
@@ -612,6 +624,16 @@ def test_sweep_inline_flags(capsys, tmp_path):
     assert len(lines) == 5
     msgs = [float(l.split(",")[-1]) for l in lines[1:]]
     assert msgs == [6.0, 6.0, 8.0, 8.0]  # 2*q2 + 2, per seed
+
+
+def test_sweep_large_majority_runs(capsys, tmp_path):
+    out_path = tmp_path / "f.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--kind", "majority", "--n", "30", "--duration-ms", "300",
+        "--warmup-ms", "50", "--cooldown-ms", "50", "--out", str(out_path),
+    )
+    assert code == 0
+    assert len(out_path.read_text().splitlines()) == 2  # header and one run
 
 
 def test_sweep_spec_file(capsys, tmp_path):

@@ -439,27 +439,27 @@ def test_reachable_cache_tracks_crash_restore_and_partition():
             assert world.reachable(r) == fresh
 
     check()
-    world.inject_crash(1)
+    world._on_crash(CrashEvent(0, 1))
     check()
     world._on_partition(((0, 1), (2, 3, 4)))
     check()
-    world.restore(1)
+    world._on_restore(RestoreEvent(0, 1))
     check()
-    world.inject_crash(3)
+    world._on_crash(CrashEvent(0, 3))
     check()
     world._on_partition(())
     check()
-    world.restore(3)
+    world._on_restore(RestoreEvent(0, 3))
     check()
 
 
 def test_inject_crash_is_idempotent_and_restore_reverses():
     world = World(quick(make_majority(3)))
-    world.inject_crash(1)
-    world.inject_crash(1)  # double crash: no-op
+    world._on_crash(CrashEvent(0, 1))
+    world._on_crash(CrashEvent(0, 1))  # double crash: no-op
     assert world.alive == {0, 2}
-    world.restore(1)
-    world.restore(1)
+    world._on_restore(RestoreEvent(0, 1))
+    world._on_restore(RestoreEvent(0, 1))
     assert world.alive == {0, 1, 2}
     assert world.replicas[1].promised is None  # fresh cluster state retained
 
