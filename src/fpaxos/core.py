@@ -13,6 +13,13 @@ Messages follow the classic two-phase shape: prepare/promise to win a
 phase-1 quorum, propose/accept to commit a value on a phase-2 quorum.
 Explicit nacks are an artifact addition so rejected proposers can react
 promptly; they never change acceptor state, so safety is unaffected.
+The wire messages, here and in ``multi``, are slotted dataclass records
+that nothing mutates or hashes.  They are not frozen: a frozen dataclass
+sets each field through ``object.__setattr__``, which makes building one,
+the simulator's commonest operation, more than twice as slow.  A
+delivery must leave its message as it was, since a duplicated message is
+one object delivered twice; ``tests/test_sim.py`` checks that of every
+handler.  Ballots and acceptor states stay frozen.
 
 :func:`message_json`, which reads a message's JSON off its fields, is the
 one trace encoder for these messages and the slot-level ones of ``multi``;
@@ -61,14 +68,14 @@ class AcceptorState:
 # -- wire messages ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Prepare:
     src: object
     dst: object
     ballot: Ballot
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Promise:
     src: object
     dst: object
@@ -76,7 +83,7 @@ class Promise:
     accepted: Optional[Tuple[Ballot, Value]]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Propose:
     src: object
     dst: object
@@ -84,14 +91,14 @@ class Propose:
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Accept:
     src: object
     dst: object
     ballot: Ballot
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Nack:
     src: object
     dst: object

@@ -26,7 +26,13 @@ only when a crash is injected with ``lose_memory``.
 
 The wire messages here are classes of their own, since the simulator's
 message counts are keyed by class name, but they share core's trace
-encoder: ``message_json`` is :func:`fpaxos.core.message_json`.
+encoder: ``message_json`` is :func:`fpaxos.core.message_json`.  Like
+core's, they are slotted records that nothing mutates or hashes, and
+``on_message`` dispatches them through a table keyed by class.
+
+A ``first`` or ``fastest`` quorum pick depends only on the phase and the
+alive set, so a replica makes it once per reachable set and remembers
+the sorted targets; ``rotating`` and ``random`` pick afresh each time.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ CLIENT = "client"
 # -- wire messages ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Request:
     src: object
     dst: object
@@ -57,7 +63,7 @@ class Request:
     payload: str = field(metadata={"trace": None})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Response:
     src: object
     dst: object
@@ -66,7 +72,7 @@ class Response:
     payload: str = field(metadata={"trace": None})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LeaderPrepare:
     src: object
     dst: object
@@ -74,7 +80,7 @@ class LeaderPrepare:
     from_slot: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LeaderPromise:
     src: object
     dst: object
@@ -83,7 +89,7 @@ class LeaderPromise:
     accepted: Tuple[Tuple[int, Ballot, str], ...]  # (slot, ballot, value), slot-sorted
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LeaderNack:
     src: object
     dst: object
@@ -91,7 +97,7 @@ class LeaderNack:
     promised: Ballot
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SlotPropose:
     src: object
     dst: object
@@ -101,7 +107,7 @@ class SlotPropose:
     commit: int  # the sender's first undecided slot: every slot below it is decided
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SlotAccept:
     src: object
     dst: object
@@ -109,7 +115,7 @@ class SlotAccept:
     slot: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SlotNack:
     src: object
     dst: object
@@ -119,6 +125,9 @@ class SlotNack:
 
 
 message_json = core.message_json  # one encoder serves both vocabularies
+
+_INBOUND = (Request, LeaderPrepare, LeaderPromise, LeaderNack, SlotPropose, SlotAccept, SlotNack)
+_REMEMBERED = ("first", "fastest")  # strategies whose pick is a function of (phase, alive)
 
 
 @dataclass
@@ -166,6 +175,9 @@ class Replica:
         self._promises: dict = {}
         self._from_slot = 0
         self._new_slots: list = []  # harness hook: slots proposed since last drain
+        # (phase, frozenset(alive)) -> sorted targets or None, for the _REMEMBERED strategies
+        self._picks: Optional[dict] = {} if strategy in _REMEMBERED else None
+        self._handlers = {cls: getattr(self, "_on_" + cls.__name__) for cls in _INBOUND}
 
     # -- lifecycle ----------------------------------------------------
 
@@ -219,7 +231,7 @@ class Replica:
             return []
         return [
             LeaderPrepare(src=self.id, dst=t, ballot=self.ballot, from_slot=self._from_slot)
-            for t in sorted(targets)
+            for t in targets
         ]
 
     def retransmit(self, slot: int, alive) -> list:
@@ -233,13 +245,28 @@ class Replica:
             return []
         return self._fan_out(slot, fl.value, alive)
 
-    def _pick(self, phase, alive, tick):
+    def _pick(self, phase, alive, tick) -> Optional[tuple]:
+        """The ids of a phase quorum among ``alive`` in ascending order, or None.
+
+        A ``first`` or ``fastest`` pick depends only on the phase and the
+        alive set (the latency map is fixed), so it is made once per pair
+        and remembered.  A crash, restore or partition changes the alive
+        set the harness passes, and with it the key.
+        """
         if self.send_to_all:
-            return self.qs.universe
-        return select_quorum(
+            return tuple(range(self.qs.n))
+        if self._picks is not None:
+            key = (phase, frozenset(alive))
+            if key in self._picks:
+                return self._picks[key]
+        q = select_quorum(
             self.qs, phase, alive,
             strategy=self.strategy, tick=tick, rng=self.rng, latency=self.latency,
         )
+        targets = None if q is None else tuple(sorted(q))
+        if self._picks is not None:
+            self._picks[key] = targets
+        return targets
 
     def _propose_slot(self, slot, value, req_id, alive) -> list:
         self.inflight[slot] = _Inflight(value=value, req_id=req_id)
@@ -256,7 +283,7 @@ class Replica:
             SlotPropose(
                 src=self.id, dst=t, ballot=self.ballot, slot=slot, value=value, commit=commit
             )
-            for t in sorted(targets)
+            for t in targets
         ]
 
     def take_new_slots(self) -> list:
@@ -296,7 +323,7 @@ class Replica:
 
     def on_message(self, m, alive) -> list:
         """Total dispatcher; unknown or stale messages never raise."""
-        handler = getattr(self, "_on_" + type(m).__name__, None)
+        handler = self._handlers.get(type(m))
         if handler is None:
             return []
         return handler(m, alive)

@@ -88,7 +88,10 @@ class _Phase:
             raise ValueError(f"acceptor mask {m:#b} reaches outside universe [0, {self.n})")
         if self.threshold is not None:
             return m.bit_count() >= self.threshold
-        return any(g & m == g for g in self.masks)
+        for g in self.masks:  # a plain loop: no generator per test on the hot path
+            if g & m == g:
+                return True
+        return False
 
     def min_size(self) -> int:
         """Size of the smallest quorum: the threshold, else the smallest generator."""

@@ -48,7 +48,7 @@ from typing import Tuple
 from . import multi
 from .core import read_config, to_jsonl  # noqa: F401 (the CLI and perfbench call sim.to_jsonl)
 from .multi import CLIENT, NOOP, Replica
-from .quorum import QuorumSystem, is_id_lists
+from .quorum import STRATEGIES, QuorumSystem, is_id_lists
 
 US_PER_MS = 1000
 REQUEST_BYTES = 64  # client payload length; no bandwidth is modeled, so size moves no metric
@@ -201,6 +201,9 @@ class SimConfig:
             p = getattr(self, key)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{key} must be a probability in [0, 1], got {p!r}")
+        if self.strategy not in STRATEGIES:
+            choices = ", ".join(STRATEGIES)
+            raise ValueError(f"strategy must be one of {choices}, got {self.strategy!r}")
         if not 0 <= self.initial_leader < self.n:
             raise ValueError("initial_leader out of range")
         if self.window < 1:

@@ -392,6 +392,8 @@ SHORT_RUN_KEYS = {"duration_ms": 300, "warmup_ms": 50, "cooldown_ms": 50}
         ({"quorum": {"kind": "majority", "n": 4, "improved": True}, **SHORT_RUN_KEYS}, "improved"),
         ({"quorum": {"kind": "grid-fpaxos", "n": 7, "rows": 4, "cols": 5}, **SHORT_RUN_KEYS},
          "'n'"),
+        ({"quorum": {"kind": "majority", "n": 3}, "strategy": "fastets", **SHORT_RUN_KEYS},
+         "strategy must be"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(capsys, tmp_path, entries, key):

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import deque
 
 from hypothesis import given, settings
@@ -18,7 +19,14 @@ from fpaxos.multi import (
     SlotPropose,
     message_json,
 )
-from fpaxos.quorum import make_majority, make_simple
+from fpaxos.quorum import (
+    STRATEGIES,
+    make_explicit,
+    make_grid,
+    make_majority,
+    make_simple,
+    select_quorum,
+)
 
 
 def cluster(qs, **kw):
@@ -297,6 +305,43 @@ def test_malformed_message_dropped():
     qs = make_majority(3)
     reps = cluster(qs)
     assert reps[0].on_message(object(), {0, 1, 2}) == []
+
+
+PICK_KINDS = [
+    make_majority(5),
+    make_majority(4, improved=True),
+    make_simple(5, 2),
+    make_grid(2, 3),
+    make_grid(2, 3, mode="paxos"),
+    make_explicit(4, [[0, 1], [2, 3]], [[0, 2], [1, 3]]),
+]
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(data=st.data())
+def test_targets_equal_a_fresh_pick_however_alive_sets_repeat(data):
+    """Prepare and propose targets are a fresh ``sorted(select_quorum(...))``, remembered or not."""
+    qs = data.draw(st.sampled_from(PICK_KINDS))
+    strategy = data.draw(st.sampled_from(STRATEGIES))
+    latency = data.draw(st.lists(st.integers(0, 9), min_size=qs.n, max_size=qs.n))
+    pool = data.draw(st.lists(st.frozensets(st.integers(0, qs.n - 1)), min_size=1, max_size=3))
+    alive_sets = st.lists(st.sampled_from(pool), max_size=8)
+    leader = Replica(0, qs, window=100, strategy=strategy, rng=random.Random(7), latency=latency)
+    reps = [leader] + [Replica(i, qs) for i in range(1, qs.n)]
+    twin = random.Random(7)  # replays the leader's random draws
+
+    def fresh(phase, alive, tick):
+        q = select_quorum(qs, phase, alive, strategy=strategy, tick=tick, rng=twin, latency=latency)
+        return [] if q is None else sorted(q)
+
+    for alive in data.draw(alive_sets) + [qs.universe]:
+        sent = leader.become_leader(alive)
+        assert [m.dst for m in sent] == fresh(1, alive, leader.seen_round)
+    pump(reps, sent)
+    assert leader.leading
+    for slot, alive in enumerate(data.draw(alive_sets)):
+        sent = leader.on_message(Request(CLIENT, 0, f"r{slot}", "v"), alive)
+        assert [m.dst for m in sent] == fresh(2, alive, slot)
 
 
 # ------------------------------------------------- aggregated phase one

@@ -1,11 +1,14 @@
 import json
+from collections import Counter
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from fpaxos.quorum import make_grid, make_majority, make_simple
+from fpaxos.multi import Replica, SlotPropose
+from fpaxos.quorum import make_grid, make_majority, make_simple, select_quorum
 from fpaxos.sim import (
     CrashEvent,
     ElectionEvent,
@@ -410,6 +413,87 @@ def test_drawn_fault_schedules_run_dueling_leaders():
     assert_logs_hold_decisions(world)
 
 
+def mutating_deliveries(cfg) -> Counter:
+    """How often a delivery changed its message, by message class, over a run of ``cfg``.
+
+    Messages are slotted, not frozen, so only this check stands between a
+    handler and a write to one; a duplicated message is one object
+    delivered twice, so such a write would reach the second delivery.
+    The snapshot is the tuple of field values, as ``astuple`` gives it
+    but without its deep copy: hashing it asserts that every value is
+    immutable, so comparing it afterwards sees every change.
+    """
+    changed = Counter()
+    on_message = Replica.on_message
+    snapshot = {}  # message class -> attrgetter of all its fields
+
+    def checked(rep, m, alive):
+        cls = type(m)
+        if cls not in snapshot:
+            snapshot[cls] = attrgetter(*(f.name for f in fields(cls)))
+        before = snapshot[cls](m)
+        hash(before)  # a TypeError names a mutable field value
+        out = on_message(rep, m, alive)
+        if snapshot[cls](m) != before:
+            changed[cls.__name__] += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Replica, "on_message", checked)
+        World(cfg).run()
+    return changed
+
+
+@settings(deadline=None, max_examples=20, derandomize=True)
+@given(cfg=fault_schedules())
+def test_no_handler_mutates_a_message(cfg):
+    assert not mutating_deliveries(cfg)
+
+
+def test_message_mutation_check_flags_the_mutating_handler(monkeypatch):
+    on_propose = Replica._on_SlotPropose
+
+    def mutating(self, m, alive):
+        out = on_propose(self, m, alive)
+        m.commit += 1
+        return out
+
+    monkeypatch.setattr(Replica, "_on_SlotPropose", mutating)
+    assert set(mutating_deliveries(quick(make_majority(3)))) == {"SlotPropose"}
+
+
+# ------------------------------------------------------------ quorum picks
+
+
+def test_remembered_picks_follow_reachability():
+    """A crash moves the fastest pick off the crashed replica, and a restore moves it back."""
+
+    class ProposeLog(World):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            self.proposes = []  # (t_us, dst) of every propose sent
+
+        def _send(self, m):
+            if isinstance(m, SlotPropose):
+                self.proposes.append((self.now, m.dst))
+            super()._send(m)
+
+    grid = make_grid(4, 5, mode="fpaxos")
+    base = quick(grid, seed=3, latency=Latency(5, 25), strategy="fastest", duration_ms=3000,
+                 record_trace=False)
+    column = sorted(select_quorum(grid, 2, grid.universe, "fastest", latency=World(base).lat[0]))
+    victim = next(r for r in column if r != base.initial_leader)
+    world = ProposeLog(
+        replace(base, crashes=(CrashEvent(1000, victim),), restores=(RestoreEvent(2000, victim),))
+    )
+    world.run()
+    sent = world.proposes
+    assert victim in {dst for t, dst in sent if t < 1_000_000}
+    assert victim not in {dst for t, dst in sent if 1_000_000 <= t < 2_000_000}
+    assert any(1_100_000 <= t < 2_000_000 for t, _, _ in world.responses.values())
+    assert {dst for t, dst in sent if t >= 2_000_000} == set(column)
+
+
 # --------------------------------------------------------- durability
 
 
@@ -522,6 +606,8 @@ def test_config_validation():
         SimConfig(quorum=make_majority(3), duration_ms=100, warmup_ms=90, cooldown_ms=20).validate()
     with pytest.raises(ValueError):
         quick(make_majority(3), initial_leader=5).validate()
+    with pytest.raises(ValueError, match="strategy"):
+        quick(make_majority(3), strategy="fastets").validate()  # before any quorum is picked
 
 
 def test_config_json_roundtrip():
