@@ -29,12 +29,11 @@ Search: a state is one packed int (see ``_Space``), and each reached
 state costs one dict entry, which maps it to its BFS parent.  The search
 stops at the first violating state, so every state it expands is safe,
 and a successor is checked only where it can break a property: an accept
-that makes its pair chosen, or a propose while some pair is chosen.  A
-counterexample's actions are recovered afterwards by expanding its
-parents again.  With ``symmetry`` the search keeps one state per orbit
-under value and, for threshold kinds, acceptor permutations (scalarset
-reduction, Ip & Dill 1996): same verdicts from fewer states, and a
-violation found that way is searched again without it for a real path.
+that makes its pair chosen, or a propose while some pair is chosen.  With
+``symmetry`` the search keeps one state per orbit under value and, for
+threshold kinds, acceptor permutations (scalarset reduction, Ip & Dill
+1996): same verdicts from fewer states.  Either way a counterexample's
+actions are recovered afterwards by walking its parents forward again.
 
 Counterexample paths replay through :mod:`fpaxos.core`'s rules, the ones
 ``multi.Replica`` applies too, cross-validating the model's encoding of
@@ -46,7 +45,7 @@ them; :func:`replay` also runs the scripts of :mod:`fpaxos.scenarios`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional, Tuple
 
@@ -484,8 +483,9 @@ def explore(cfg: CheckConfig) -> CheckResult:
     """BFS over all reachable states; stops at the first violation.
 
     ``visited`` maps each state (under symmetry, one canonical state per
-    orbit) to its BFS parent; a counterexample's actions are recovered from
-    the parents afterwards.  The initial state is 0 and violates nothing.
+    orbit) to its BFS parent, the violating child's too; a counterexample's
+    actions are recovered from the parents afterwards.  The initial state
+    is 0 and violates nothing.
     """
     space = _Space(cfg)
     expand = space.expand
@@ -507,32 +507,35 @@ def explore(cfg: CheckConfig) -> CheckResult:
                 return CheckResult(states=len(visited), complete=False)
             queue.append(child)
         if bad is not None:
-            if key:
-                # Canonical states do not chain into a concrete run;
-                # re-search without symmetry for the real path.
-                return explore(replace(cfg, symmetry=False))
             i, prop = bad
             child = edges[i][1]
+            if key:
+                child = key(child)
             visited[child] = s
-            path = _path_to(space, visited, child)
+            path = _path_to(space, visited, child, key)
             return CheckResult(
                 states=len(visited), complete=False, violation=Violation(prop, path)
             )
     return CheckResult(states=len(visited), complete=True)
 
 
-def _path_to(space: _Space, visited: dict, state: int):
-    """The actions leading from the initial state to ``state``.
+def _path_to(space: _Space, visited: dict, target: int, key=None):
+    """The actions of a concrete run from the initial state to one keyed ``target``.
 
-    Each step is the first action of the parent whose child is the state,
-    the same edge the search first reached it by.
+    Walking forward, each step takes the first action whose child's key is
+    the next on ``target``'s parent chain.  Without symmetry a key is its
+    state, so the step is the edge the search reached it by.  Under
+    symmetry the group maps a key's edges onto those of every state in its
+    orbit, so the step exists, and the run is as long as a plain search's.
     """
-    path = []
-    parent = visited[state]
-    while parent is not None:
-        path.append(next(a for a, child in space.successors(parent) if child == state))
-        state, parent = parent, visited[parent]
-    return tuple(reversed(path))
+    chain = [target]
+    while visited[chain[-1]] is not None:
+        chain.append(visited[chain[-1]])
+    s, path = chain.pop(), []
+    for nxt in reversed(chain):
+        a, s = next((a, c) for a, c in space.successors(s) if (key(c) if key else c) == nxt)
+        path.append(a)
+    return tuple(path)
 
 
 # -- replay through the protocol core ------------------------------------

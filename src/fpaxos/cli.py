@@ -255,9 +255,11 @@ def _timed_row(crash: bool):
                 given[k.strip()] = v
             elif part:
                 flags.append(part)
-        if "t" not in given or "r" not in given:
-            raise argparse.ArgumentTypeError("needs t=<ms>,r=<replica>")
-        row = [float(given["t"]), int(given["r"])]
+        try:
+            row = [float(given["t"]), int(given["r"])]
+        except (KeyError, ValueError):
+            raise argparse.ArgumentTypeError(f"needs t=<ms>,r=<replica>{'[,wipe]' * crash}: "
+                                             "t a time in ms, r an integer replica id") from None
         return row + ["wipe" in flags] if crash else row
 
     return parse
@@ -266,10 +268,14 @@ def _timed_row(crash: bool):
 def _partition_row(text: str) -> list:
     head, sep, groups = text.partition(";")
     key, _, t = head.partition("=")
-    if not sep or key.strip() != "t":
-        raise argparse.ArgumentTypeError('format: "t=<ms>;0,1|2,3" (empty groups heal)')
     groups = [g for g in groups.split("|") if g.strip()]
-    return [float(t), [[int(x) for x in g.split(",") if x.strip()] for g in groups]]
+    try:
+        if sep and key.strip() == "t":
+            return [float(t), [[int(x) for x in g.split(",") if x.strip()] for g in groups]]
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError('format: "t=<ms>;0,1|2,3" (empty groups heal), '
+                                     "t a time in ms, members integer replica ids")
 
 
 def sim_config_from_args(args) -> sim.SimConfig:

@@ -21,11 +21,13 @@ delivery must leave its message as it was, since a duplicated message is
 one object delivered twice; ``tests/test_sim.py`` checks that of every
 handler.  Ballots and acceptor states stay frozen.
 
-:func:`message_json`, which reads a message's JSON off its fields, is the
-one trace encoder for these messages and the slot-level ones of ``multi``;
-:func:`to_jsonl` is the one writer of JSON lines, for traces and
-counterexamples alike; :func:`read_config` is the one reader of JSON run
-configurations, for simulations, checks and sweep specs alike.
+:class:`SafetyViolationError` is the one safety exception, of replicas
+and simulator alike.  :func:`message_json`, which reads a message's JSON
+off its fields, is the one trace encoder for these messages and the
+slot-level ones of ``multi``; :func:`to_jsonl` is the one writer of JSON
+lines, for traces and counterexamples alike; :func:`read_config` is the
+one reader of JSON run configurations, for simulations, checks and sweep
+specs alike.
 """
 
 from __future__ import annotations
@@ -40,12 +42,14 @@ from .quorum import QuorumSystem, select_quorum  # noqa: F401 (perfbench/spans.p
 Value = str
 
 
-class AgreementViolation(Exception):
-    """Two phase-2 quorums hold different values: safety is broken."""
+class SafetyViolationError(Exception):
+    """A slot resolved to two different values; ``sim.World.run`` adds the trace."""
 
-    def __init__(self, proposals):
-        self.proposals = proposals
-        super().__init__(f"conflicting decided proposals: {proposals}")
+    def __init__(self, slot, values, trace=None):
+        self.slot = slot
+        self.values = values
+        self.trace = trace
+        super().__init__(f"slot {slot} decided as {values!r}")
 
 
 @dataclass(frozen=True, order=True)

@@ -174,7 +174,6 @@ class Replica:
         self.pending: deque = deque()
         self._promises: dict = {}
         self._from_slot = 0
-        self._new_slots: list = []  # harness hook: slots proposed since last drain
         # (phase, frozenset(alive)) -> sorted targets or None, for the _REMEMBERED strategies
         self._picks: Optional[dict] = {} if strategy in _REMEMBERED else None
         self._handlers = {cls: getattr(self, "_on_" + cls.__name__) for cls in _INBOUND}
@@ -208,9 +207,10 @@ class Replica:
         return s
 
     def _learn(self, slot: int, pair) -> None:
+        """Log ``pair`` at ``slot``; a second value there is a ``core.SafetyViolationError``."""
         prior = self.log.setdefault(slot, pair)
         if prior[1] != pair[1]:
-            raise core.AgreementViolation([prior, pair])
+            raise core.SafetyViolationError(slot, [prior[1], pair[1]])
 
     # -- leader side ----------------------------------------------------
 
@@ -270,7 +270,6 @@ class Replica:
 
     def _propose_slot(self, slot, value, req_id, alive) -> list:
         self.inflight[slot] = _Inflight(value=value, req_id=req_id)
-        self._new_slots.append(slot)
         return self._fan_out(slot, value, alive)
 
     def _fan_out(self, slot, value, alive) -> list:
@@ -285,12 +284,6 @@ class Replica:
             )
             for t in targets
         ]
-
-    def take_new_slots(self) -> list:
-        """Drain the slots proposed since the last call (harness hook)."""
-        out = self._new_slots
-        self._new_slots = []
-        return out
 
     def _drain_pending(self, alive) -> list:
         out = []

@@ -33,7 +33,8 @@ phase-2 quorum (a memory-wiping crash only removes holders).  The world
 collects that pair's holders as a bitmask over the replicas and asks the
 quorum system's compiled phase-2 predicate; the first pair to qualify is
 the slot's decision, and any later pair with another value aborts the run
-with the trace as counterexample.
+with the trace as counterexample.  So does ``core.SafetyViolationError``
+(re-exported here) from a replica's learner, or a client's wrong payload.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Tuple
 
 from . import multi
-from .core import read_config, to_jsonl  # noqa: F401 (the CLI and perfbench call sim.to_jsonl)
+from .core import SafetyViolationError, read_config, to_jsonl  # noqa: F401 (re-exported)
 from .multi import CLIENT, NOOP, Replica
 from .quorum import STRATEGIES, QuorumSystem, is_id_lists
 
@@ -61,16 +62,6 @@ def ms_to_us(ms: float) -> int:
 def _is_time(ms) -> bool:
     """``ms`` is >= 0 and stays finite in microseconds, so ``ms_to_us`` takes it."""
     return 0 <= ms * US_PER_MS < math.inf
-
-
-class SafetyViolationError(Exception):
-    """A slot resolved to two different values; carries the evidence."""
-
-    def __init__(self, slot, values, trace):
-        self.slot = slot
-        self.values = values
-        self.trace = trace
-        super().__init__(f"slot {slot} decided as {values!r}")
 
 
 @dataclass(frozen=True)
@@ -346,7 +337,7 @@ class World:
         self.req_msgs = Counter()
         self.registry = {}  # slot -> first decided value (world learner)
         self.drops = 0
-        self.pending_retransmit = set()
+        self.armed = [set() for _ in range(n)]  # per replica, its slots with a retransmit timer
         self.faults_possible = bool(
             cfg.loss or cfg.duplicate or any(getattr(cfg, key) for key in _SCHEDULES)
         )
@@ -401,12 +392,17 @@ class World:
             "retransmit": self._on_retransmit,
             "partition": self._on_partition,
         }
-        while self.heap:
-            t, _, kind, payload = heapq.heappop(self.heap)
-            if t > self.end_us:
-                break
-            self.now = t
-            handlers[kind](payload)
+        try:
+            while self.heap:
+                t, _, kind, payload = heapq.heappop(self.heap)
+                if t > self.end_us:
+                    break
+                self.now = t
+                handlers[kind](payload)
+        except SafetyViolationError as e:  # whoever raised it, the trace is the evidence
+            self._trace("violation", slot=e.slot, values=e.values)
+            e.trace = self.trace
+            raise
         return self._metrics()
 
     # -- sending --------------------------------------------------------
@@ -414,16 +410,14 @@ class World:
     def _dispatch(self, msgs, owner: Replica) -> None:
         for m in msgs:
             self._send(m)
-        new_slots = owner.take_new_slots()
-        if self.faults_possible:
-            for slot in new_slots:
-                self._arm_retransmit(owner.id, slot)
-
-    def _arm_retransmit(self, r: int, slot: int) -> None:
-        key = (r, slot)
-        if key not in self.pending_retransmit:
-            self.pending_retransmit.add(key)
-            self._schedule(self.now + ms_to_us(self.cfg.retransmit_ms), "retransmit", key)
+        if self.faults_possible and not owner.inflight.keys() <= self.armed[owner.id]:
+            # Every in-flight slot holds one timer except those just proposed
+            # and one whose timer just fired: arm them, in proposal order.
+            armed, due = self.armed[owner.id], self.now + ms_to_us(self.cfg.retransmit_ms)
+            for slot in owner.inflight:
+                if slot not in armed:
+                    armed.add(slot)
+                    self._schedule(due, "retransmit", (owner.id, slot))
 
     def _send(self, m) -> None:
         cfg = self.cfg
@@ -517,15 +511,14 @@ class World:
 
     def _on_retransmit(self, key) -> None:
         r, slot = key
-        self.pending_retransmit.discard(key)
+        self.armed[r].discard(slot)
         rep = self.replicas[r]
         if r not in self.alive or not rep.leading or slot not in rep.inflight:
             return
         msgs = rep.retransmit(slot, self.reachable(r))
         if msgs:
             self._trace("retransmit", replica=r, slot=slot)
-        self._dispatch(msgs, owner=rep)
-        self._arm_retransmit(r, slot)
+        self._dispatch(msgs, owner=rep)  # re-arms the slot's timer
 
     def _on_partition(self, groups) -> None:
         if groups:
@@ -564,7 +557,7 @@ class World:
             return
         submit_us, payload = self.outstanding.pop(m.req_id)
         if m.payload != payload:
-            raise SafetyViolationError(m.slot, [payload, m.payload], self.trace)
+            raise SafetyViolationError(m.slot, [payload, m.payload])
         latency = self.now - submit_us
         self.responses[m.req_id] = (self.now, m.slot, latency)
         self._trace("response", req=m.req_id, slot=m.slot, latency_us=latency)
@@ -588,8 +581,7 @@ class World:
             self.registry[slot] = v
             self._trace("decide", slot=slot, ballot=b.json(), value=v)
         elif prev != v:
-            self._trace("violation", slot=slot, values=[prev, v])
-            raise SafetyViolationError(slot, [prev, v], self.trace)
+            raise SafetyViolationError(slot, [prev, v])
 
     # -- metrics -------------------------------------------------------------
 
@@ -638,9 +630,9 @@ def _request_to(leader_id: int, req_id: str, payload: str) -> multi.Request:
 def run(cfg: SimConfig):
     """Execute one world; returns (metrics, trace lines).
 
-    Raises :class:`SafetyViolationError` if any slot ever resolves to two
-    different values (impossible for quorum systems with cross-phase
-    intersection and durable acceptors).
+    Raises :class:`SafetyViolationError` with the trace if any slot ever
+    resolves to two different values (impossible for quorum systems with
+    cross-phase intersection and durable acceptors).
     """
     world = World(cfg)
     metrics = world.run()

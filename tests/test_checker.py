@@ -467,6 +467,14 @@ def test_random_explicit_families_violate_iff_disjoint(seed):
     assert (res.violation is not None) == (not validate_cross_intersection(qs))
     if res.violation is not None and res.violation.property == AGREEMENT:
         assert replay(res.violation.path, cfg).conflicting
+    # the symmetric search reports its own violation with a concrete path
+    # of the plain path's length, which replays as confirmed
+    sym = explore(replace(cfg, symmetry=True))
+    assert (sym.violation is None) == (res.violation is None)
+    if sym.violation is not None:
+        rr = replay(sym.violation.path, cfg)
+        assert rr.conflicting if sym.violation.property == AGREEMENT else rr.contradicted
+        assert len(sym.violation.path) == len(res.violation.path)
 
 
 def test_safety_sweep_biconditional():

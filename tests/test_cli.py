@@ -108,6 +108,23 @@ def test_check_custom_disjoint_violates(capsys, tmp_path):
     assert 1 <= len(lines) - 1 <= 10
 
 
+def test_symmetric_check_reports_the_violation_it_found(capsys, tmp_path):
+    # the symmetric search meets the violation at 11,348 states; a second,
+    # plain search needs 33,832 and so once ran out of this budget
+    cx = tmp_path / "cx.jsonl"
+    code, out, _ = run_cli(
+        capsys, "check", "--custom-q1", "[[0,1]]", "--custom-q2", "[[2,3]]", "--n", "4",
+        "--ballots", "3", "--values", "4", "--symmetry", "--max-states", "12000",
+        "--counterexample", str(cx),
+    )
+    assert code == 1
+    assert "states explored : 11348" in out
+    assert "VIOLATION (proposal-consistency) in 10 actions" in out
+    assert "replay          : confirmed" in out
+    lines = [json.loads(l) for l in cx.read_text().splitlines()]
+    assert lines[0] == {"violated": "proposal-consistency"} and len(lines) == 11
+
+
 def test_check_replay_not_confirmed_without_the_deciding_accept(capsys, monkeypatch):
     # The disjoint counterexample without its last accept decides nothing,
     # so replay cannot show proposal-consistency broken.
@@ -271,6 +288,27 @@ def test_simulate_wipe_crash_exits_1_with_counterexample(capsys, tmp_path):
     assert "SAFETY VIOLATION" in err
     lines = trace.read_text().splitlines()
     assert any('"ev":"violation"' in l for l in lines)
+
+
+# Broken explicit(4) quorums where replica 2 learns a second value for slot 77.
+REPLICA_VIOLATION_CONFIG = {
+    "quorum": {"kind": "explicit", "n": 4, "q1_sets": [[0], [1]], "q2_sets": [[2, 3], [0, 2]]},
+    "seed": 48, "latency": "1:20", "loss": 0.2, "duplicate": 0.05,
+    "elections": [[500, 2], [700, 1]], "duration_ms": 1000, "warmup_ms": 10, "cooldown_ms": 10,
+    "strategy": "rotating", "retransmit_ms": 30, "election_retry_ms": 20,
+}
+
+
+def test_simulate_replica_detected_violation_exits_1_with_trace(capsys, tmp_path):
+    # the replica's learner once raised an exception of its own that escaped as a traceback
+    cfgfile, trace = tmp_path / "sim.json", tmp_path / "violation.jsonl"
+    cfgfile.write_text(json.dumps(REPLICA_VIOLATION_CONFIG))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfgfile), "--trace", str(trace))
+    assert code == 1
+    assert err.startswith("SAFETY VIOLATION: slot 77 decided as ")
+    assert "Traceback" not in err and not out
+    last = json.loads(trace.read_text().splitlines()[-1])
+    assert last["ev"] == "violation" and last["slot"] == 77
 
 
 def test_simulate_config_file(capsys, tmp_path):
@@ -466,13 +504,23 @@ def test_malformed_flag_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, ar
     assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]
 
 
-@pytest.mark.parametrize("row", ["t=1,r=inf", "t=1,r=1.5"])
-def test_schedule_row_replica_must_be_an_integer(capsys, row):
-    # r=inf once raised OverflowError, and r=1.5 crashed replica 1
+# A schedule flag and a malformed row for it.
+SCHEDULE_ROW_ERRORS = [
+    ("--crash", "t=1,r=inf"), ("--crash", "t=1,r=1.5"), ("--crash", "t=abc,r=1"),
+    ("--elect", "t=1,r=x"), ("--partition", "t=x;0|1"), ("--partition", "t=1;0|a"),
+]
+
+
+@pytest.mark.parametrize("flag, row", SCHEDULE_ROW_ERRORS, ids=[r for _, r in SCHEDULE_ROW_ERRORS])
+def test_schedule_row_replica_must_be_an_integer(capsys, flag, row):
+    # r=inf once raised OverflowError, and r=1.5 crashed replica 1; a time or
+    # member that is not a number once got a message naming a parser function
     with pytest.raises(SystemExit) as exit_info:
-        main(["simulate", *SHORT_RUN, "--crash", row])
+        main(["simulate", *SHORT_RUN, flag, row])
     assert exit_info.value.code == 2
-    assert "argument --crash" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and "invalid" not in err
+    assert "t=<ms>" in err and "t a time in ms" in err and "integer replica id" in err
 
 
 @pytest.mark.parametrize("key", ["retransmit_ms", "election_retry_ms"])

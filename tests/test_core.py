@@ -9,12 +9,12 @@ from fpaxos import core, sim
 from fpaxos.core import (
     Accept,
     AcceptorState,
-    AgreementViolation,
     Ballot,
     Nack,
     Prepare,
     Promise,
     Propose,
+    SafetyViolationError,
     acceptor_handle_prepare,
     acceptor_handle_propose,
     choose_value,
@@ -255,8 +255,9 @@ def test_learner_flags_conflicting_quorums():
     r, _ = candidate(qs)
     feed_promises(r, [(0, [(0, B(0, P1), "x")])])
     r.log[0] = (B(0, P2), "y")
-    with pytest.raises(AgreementViolation):
+    with pytest.raises(SafetyViolationError) as err:
         r.on_message(SlotAccept(src=0, dst=0, ballot=r.ballot, slot=0), qs.universe)
+    assert (err.value.slot, err.value.values) == (0, ["y", "x"])
 
 
 def test_choose_value_rule():

@@ -562,6 +562,31 @@ def test_memory_loss_violation_is_caught_without_a_trace():
     assert err.value.trace == []
 
 
+def test_replica_detected_violation_ends_the_run_with_a_trace():
+    # Broken explicit(4) quorums: replica 2, delivering its own propose of
+    # slot 77, learns a second value for a slot in its log.  The replica's
+    # learner once raised an exception of its own, which escaped World.run.
+    cfg = SimConfig.from_json({
+        "quorum": {"kind": "explicit", "n": 4, "q1_sets": [[0], [1]],
+                   "q2_sets": [[2, 3], [0, 2]]},
+        "seed": 48, "latency": "1:20", "loss": 0.2, "duplicate": 0.05,
+        "elections": [[500, 2], [700, 1]], "duration_ms": 1000, "warmup_ms": 10,
+        "cooldown_ms": 10, "strategy": "rotating", "retransmit_ms": 30,
+        "election_retry_ms": 20,
+    })
+    with pytest.raises(SafetyViolationError) as err:
+        run(cfg)
+    e = err.value
+    assert e.slot == 77 and len(set(e.values)) == 2
+    *_, deliver, violation = e.trace
+    assert violation == {"t": deliver["t"], "ev": "violation", "slot": 77, "values": e.values}
+    assert deliver["ev"] == "deliver" and deliver["msg"]["dst"] == 2
+    assert deliver["msg"]["value"] == e.values[1]
+    with pytest.raises(SafetyViolationError) as err:
+        run(replace(cfg, record_trace=False))
+    assert (err.value.slot, err.value.values, err.value.trace) == (77, e.values, [])
+
+
 def test_same_schedule_with_durable_state_is_safe():
     m, _ = run(amnesia_config(wipe=False))
     assert m.committed > 0
