@@ -121,6 +121,13 @@ def quorum_from_args(args) -> Optional[QuorumSystem]:
     return None
 
 
+def only_mode_flags(args, mode: str, *reads: str) -> None:
+    """Refuse, as typed, any flag given but ``--<mode>`` and the dests it ``reads``."""
+    for dest, flag in args.flags.items():
+        if dest not in (mode, *reads) and _given(args, dest):
+            raise ValueError(f"{flag} cannot be combined with --{mode}")
+
+
 def merge_entries(path, args, keys) -> dict:
     """The JSON object at ``path`` (if any), overridden by the flags given.
 
@@ -182,20 +189,11 @@ def cmd_quorum_analyze(args) -> int:
 # -- check ----------------------------------------------------------------
 
 
-# ``check`` flags that the ``--sweep`` catalog has no use for, by dest.
-NOT_WITH_SWEEP = (
-    "kind", "n", "improved", "q2", "rows", "cols", "mode", "custom_q1", "custom_q2",
-    "symmetry", "config", "counterexample",
-)
-
-
 def cmd_check(args) -> int:
     if args.sweep is not None:
         if not 1 <= args.sweep <= chk.MAX_SWEEP_N:
             raise ValueError(f"--sweep must be in [1, {chk.MAX_SWEEP_N}], got {args.sweep}")
-        for dest in NOT_WITH_SWEEP:
-            if _given(args, dest):
-                raise ValueError(f"--{dest.replace('_', '-')} cannot be combined with --sweep")
+        only_mode_flags(args, "sweep", "ballots", "values", "max_states")
         report = chk.quorum_safety_sweep(
             args.sweep,
             ballots=getattr(args, "ballots", chk.CheckConfig.ballots),
@@ -243,24 +241,21 @@ def cmd_check(args) -> int:
 
 
 def _timed_row(crash: bool):
-    """argparse type: ``t=MS,r=ID`` (crashes: ``[,wipe]``) as a schedule row."""
+    """argparse type: exactly ``t=MS,r=ID`` (crashes: ``[,wipe]``), each part once."""
+    parts = {"t=", "r="} | ({"wipe"} if crash else set())
 
     def parse(text: str) -> list:
-        given = {}
-        flags = []
-        for part in text.split(","):
-            part = part.strip()
-            if "=" in part:
-                k, v = part.split("=", 1)
-                given[k.strip()] = v
-            elif part:
-                flags.append(part)
+        split = [[x.strip() for x in part.partition("=")] for part in text.split(",")]
+        given = {key + eq: value for key, eq, value in split}
         try:
-            row = [float(given["t"]), int(given["r"])]
+            if len(given) < len(split) or not given.keys() <= parts:
+                raise KeyError  # a repeated part, or one this row does not read
+            row = [float(given["t="]), int(given["r="])]
         except (KeyError, ValueError):
-            raise argparse.ArgumentTypeError(f"needs t=<ms>,r=<replica>{'[,wipe]' * crash}: "
-                                             "t a time in ms, r an integer replica id") from None
-        return row + ["wipe" in flags] if crash else row
+            raise argparse.ArgumentTypeError(
+                f"{text!r} must be t=<ms>,r=<replica>{'[,wipe]' * crash}: "
+                "t a time in ms, r an integer replica id, each once") from None
+        return row + ["wipe" in given] if crash else row
 
     return parse
 
@@ -298,6 +293,7 @@ def _write(path: str, text: str) -> None:
 
 def cmd_simulate(args) -> int:
     if args.scenario:
+        only_mode_flags(args, "scenario", "trace")
         result = scenarios.run_scenario(args.scenario)
         text = sim.to_jsonl(result.trace)
         if args.trace:
@@ -380,7 +376,15 @@ def cmd_sweep(args) -> int:
 
 
 def _int_list(text: str) -> list:
-    return [int(x) for x in text.split(",")]
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} must be comma-separated integers") from None
+
+
+def _flags(p: argparse.ArgumentParser) -> dict:
+    """Each of ``p``'s options by dest, as typed on the command line."""
+    return {a.dest: a.option_strings[0] for a in p._actions if a.option_strings}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--config", metavar="PATH", help="JSON check configuration")
     pc.add_argument("--sweep", type=int, metavar="N_MAX",
                     help="run the constructor/falsification catalog up to n=N_MAX")
-    pc.set_defaults(func=cmd_check)
+    pc.set_defaults(func=cmd_check, flags=_flags(pc))
 
     # Run-shape flags shared by simulate and sweep.
     run = argparse.ArgumentParser(add_help=False, argument_default=S)
@@ -438,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--metrics", metavar="PATH", help="write metrics JSON here")
     ps.add_argument("--csv", metavar="PATH", help="write one-row CSV here")
     ps.add_argument("--config", metavar="PATH", help="JSON simulation configuration")
-    ps.set_defaults(func=cmd_simulate)
+    ps.set_defaults(func=cmd_simulate, flags=_flags(ps))
 
     pw = sub.add_parser("sweep", parents=[run], help="batch of simulation runs")
     add_quorum_args(pw)

@@ -19,12 +19,12 @@ Client links have zero latency and never fail, so protocol messages and
 client messages can be accounted separately.
 
 Elections follow a schedule, which stands in for a failure detector: an
-election starts its candidate's phase 1, holds the client back until the
-candidate leads, and reaches no other replica.  A deposed leader steps
-down only as a real one would: on a nack naming a higher ballot, on
-accepting a higher ballot's propose, by a crash or by campaigning again.
-Until then one cut off by a partition keeps leading its side, so two
-proposers can compete.
+election holds the client back until its candidate leads, starts the
+candidate's phase 1 (a down candidate's once it is up), and reaches no
+other replica.  A deposed leader steps down only as a real one would: on
+a nack naming a higher ballot, on accepting a higher ballot's propose, by
+a crash or by campaigning again.  Until then one cut off by a partition
+keeps leading its side, so two proposers can compete.
 
 Safety is checked online.  Only a propose delivery changes what an
 acceptor holds, and then only for the recipient's slot, so it is the one
@@ -373,24 +373,21 @@ class World:
     # -- run loop -------------------------------------------------------
 
     def run(self) -> RunMetrics:
+        """Run to ``duration_ms``.  The initial leader is an election at 0 ms,
+        queued before the ``_SCHEDULES`` events, which tie in that order."""
         cfg = self.cfg
-        self._schedule(0, "election", cfg.initial_leader)
-        for ev in cfg.crashes:
-            self._schedule(ms_to_us(ev.t_ms), "crash", ev)
-        for ev in cfg.restores:
-            self._schedule(ms_to_us(ev.t_ms), "restore", ev)
-        for ev in cfg.elections:
-            self._schedule(ms_to_us(ev.t_ms), "election", ev.replica)
-        for ev in cfg.partitions:
-            self._schedule(ms_to_us(ev.t_ms), "partition", ev.groups)
+        events = [("elections", ElectionEvent(0, cfg.initial_leader))]
+        events += [(key, ev) for key in _SCHEDULES for ev in getattr(cfg, key)]
+        for key, ev in events:
+            self._schedule(ms_to_us(ev.t_ms), key, ev)
         handlers = {
             "deliver": self._on_deliver,
-            "crash": self._on_crash,
-            "restore": self._on_restore,
-            "election": self._on_election,
+            "crashes": self._on_crash,
+            "restores": self._on_restore,
+            "elections": self._on_election,
+            "partitions": self._on_partition,
             "election_retry": self._on_election_retry,
             "retransmit": self._on_retransmit,
-            "partition": self._on_partition,
         }
         try:
             while self.heap:
@@ -485,28 +482,32 @@ class World:
         self._reachable.clear()
         self._trace("restore", replica=ev.replica)
 
-    def _on_election(self, r: int) -> None:
-        self.intended = r
+    def _on_election(self, ev: ElectionEvent) -> None:
+        self.intended = ev.replica
         self.leader_id = None
-        if r not in self.alive:
-            self._trace("election", replica=r, note="crashed")
-            return
-        self._campaign(r, ms_to_us(self.cfg.election_retry_ms))
+        self._campaign(ev.replica, ms_to_us(self.cfg.election_retry_ms), scheduled=True)
 
     def _on_election_retry(self, retry) -> None:
         r, wait_us = retry
-        if self.intended != r or self.replicas[r].leading:
-            return
-        if r in self.alive:
-            self._campaign(r, 2 * wait_us)  # back off: a retry drops the promises still in flight
-        else:
-            self._schedule(self.now + wait_us, "election_retry", retry)
+        if self.intended == r and not self.replicas[r].leading:
+            self._campaign(r, wait_us, scheduled=False)
 
-    def _campaign(self, r: int, wait_us: int) -> None:
-        """Start r's phase 1 now and retry it after ``wait_us`` unless r leads by then."""
-        msgs = self.replicas[r].become_leader(self.reachable(r))
-        self._trace("election", replica=r, round=self.replicas[r].seen_round)
-        self._dispatch(msgs, owner=self.replicas[r])
+    def _campaign(self, r: int, wait_us: int, scheduled: bool) -> None:
+        """Start r's phase 1 if r is up (even if it leads), and look again after a wait.
+
+        A scheduled election waits ``wait_us``; a retry doubles it while r is
+        up (a new phase 1 drops the promises still in flight) and keeps it
+        while r is down, so a down candidate campaigns once it is up.
+        """
+        rep = self.replicas[r]
+        if r in self.alive:
+            if not scheduled:
+                wait_us *= 2
+            msgs = rep.become_leader(self.reachable(r))
+            self._trace("election", replica=r, round=rep.seen_round)
+            self._dispatch(msgs, owner=rep)
+        elif scheduled:
+            self._trace("election", replica=r, note="crashed")
         self._schedule(self.now + wait_us, "election_retry", (r, wait_us))
 
     def _on_retransmit(self, key) -> None:
@@ -520,16 +521,10 @@ class World:
             self._trace("retransmit", replica=r, slot=slot)
         self._dispatch(msgs, owner=rep)  # re-arms the slot's timer
 
-    def _on_partition(self, groups) -> None:
-        if groups:
-            self.partition = {}
-            for gi, group in enumerate(groups):
-                for a in group:
-                    self.partition[a] = gi
-        else:
-            self.partition = None
+    def _on_partition(self, ev: PartitionEvent) -> None:
+        self.partition = {a: gi for gi, group in enumerate(ev.groups) for a in group} or None
         self._reachable.clear()
-        self._trace("partition", groups=[list(g) for g in groups])
+        self._trace("partition", groups=[list(g) for g in ev.groups])
 
     # -- leader / client ---------------------------------------------------
 

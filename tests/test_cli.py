@@ -523,6 +523,58 @@ def test_schedule_row_replica_must_be_an_integer(capsys, flag, row):
     assert "t=<ms>" in err and "t a time in ms" in err and "integer replica id" in err
 
 
+# A command, a flag and a value the flag's type refuses, and the form the message names:
+# schedule rows with a part the flag does not read or one given twice, and non-integer lists.
+EXACT_FLAG_VALUES = [
+    ("simulate", "--crash", "t=100,r=1,wpie", "t=<ms>,r=<replica>[,wipe]"),
+    ("simulate", "--crash", "t=100,r=1,wipe=true", "t=<ms>,r=<replica>[,wipe]"),
+    ("simulate", "--crash", "t=100,t=300,r=1", "t=<ms>,r=<replica>[,wipe]"),
+    ("simulate", "--elect", "t=200,r=2,wipe", "t=<ms>,r=<replica>: "),
+    ("simulate", "--restore", "t=5,r=0,x=5", "t=<ms>,r=<replica>: "),
+    ("sweep", "--q2-list", "1,x", "comma-separated integers"),
+    ("sweep", "--q2-list", "1,,2", "comma-separated integers"),
+]
+
+
+@pytest.mark.parametrize("command, flag, text, form", EXACT_FLAG_VALUES,
+                         ids=[v for _, _, v, _ in EXACT_FLAG_VALUES])
+def test_flag_value_must_have_the_exact_form(capsys, command, flag, text, form):
+    # wpie and wipe=true once ran a crash that keeps its memory, t=100,t=300
+    # a crash at 300 ms, x=5 and an elect's wipe were dropped, and a bad
+    # --q2-list got a message naming a parser function
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *SHORT_RUN, flag, text])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {text!r} must be {form}" in err and "invalid" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, extra",
+    [
+        ("--crash", ["t=1,r=1"]),
+        ("--elect", ["t=1,r=1"]),
+        ("--partition", ["t=1;0|1,2"]),
+        ("--leader", ["1"]),
+        ("--seed", ["4"]),
+        ("--loss", ["0.5"]),
+        ("--send-to-all", []),
+        ("--kind", ["majority", "--n", "3"]),
+        ("--metrics", ["m.json"]),
+        ("--config", ["sim.json"]),
+    ],
+)
+def test_simulate_scenario_rejects_flags_it_would_ignore(capsys, tmp_path, monkeypatch,
+                                                          flag, extra):
+    # each of these once ran the scenario as scripted, ignoring the flag
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "simulate", "--scenario", "fig2a", flag, *extra)
+    assert code == 2
+    assert f"error: {flag} cannot be combined with --scenario" in err
+    assert not out
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("key", ["retransmit_ms", "election_retry_ms"])
 @pytest.mark.parametrize("value", [0, -5, 0.0001, float("inf"), 1e308])
 def test_retry_interval_below_one_microsecond_exits_2(capsys, tmp_path, key, value):

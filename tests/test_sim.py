@@ -120,6 +120,39 @@ def test_election_retry_below_the_round_trip_still_elects():
     assert m.message_counts["LeaderPrepare"] < 30
 
 
+def down_candidate_config(*elections) -> SimConfig:
+    """majority(3): leader 0 crashes at 500 ms, replica 1 is down from 900 to 1200 ms."""
+    return quick(make_majority(3), duration_ms=3000, warmup_ms=0, cooldown_ms=0,
+                 crashes=(CrashEvent(500, 0), CrashEvent(900, 1)),
+                 restores=(RestoreEvent(1200, 1),),
+                 elections=(ElectionEvent(1000, 1), *elections))
+
+
+def campaigns(trace, r) -> list:
+    return [l["t"] for l in trace if l["ev"] == "election" and l["replica"] == r and "round" in l]
+
+
+def test_down_candidate_campaigns_once_it_is_up():
+    # An election of a down replica was once dropped for good, while one
+    # that crashed a microsecond into its campaign waited to be restored.
+    m, trace = run(down_candidate_config())
+    assert {"t": 1_000_000, "ev": "election", "replica": 1, "note": "crashed"} in trace
+    assert campaigns(trace, 1) == [1_200_000]  # the first retry after the restore
+    leads = [l["t"] for l in trace if l["ev"] == "leader" and l["replica"] == 1]
+    assert leads and leads[0] >= 1_200_000
+    assert commits_between(trace, leads[0] / 1000, 3000) > 0
+
+
+@pytest.mark.parametrize("later_ms, campaigned", [(1150, []), (1250, [1_200_000])])
+def test_later_election_ends_a_down_candidates_retries(later_ms, campaigned):
+    # Replica 2 is elected before or after replica 1 is restored and retried.
+    m, trace = run(down_candidate_config(ElectionEvent(later_ms, 2)))
+    assert campaigns(trace, 1) == campaigned
+    assert campaigns(trace, 2)[0] == later_ms * 1000
+    leaders = [l["replica"] for l in trace if l["ev"] == "leader"]
+    assert leaders[-1] == 2 and commits_between(trace, later_ms, 3000) > 0
+
+
 def test_crash_two_nonleaders_then_election_blocks_until_restore():
     cfg = quick(
         make_majority(4, improved=True),
@@ -525,13 +558,13 @@ def test_reachable_cache_tracks_crash_restore_and_partition():
     check()
     world._on_crash(CrashEvent(0, 1))
     check()
-    world._on_partition(((0, 1), (2, 3, 4)))
+    world._on_partition(PartitionEvent(0, ((0, 1), (2, 3, 4))))
     check()
     world._on_restore(RestoreEvent(0, 1))
     check()
     world._on_crash(CrashEvent(0, 3))
     check()
-    world._on_partition(())
+    world._on_partition(PartitionEvent(0, ()))
     check()
     world._on_restore(RestoreEvent(0, 3))
     check()
