@@ -14,9 +14,9 @@ Followers learn decisions from the leader's commit point, as with Raft's
 slot, and a replica that accepts it logs each slot below that point
 whose accepted pair is at the propose's ballot.  So a new leader's first
 undecided slot, and with it the history its phase 1 recovers, sits about
-one window behind the old leader.  A leader or candidate that accepts a
-higher ballot's propose steps down, since it may then know decisions its
-own ballot never saw.
+one window behind the old leader.  A leader or candidate steps down on
+seeing any higher ballot, in a prepare, a propose or a nack, as a Raft
+server does on seeing a higher term.
 
 Replicas are plain deterministic objects: every method is a function of
 current state and its arguments, and the harness owns all scheduling and
@@ -324,6 +324,10 @@ class Replica:
     def _observe(self, ballot: Ballot) -> None:
         if ballot.round > self.seen_round:
             self.seen_round = ballot.round
+        if self.ballot is not None and ballot > self.ballot:
+            # The one way down.  A higher ballot's commit point may log decisions
+            # our ballot never saw; proposing on with it could log ours over them.
+            self._demote()
 
     def _on_Request(self, m: Request, alive) -> list:
         if not self.leading:
@@ -349,10 +353,6 @@ class Replica:
             return []
         return self._finish_election(alive)
 
-    def _on_LeaderNack(self, m: LeaderNack, alive) -> list:
-        self._observe(m.promised)
-        return []
-
     def _on_SlotPropose(self, m: SlotPropose, alive) -> list:
         self._observe(m.ballot)
         if not core.can_accept(self.promised, m.ballot):
@@ -361,10 +361,6 @@ class Replica:
             return [nack]
         self.promised = m.ballot
         self.accepted[m.slot] = (m.ballot, m.value)
-        if self.ballot is not None and m.ballot > self.ballot:
-            # A higher ballot's commit may log decisions our ballot never
-            # saw; proposing on with that commit point could log ours over them.
-            self._demote()
         self._learn_commit(m.ballot, m.slot, m.commit)
         return [SlotAccept(src=self.id, dst=m.src, ballot=m.ballot, slot=m.slot)]
 
@@ -402,8 +398,8 @@ class Replica:
         out += self._drain_pending(alive)
         return out
 
-    def _on_SlotNack(self, m: SlotNack, alive) -> list:
+    def _on_nack(self, m, alive) -> list:
         self._observe(m.promised)
-        if self.leading and self.ballot is not None and m.promised > self.ballot:
-            self._demote()  # preempted by a higher ballot
         return []
+
+    _on_LeaderNack = _on_SlotNack = _on_nack

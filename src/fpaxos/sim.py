@@ -19,12 +19,13 @@ Client links have zero latency and never fail, so protocol messages and
 client messages can be accounted separately.
 
 Elections follow a schedule, which stands in for a failure detector: an
-election holds the client back until its candidate leads, starts the
-candidate's phase 1 (a down candidate's once it is up), and reaches no
-other replica.  A deposed leader steps down only as a real one would: on
-a nack naming a higher ballot, on accepting a higher ballot's propose, by
-a crash or by campaigning again.  Until then one cut off by a partition
-keeps leading its side, so two proposers can compete.
+election reaches only its candidate and holds the client back until the
+candidate leads.  It campaigns the candidate at each look that finds it
+up, and looks until it leads or a later election starts; the wait
+doubles after each look that could reach a phase-1 quorum.  Any higher
+ballot deposes a leader it reaches, as do a crash and the leader's own
+next campaign, so one cut off by a partition keeps leading its side and
+two proposers can compete.
 
 Safety is checked online.  Only a propose delivery changes what an
 acceptor holds, and then only for the recipient's slot, so it is the one
@@ -49,7 +50,7 @@ from typing import Tuple
 from . import multi
 from .core import SafetyViolationError, read_config, to_jsonl  # noqa: F401 (re-exported)
 from .multi import CLIENT, NOOP, Replica
-from .quorum import STRATEGIES, QuorumSystem, is_id_lists
+from .quorum import STRATEGIES, QuorumSystem, is_id_lists, mask_of
 
 US_PER_MS = 1000
 REQUEST_BYTES = 64  # client payload length; no bandwidth is modeled, so size moves no metric
@@ -195,10 +196,10 @@ class SimConfig:
         if self.strategy not in STRATEGIES:
             choices = ", ".join(STRATEGIES)
             raise ValueError(f"strategy must be one of {choices}, got {self.strategy!r}")
-        if not 0 <= self.initial_leader < self.n:
-            raise ValueError("initial_leader out of range")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        if not (type(self.initial_leader) is int and 0 <= self.initial_leader < self.n):
+            raise ValueError(f"initial_leader must be a replica id in [0, {self.n})")
+        if not (type(self.window) is int and self.window >= 1):
+            raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
         retries = ("election_retry_ms", "retransmit_ms")  # a retry at 0 us repeats forever
         keys = ("duration_ms", "warmup_ms", "cooldown_ms", *retries)
         times = [(key, getattr(self, key)) for key in keys]
@@ -218,8 +219,8 @@ class SimConfig:
             for ev in sched:
                 ids = [ev.replica] if hasattr(ev, "replica") else [a for g in ev.groups for a in g]
                 for r in ids:
-                    if not 0 <= r < self.n:
-                        raise ValueError(f"{name} entry names replica {r} outside [0, {self.n})")
+                    if not (type(r) is int and 0 <= r < self.n):
+                        raise ValueError(f"{name} entry {r!r} is not a replica id in [0, {self.n})")
                 if len(set(ids)) < len(ids):
                     raise ValueError(f"{name} entry puts a replica in two groups: {ev.groups!r}")
 
@@ -323,7 +324,7 @@ class World:
         self.end_us = ms_to_us(cfg.duration_ms)
         self.trace = []
         self.leader_id = None
-        self.intended = None
+        self.elections = 0  # scheduled elections so far; a retry of an earlier one stops
         # client
         self.req_seq = 0
         self.outstanding = {}  # req_id -> (submit_us, payload)
@@ -483,32 +484,32 @@ class World:
         self._trace("restore", replica=ev.replica)
 
     def _on_election(self, ev: ElectionEvent) -> None:
-        self.intended = ev.replica
+        self.elections += 1
         self.leader_id = None
-        self._campaign(ev.replica, ms_to_us(self.cfg.election_retry_ms), scheduled=True)
+        if ev.replica not in self.alive:
+            self._trace("election", replica=ev.replica, note="crashed")
+        self._campaign(ev, ms_to_us(self.cfg.election_retry_ms))
 
     def _on_election_retry(self, retry) -> None:
-        r, wait_us = retry
-        if self.intended == r and not self.replicas[r].leading:
-            self._campaign(r, wait_us, scheduled=False)
+        election, ev, wait_us = retry
+        if election == self.elections and not self.replicas[ev.replica].leading:
+            self._campaign(ev, wait_us)
 
-    def _campaign(self, r: int, wait_us: int, scheduled: bool) -> None:
-        """Start r's phase 1 if r is up (even if it leads), and look again after a wait.
+    def _campaign(self, ev: ElectionEvent, wait_us: int) -> None:
+        """Campaign the candidate if it is up (even if it leads); look again after ``wait_us``.
 
-        A scheduled election waits ``wait_us``; a retry doubles it while r is
-        up (a new phase 1 drops the promises still in flight) and keeps it
-        while r is down, so a down candidate campaigns once it is up.
+        The wait doubles for the look after that if a phase-1 quorum was
+        reachable, since a new phase 1 drops the promises still in flight; a
+        candidate that is down or cut off keeps it, so it campaigns within one
+        wait of a quorum's return.
         """
-        rep = self.replicas[r]
+        r, rep = ev.replica, self.replicas[ev.replica]
         if r in self.alive:
-            if not scheduled:
-                wait_us *= 2
             msgs = rep.become_leader(self.reachable(r))
             self._trace("election", replica=r, round=rep.seen_round)
             self._dispatch(msgs, owner=rep)
-        elif scheduled:
-            self._trace("election", replica=r, note="crashed")
-        self._schedule(self.now + wait_us, "election_retry", (r, wait_us))
+        grow = 2 if r in self.alive and self.cfg.quorum.is_q1(mask_of(self.reachable(r))) else 1
+        self._schedule(self.now + wait_us, "election_retry", (self.elections, ev, grow * wait_us))
 
     def _on_retransmit(self, key) -> None:
         r, slot = key

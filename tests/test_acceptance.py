@@ -120,6 +120,7 @@ def test_criterion_5_availability_scenarios():
     assert commits_between(trace, 2100, 4000) > 0, "(a) replication must survive"
     assert commits_between(trace, 4100, 6000) == 0, "(a) election must block"
     assert commits_between(trace, 6100, 8000) > 0, "(a) restore must unblock"
+    assert commits_between(trace, 6100, 6500) > 0, "(a) the next look after the restore elects"
 
     # (b) simple(10,3): seven failures leave exactly one phase-2 quorum
     cfg = SimConfig(

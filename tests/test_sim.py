@@ -153,6 +153,44 @@ def test_later_election_ends_a_down_candidates_retries(later_ms, campaigned):
     assert leaders[-1] == 2 and commits_between(trace, later_ms, 3000) > 0
 
 
+def test_cut_off_candidate_campaigns_within_one_wait_of_a_quorums_return():
+    # Replica 1 cannot reach a phase-1 quorum from 1000 ms until 2 is restored
+    # at 10,000 ms.  A wait that doubled after every campaign led only at 13,720 ms.
+    cfg = quick(make_majority(3), duration_ms=20_000, warmup_ms=0, cooldown_ms=0,
+                crashes=(CrashEvent(500, 0), CrashEvent(500, 2)),
+                restores=(RestoreEvent(10_000, 2),),
+                elections=(ElectionEvent(1000, 1),))
+    m, trace = run(cfg)
+    leads = [l["t"] for l in trace if l["ev"] == "leader" and l["replica"] == 1]
+    assert 10_000_000 <= leads[0] < 10_100_000
+    assert campaigns(trace, 1)[:3] == [1_000_000, 1_100_000, 1_200_000]
+
+
+def test_a_later_election_of_the_same_candidate_ends_the_earlier_retries():
+    # Two elections of replica 1 once ran two retry chains, nine campaigns
+    # in all.  Until 3 is restored at 2000 ms, 1 reaches no phase-1 quorum.
+    cfg = quick(make_majority(5), duration_ms=4000, warmup_ms=0, cooldown_ms=0,
+                crashes=(CrashEvent(500, 0), CrashEvent(500, 3), CrashEvent(500, 4)),
+                restores=(RestoreEvent(2000, 3),),
+                elections=(ElectionEvent(1000, 1), ElectionEvent(1050, 1)))
+    m, trace = run(cfg)
+    assert campaigns(trace, 1) == [1_000_000] + list(range(1_050_000, 2_050_001, 100_000))
+    assert commits_between(trace, 2050, 4000) > 0
+
+
+def test_deposed_leader_with_nothing_in_flight_steps_down():
+    # Leader 3 is outside every phase-2 quorum of 0's ballot, so only 0's
+    # prepare reaches it; it once read leading until the run ended.
+    cfg = quick(make_simple(5, 2), duration_ms=4000, warmup_ms=0, cooldown_ms=0,
+                initial_leader=3,
+                partitions=(PartitionEvent(1000, ((3, 4), (0, 1, 2))), PartitionEvent(2000, ())),
+                elections=(ElectionEvent(1000, 0),))
+    world = World(cfg)
+    world.run()
+    assert [r.id for r in world.replicas if r.leading] == [0]
+    assert_logs_hold_decisions(world)
+
+
 def test_crash_two_nonleaders_then_election_blocks_until_restore():
     cfg = quick(
         make_majority(4, improved=True),
@@ -241,8 +279,8 @@ def test_partitioned_leader_keeps_its_side_then_yields():
 
     On simple(5, 2) leader 0 keeps a phase-2 quorum {0, 1} on its side and
     commits its in-flight window; candidate 2 cannot form a phase-1 quorum
-    of 4 from {2, 3, 4}.  After the heal both lead until 0 meets 2's
-    higher ballot and steps down.
+    of 4 from {2, 3, 4}.  After the heal nobody duels: 0 steps down when
+    2's higher prepare reaches it, before 2 leads.
     """
     cfg = quick(
         make_simple(5, 2),
@@ -255,7 +293,7 @@ def test_partitioned_leader_keeps_its_side_then_yields():
     drained = sorted(slot for t, slot, _ in world.responses.values() if 1_000_000 <= t < 2_000_000)
     assert drained == list(range(480, 490))
     assert not any(2 in ids for t, ids in world.leaders if t < 2_000_000)
-    assert any(t >= 2_000_000 for t in world.dueling())
+    assert not any(t >= 2_000_000 for t in world.dueling())
     assert [r.id for r in world.replicas if r.leading] == [2]
     assert all(world.replicas[2].log[s][1] == world.registry[s] for s in drained)
     assert_logs_hold_decisions(world)
@@ -666,6 +704,18 @@ def test_config_validation():
         quick(make_majority(3), initial_leader=5).validate()
     with pytest.raises(ValueError, match="strategy"):
         quick(make_majority(3), strategy="fastets").validate()  # before any quorum is picked
+    # Directly built configs: a float id once ran as a crash that never happens,
+    # or died in the run with a TypeError.
+    for key, value in [
+        ("crashes", (CrashEvent(100, 1.5),)),
+        ("elections", (ElectionEvent(100, 1.0),)),
+        ("restores", (RestoreEvent(100, True),)),
+        ("partitions", (PartitionEvent(100, ((0, 1.0), (2,))),)),
+        ("initial_leader", 1.0),
+        ("window", 2.5),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            quick(make_majority(3), **{key: value}).validate()
 
 
 def test_config_json_roundtrip():
