@@ -10,7 +10,6 @@ from .checker import CheckConfig, explore, quorum_safety_sweep, replay
 from .quorum import (
     FaultToleranceReport,
     QuorumSystem,
-    UnverifiableError,
     failure_tolerance,
     make_explicit,
     make_grid,
@@ -30,7 +29,6 @@ __all__ = [
     "RunMetrics",
     "SafetyViolationError",
     "SimConfig",
-    "UnverifiableError",
     "explore",
     "failure_tolerance",
     "make_explicit",

@@ -58,6 +58,7 @@ from .core import (
     Accept,
     acceptor_handle_prepare,
     acceptor_handle_propose,
+    check_type,
     choose_value,
     decided_proposals,
     read_config,
@@ -93,6 +94,9 @@ class CheckConfig:
     symmetry: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name in ("ballots", "max_states", "symmetry"):
+                check_type(f.name, getattr(self, f.name), f.default)
         if self.ballots < 1:
             raise ValueError("need at least one ballot")
         if not self.values:

@@ -27,7 +27,8 @@ off its fields, is the one trace encoder for these messages and the
 slot-level ones of ``multi``; :func:`to_jsonl` is the one writer of JSON
 lines, for traces and counterexamples alike; :func:`read_config` is the
 one reader of JSON run configurations, for simulations, checks and sweep
-specs alike.
+specs alike, and :func:`check_type` its type rule, which directly built
+configurations apply too.
 """
 
 from __future__ import annotations
@@ -175,21 +176,29 @@ def read_config(d, defaults: Mapping, decoders: Mapping[str, Callable], what: st
     """The keyword arguments that the JSON object ``d`` gives a configuration.
 
     Each key must be in ``defaults``.  A key in ``decoders`` takes what its
-    decoder returns; any other value must have its default's type (an int
-    passes for a float, a bool for no number).  A violation is a
-    ``ValueError`` naming the key.  Absent keys stay absent.
+    decoder returns; any other value must pass :func:`check_type`.  A
+    violation is a ``ValueError`` naming the key.  Absent keys stay absent.
     """
     unknown = sorted(set(d) - set(defaults))
     if unknown:
         raise ValueError(f"unknown {what} config key(s): {', '.join(unknown)}")
     kw = dict(d)
     for key, value in d.items():
-        want = type(defaults[key])
         if key in decoders:
             kw[key] = decoders[key](value)
-        elif not (type(value) is want or want is float and type(value) is int):
-            raise ValueError(f"{key} must be {_TYPE_NAMES[want]}, got {value!r}")
+        else:
+            check_type(key, value, defaults[key])
     return kw
+
+
+def check_type(key: str, value, default) -> None:
+    """Raise a ``ValueError`` naming ``key`` unless ``value`` has ``default``'s type.
+
+    An int passes for a float, a bool for no number.
+    """
+    want = type(default)
+    if not (type(value) is want or want is float and type(value) is int):
+        raise ValueError(f"{key} must be {_TYPE_NAMES[want]}, got {value!r}")
 
 
 # -- acceptor -----------------------------------------------------------

@@ -27,7 +27,10 @@ Each system compiles once, on first use, to one form per phase: a size
 threshold for threshold kinds (their C(n, k) generators are never
 enumerated), else the listed generators (grid rows and columns, or the
 explicit sets) as frozensets and as bitmasks (bit a is acceptor a).
-Sizes, membership, intersection and selection all read this form.
+Sizes, membership, intersection, selection and fault tolerance all read
+this form.  A phase stops exactly when the failed acceptors meet all its
+quorums; the smallest such set, its transversal, is known for thresholds
+and grids and searched for explicit sets, only when first asked.
 ``is_q1``/``is_q2`` are the one membership test: they take an acceptor
 set as a bitmask (``mask_of`` builds one from ids).  ``select_quorum``
 names destinations, so it takes and returns id sets.  The compiled form
@@ -36,7 +39,6 @@ is derived state, outside equality, hashing and serialization.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,11 +55,6 @@ EXPLICIT = "explicit"
 
 _THRESHOLD_KINDS = (MAJORITY, IMPROVED_MAJORITY, SIMPLE)
 STRATEGIES = ("first", "rotating", "random", "fastest")
-MAX_N_EXHAUSTIVE = 20  # explicit families larger than this get no tolerance report
-
-
-class UnverifiableError(Exception):
-    """An exhaustive check would exceed the configured size limit."""
 
 
 def mask_of(ids) -> int:
@@ -75,13 +72,14 @@ class _Phase:
     generators and ``masks`` the same sets as bitmasks, over acceptors 0..n-1.
     """
 
-    __slots__ = ("n", "threshold", "gens", "masks")
+    __slots__ = ("n", "threshold", "gens", "masks", "_transversal")
 
-    def __init__(self, n: int, threshold: Optional[int], gens: tuple = ()):
+    def __init__(self, n: int, threshold: Optional[int], gens: tuple = (), transversal=None):
         self.n = n
         self.threshold = threshold
         self.gens = gens
         self.masks = tuple(mask_of(g) for g in gens)
+        self._transversal = n - threshold + 1 if threshold is not None else transversal
 
     def holds(self, m: int) -> bool:
         if m < 0 or m >> self.n:
@@ -98,6 +96,30 @@ class _Phase:
         if self.threshold is not None:
             return self.threshold
         return min(len(g) for g in self.gens)
+
+    def transversal(self) -> int:
+        """Size of the smallest acceptor set meeting every quorum, searched on first call."""
+        if self._transversal is None:
+            self._transversal = next(k for k in range(1, self.n + 1) if _meets_all(self.masks, k))
+        return self._transversal
+
+    def min_union(self, other: "_Phase") -> int:
+        """Size of the smallest union of a quorum of this phase and one of ``other``."""
+        if self.threshold is not None and other.threshold is not None:
+            return max(self.threshold, other.threshold)
+        if self is other:  # no union is smaller than its parts
+            return self.min_size()
+        return min((m1 | m2).bit_count() for m1 in self.masks for m2 in other.masks)
+
+
+def _meets_all(masks, k: int, hit: int = 0) -> bool:
+    """True iff adding at most ``k`` acceptors to ``hit`` meets every mask.
+
+    Some member of the first mask still missed must join: branch on each.
+    """
+    missed = next((g for g in masks if not g & hit), 0)
+    bits = (1 << a for a in range(missed.bit_length()) if missed >> a & 1)
+    return not missed or k > 0 and any(_meets_all(masks, k - 1, hit | b) for b in bits)
 
 
 @dataclass(frozen=True)
@@ -125,14 +147,14 @@ class QuorumSystem:
         """The compiled form of phases 1 and 2, built on first use."""
         if self.kind in _THRESHOLD_KINDS:
             return (_Phase(self.n, self._threshold(1)), _Phase(self.n, self._threshold(2)))
-        if self.kind == GRID_FPAXOS:
+        if self.kind == GRID_FPAXOS:  # meeting every row (column) takes one acceptor in each
             rows = tuple(self.row(r) for r in range(self.rows))
             cols = tuple(self.col(c) for c in range(self.cols))
-            return (_Phase(self.n, None, rows), _Phase(self.n, None, cols))
+            return (_Phase(self.n, None, rows, self.rows), _Phase(self.n, None, cols, self.cols))
         if self.kind == GRID_PAXOS:
             both = _Phase(self.n, None, tuple(
                 self.row(r) | self.col(c) for r in range(self.rows) for c in range(self.cols)
-            ))
+            ), min(self.rows, self.cols))  # a set smaller misses a row and a column
             return (both, both)
         return (_Phase(self.n, None, self.q1_sets), _Phase(self.n, None, self.q2_sets))
 
@@ -364,39 +386,17 @@ class FaultToleranceReport:
 
 
 def failure_tolerance(qs: QuorumSystem) -> FaultToleranceReport:
-    """Compute the tolerance report from the compiled quorums.
+    """Compute the tolerance report from the compiled phases, one rule for every kind.
 
-    Phase 2 survives exactly while its smallest quorum does, for every
-    kind.  Threshold kinds and grids have closed forms for the other two
-    counts.  For explicit families the best case keeps the smallest union
-    of a phase-1 and a phase-2 generator alive, and the guaranteed count
-    scans failure sets by size, which is limited to n <= ``MAX_N_EXHAUSTIVE``.
+    A phase stops exactly when the failed acceptors meet every one of its
+    quorums, so the smallest such set (its transversal) is its tolerance
+    plus one.  Phase 2 alone survives while its smallest quorum does, and
+    both phases while the smallest union of a phase-1 and a phase-2 quorum.
     """
-    n = qs.n
-    phase2_only = n - qs.min_q2_size()
-    if qs.kind in _THRESHOLD_KINDS:
-        both = n - max(qs.min_q1_size(), qs.min_q2_size())
-        return FaultToleranceReport(both, phase2_only, both)
-    if qs.kind in (GRID_PAXOS, GRID_FPAXOS):
-        # One dead column leaves no complete row, and one dead row no complete
-        # column; the best placement keeps one row plus one column alive.
-        return FaultToleranceReport(
-            min(qs.rows, qs.cols) - 1, phase2_only, n - (qs.rows + qs.cols - 1)
-        )
-    if n > MAX_N_EXHAUSTIVE:
-        raise UnverifiableError(
-            f"exhaustive failure enumeration limited to n <= {MAX_N_EXHAUSTIVE}"
-        )
-    masks1, masks2 = qs._phases[0].masks, qs._phases[1].masks
-    best = n - min((m1 | m2).bit_count() for m1 in masks1 for m2 in masks2)
-    full = (1 << n) - 1
-    f = 1  # with no failures both phases can form; find the first size that can stop one
-    while all(
-        qs.is_q1(alive) and qs.is_q2(alive)
-        for alive in (full & ~mask_of(dead) for dead in itertools.combinations(range(n), f))
-    ):
-        f += 1
-    return FaultToleranceReport(f - 1, phase2_only, best)
+    p1, p2 = qs._phases
+    return FaultToleranceReport(
+        min(p1.transversal(), p2.transversal()) - 1, qs.n - p2.min_size(), qs.n - p1.min_union(p2)
+    )
 
 
 # -- quorum selection (used by the simulator's senders) -------------------

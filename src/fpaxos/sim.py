@@ -48,7 +48,8 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Tuple
 
 from . import multi
-from .core import SafetyViolationError, read_config, to_jsonl  # noqa: F401 (re-exported)
+from .core import SafetyViolationError  # noqa: F401 (re-exported)
+from .core import check_type, read_config, to_jsonl
 from .multi import CLIENT, NOOP, Replica
 from .quorum import STRATEGIES, QuorumSystem, is_id_lists, mask_of
 
@@ -58,6 +59,11 @@ REQUEST_BYTES = 64  # client payload length; no bandwidth is modeled, so size mo
 
 def ms_to_us(ms: float) -> int:
     return int(round(ms * US_PER_MS))
+
+
+def _is_ms(x) -> bool:
+    """``x`` is a number of ms as JSON gives one: an int or a float, not a bool."""
+    return type(x) in (int, float)
 
 
 def _is_time(ms) -> bool:
@@ -73,6 +79,9 @@ class Latency:
     hi_ms: float = 10.0
 
     def __post_init__(self):
+        for key in ("lo_ms", "hi_ms"):
+            if not _is_ms(getattr(self, key)):
+                raise ValueError(f"latency {key} must be a time in ms, got {getattr(self, key)!r}")
         if not (0 <= self.lo_ms <= self.hi_ms and _is_time(self.hi_ms)):
             raise ValueError(f"latency needs 0 <= lo_ms <= hi_ms, finite in us, got {self!r}")
 
@@ -122,11 +131,19 @@ class PartitionEvent:
 
 # What each entry of a schedule row must be, by event field.
 _ROW_ENTRIES = {
-    "t_ms": (lambda x: type(x) in (int, float), "a time in ms"),
+    "t_ms": (_is_ms, "a time in ms"),
     "replica": (lambda x: type(x) is int, "a replica id"),
     "lose_memory": (lambda x: type(x) is bool, "true or false"),
     "groups": (is_id_lists, "a list of replica-id lists"),
 }
+
+
+def _check_row(key: str, row, entries) -> None:
+    """Raise a ``ValueError`` naming the first ill-typed of a row's (field, value) ``entries``."""
+    for name, x in entries:
+        valid, what = _ROW_ENTRIES[name]
+        if not valid(x):
+            raise ValueError(f"{key} row {row!r}: {name} must be {what}")
 
 
 def _schedule_decoder(key: str, event):
@@ -140,10 +157,7 @@ def _schedule_decoder(key: str, event):
         for row in rows:
             if not isinstance(row, (list, tuple)) or not required <= len(row) <= len(names):
                 raise ValueError(f"{key} row {row!r} must be [{shape}]")
-            for name, x in zip(names, row):
-                valid, what = _ROW_ENTRIES[name]
-                if not valid(x):
-                    raise ValueError(f"{key} row {row!r}: {name} must be {what}")
+            _check_row(key, row, zip(names, row))
         return tuple(event(*row) for row in rows)
 
     return decode
@@ -189,6 +203,19 @@ class SimConfig:
         return self.quorum.n
 
     def validate(self) -> None:
+        """Raise a ``ValueError`` naming the field unless the run is well defined.
+
+        Field and schedule-entry types follow the rules of JSON input.
+        """
+        for f in fields(self):
+            if f.name not in _DECODERS:
+                check_type(f.name, getattr(self, f.name), f.default)
+        for key, cls in (("quorum", QuorumSystem), ("latency", Latency)):
+            if type(getattr(self, key)) is not cls:
+                raise ValueError(f"{key} must be a {cls.__name__}, got {getattr(self, key)!r}")
+        for name in _SCHEDULES:
+            for ev in getattr(self, name):
+                _check_row(name, ev, ((f.name, getattr(ev, f.name)) for f in fields(ev)))
         for key in ("loss", "duplicate"):
             p = getattr(self, key)
             if not 0.0 <= p <= 1.0:
@@ -196,9 +223,9 @@ class SimConfig:
         if self.strategy not in STRATEGIES:
             choices = ", ".join(STRATEGIES)
             raise ValueError(f"strategy must be one of {choices}, got {self.strategy!r}")
-        if not (type(self.initial_leader) is int and 0 <= self.initial_leader < self.n):
+        if not 0 <= self.initial_leader < self.n:
             raise ValueError(f"initial_leader must be a replica id in [0, {self.n})")
-        if not (type(self.window) is int and self.window >= 1):
+        if self.window < 1:
             raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
         retries = ("election_retry_ms", "retransmit_ms")  # a retry at 0 us repeats forever
         keys = ("duration_ms", "warmup_ms", "cooldown_ms", *retries)
@@ -219,7 +246,7 @@ class SimConfig:
             for ev in sched:
                 ids = [ev.replica] if hasattr(ev, "replica") else [a for g in ev.groups for a in g]
                 for r in ids:
-                    if not (type(r) is int and 0 <= r < self.n):
+                    if not 0 <= r < self.n:
                         raise ValueError(f"{name} entry {r!r} is not a replica id in [0, {self.n})")
                 if len(set(ids)) < len(ids):
                     raise ValueError(f"{name} entry puts a replica in two groups: {ev.groups!r}")

@@ -337,6 +337,14 @@ def test_setup_does_not_enumerate_every_acceptor_subset(monkeypatch):
     assert 0 < len(calls) < 1000  # only subsets of the promise senders are tested
 
 
+def test_directly_built_config_values_of_the_wrong_type_are_named():
+    # each once ran, or died in the search with a TypeError or AttributeError
+    for key, value in [("ballots", 2.0), ("ballots", "2"), ("max_states", 1.5),
+                       ("symmetry", "yes")]:
+        with pytest.raises(ValueError, match=key):
+            CheckConfig(make_majority(3), **{key: value})
+
+
 def test_repeated_value_names_are_rejected():
     with pytest.raises(ValueError, match="'a' is repeated"):
         CheckConfig(make_majority(3), values=("a", "b", "a"))

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpaxos import quorum
 from fpaxos.quorum import (
     FaultToleranceReport,
     QuorumSystem,
-    UnverifiableError,
     failure_tolerance,
     find_disjoint_pair,
     make_explicit,
@@ -318,11 +318,18 @@ def test_validate_oracle_at_n12():
 
 
 def test_large_n_intersection_verdict_and_explicit_tolerance_limit():
-    # a threshold family gets a verdict at any n; only the explicit scan is limited
+    # a threshold family gets a verdict at any n, and an explicit family a
+    # tolerance report at any n
     assert validate_cross_intersection(make_simple(40, 10)) is True
     assert find_disjoint_pair(make_simple(40, 10)) is None
-    with pytest.raises(UnverifiableError):
-        failure_tolerance(make_explicit(21, [[0]], [[0]]))
+    # acceptor 0 alone is every quorum: its failure stops both phases
+    assert failure_tolerance(make_explicit(21, [[0]], [[0]])) == FaultToleranceReport(0, 20, 20)
+    # phase 1 is ten disjoint triples (stopped by one failure in each), phase 2
+    # two halves (stopped by two failures); a triple lies inside a half
+    triples = [range(3 * i, 3 * i + 3) for i in range(10)]
+    qs = make_explicit(30, triples, [range(15), range(15, 30)])
+    assert (qs._phases[0].transversal(), qs._phases[1].transversal()) == (10, 2)
+    assert failure_tolerance(qs) == FaultToleranceReport(1, 15, 15)
 
 
 def test_paxos_equivalence_for_odd_n():
@@ -384,6 +391,36 @@ def test_tolerance_closed_form_matches_oracle_threshold(n, q2):
 def test_tolerance_closed_form_matches_oracle_grid(rows, cols, mode):
     qs = make_grid(rows, cols, mode=mode)
     assert failure_tolerance(qs) == oracle_tolerance(qs)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 4), (3, 1), (2, 3), (3, 3), (2, 4), (4, 5)])
+@pytest.mark.parametrize("mode", ["paxos", "fpaxos"])
+def test_grid_as_explicit_family_gets_the_grid_report(rows, cols, mode):
+    # the searched transversals of the listed rows and columns agree with the
+    # ones the grid kind is given
+    qs = make_grid(rows, cols, mode=mode)
+    row_sets = [qs.row(r) for r in range(rows)]
+    col_sets = [qs.col(c) for c in range(cols)]
+    if mode == "fpaxos":
+        listed = make_explicit(qs.n, row_sets, col_sets)
+    else:
+        both = [r | c for r in row_sets for c in col_sets]
+        listed = make_explicit(qs.n, both, both)
+    assert failure_tolerance(listed) == failure_tolerance(qs)
+
+
+def test_explicit_transversal_is_searched_only_when_asked(monkeypatch):
+    def search(*args):
+        raise AssertionError("transversal searched")
+
+    monkeypatch.setattr(quorum, "_meets_all", search)
+    qs = make_explicit(4, [[0, 1], [2, 3]], [[0, 2], [1, 3]])
+    assert qs.is_q1(0b0011) and not qs.is_q1(0b0101)
+    assert qs.is_q2(0b0101) and not qs.is_q2(0b0011)
+    assert validate_cross_intersection(qs)
+    assert select_quorum(qs, 2, range(4)) == frozenset({0, 2})
+    with pytest.raises(AssertionError, match="searched"):
+        failure_tolerance(qs)
 
 
 def test_tolerance_explicit_exhaustive():

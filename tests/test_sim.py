@@ -713,9 +713,22 @@ def test_config_validation():
         ("partitions", (PartitionEvent(100, ((0, 1.0), (2,))),)),
         ("initial_leader", 1.0),
         ("window", 2.5),
+        # each of these ran, or died in the run or in validate with a TypeError
+        # or an AttributeError
+        ("seed", 1.5),
+        ("loss", "0.1"),
+        ("duplicate", None),
+        ("record_trace", "no"),
+        ("latency", "5"),
     ]:
         with pytest.raises(ValueError, match=key):
             quick(make_majority(3), **{key: value}).validate()
+    with pytest.raises(ValueError, match="t_ms"):  # once ran as a crash at 1 ms
+        quick(make_majority(3), crashes=(CrashEvent(True, 1),)).validate()
+    with pytest.raises(ValueError, match="lo_ms"):  # once ran with a 1 ms low bound
+        Latency(True, 5.0)
+    with pytest.raises(ValueError, match="quorum"):
+        SimConfig(quorum={"kind": "majority", "n": 3}).validate()
 
 
 def test_config_json_roundtrip():
