@@ -13,13 +13,8 @@ import multiprocessing
 import resource
 import time
 
-from fpaxos.checker import (
-    AGREEMENT,
-    CheckConfig,
-    explore,
-    quorum_safety_sweep,
-    replay,
-)
+from fpaxos import cli
+from fpaxos.checker import AGREEMENT, SAFE, CheckConfig, explore, replay
 from fpaxos.quorum import make_explicit, make_grid, make_majority, make_simple
 
 SYMMETRY_CASES = {
@@ -39,14 +34,14 @@ def peak_rss_mb() -> float:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def symmetry_case(name: str) -> str:
-    """One row: orbits, time and peak RSS of a 2-ballot check with ``symmetry``."""
+def symmetry_case(name: str):
+    """One row: orbits, time and peak RSS of a 2-ballot check with ``symmetry``; and its verdict."""
     t0 = time.perf_counter()
     res = explore(CheckConfig(SYMMETRY_CASES[name](), ballots=2, symmetry=True))
     wall = time.perf_counter() - t0
     rss_mb = peak_rss_mb()
-    verdict = "SAFE" if res.ok and res.complete else "VIOLATION" if res.violation else "INCOMPLETE"
-    return f"{name:36s} {res.states:8d} orbits  {wall:5.2f}s  {rss_mb:5.0f} MB peak RSS  {verdict}"
+    row = f"{name:36s} {res.states:8d} orbits  {wall:5.2f}s  {rss_mb:5.0f} MB peak RSS  {res.verdict}"
+    return row, res.verdict
 
 
 def main() -> int:
@@ -61,36 +56,38 @@ def main() -> int:
         ("n=4 simple |Q2|=2, 2 ballots", CheckConfig(make_simple(4, 2), ballots=2)),
         ("grid 2x2 fpaxos, 2 ballots", CheckConfig(make_grid(2, 2, "fpaxos"), ballots=2)),
     ]
+    ok = True
     for name, cfg in catalog:
         t0 = time.perf_counter()
         res = explore(cfg)
         wall = time.perf_counter() - t0
-        verdict = "SAFE" if res.violation is None else f"VIOLATION ({res.violation.property})"
         print(f"{name:36s} {res.states:8d} states  {wall:5.2f}s  "
-              f"{res.states / wall:9,.0f} states/s  {verdict}")
+              f"{res.states / wall:9,.0f} states/s  {res.verdict}")
+        ok = ok and res.verdict == SAFE
 
     print("\n== falsification: disjoint singleton quorums on n=2 ==")
     cfg = CheckConfig(make_explicit(2, [[0]], [[1]]), ballots=2, properties=(AGREEMENT,))
     res = explore(cfg)
-    rr = replay(res.violation.path, cfg)
-    print(f"agreement broken in {len(res.violation.path)} actions; "
-          f"replay decided {sorted(v for _, v in rr.decisions)}")
+    v = res.violation
+    if v is None:
+        print(f"no violation: {res.verdict} at {res.states} states")
+        ok = False
+    else:
+        rr = replay(v.path, cfg)
+        shown = rr.shows(v.property)
+        print(f"agreement broken in {len(v.path)} actions; replay decided "
+              f"{sorted(x for _, x in rr.decisions)}, {'confirmed' if shown else 'NOT CONFIRMED'}")
+        ok = ok and shown
 
-    print(f"\n== constructor/falsification sweep up to n={args.n_max} ==")
-    report = quorum_safety_sweep(args.n_max)
-    for e in report:
-        verdict = "violation" if e.violation_found else "safe"
-        print(f"{e.name:30s} intersects={str(e.intersects):5s} {verdict:9s} states={e.states}")
-    ok = all(e.consistent for e in report)
-    print("sweep verdict:", "violations found exactly where intersection fails"
-          if ok else "INCONSISTENT")
+    print(f"\n== constructor/falsification sweep up to n={args.n_max} ==", flush=True)
+    ok = cli.main(["check", "--sweep", str(args.n_max)]) == 0 and ok
 
     print("\n== symmetry reduction, 2 ballots, one process each ==")
     for name in SYMMETRY_CASES:
         with multiprocessing.get_context("spawn").Pool(1) as pool:
-            row = pool.apply(symmetry_case, (name,))
+            row, verdict = pool.apply(symmetry_case, (name,))
         print(row)
-        ok = ok and row.endswith("SAFE")
+        ok = ok and verdict == SAFE
     return 0 if ok else 1
 
 

@@ -35,9 +35,10 @@ threshold kinds, acceptor permutations (scalarset reduction, Ip & Dill
 1996): same verdicts from fewer states.  Either way a counterexample's
 actions are recovered afterwards by walking its parents forward again.
 
-Counterexample paths replay through :mod:`fpaxos.core`'s rules, the ones
-``multi.Replica`` applies too, cross-validating the model's encoding of
-them; :func:`replay` also runs the scripts of :mod:`fpaxos.scenarios`.
+A search is ``safe`` only when complete, and a violation counts once its
+path, replayed through :mod:`fpaxos.core`'s rules (the ones ``multi.Replica``
+applies too), shows it; :func:`quorum_safety_sweep` judges every family
+so.  :func:`replay` also runs the scripts of :mod:`fpaxos.scenarios`.
 :func:`check_config_from_json` decodes a check through
 :func:`fpaxos.core.read_config`, the simulator's reader too.
 """
@@ -78,6 +79,7 @@ from .quorum import (
 
 AGREEMENT = "agreement"
 PROPOSAL_CONSISTENCY = "proposal-consistency"
+SAFE, VIOLATION, PARTIAL = "safe", "violation", "partial"
 
 
 class ReplayDivergenceError(Exception):
@@ -159,6 +161,11 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return self.violation is None
+
+    @property
+    def verdict(self) -> str:
+        """``safe`` for a complete search, ``violation`` when one was found, else ``partial``."""
+        return VIOLATION if self.violation else SAFE if self.complete else PARTIAL
 
 
 # The JSON key of each entry of an action tuple, after its kind.
@@ -562,6 +569,10 @@ class ReplayResult:
         return any(b1 > b and v1 != v for b, v in self.decisions
                    for b1, v1 in self.proposals.items())
 
+    def shows(self, prop: str) -> bool:
+        """Whether this replay shows ``prop`` broken: it confirms a violation of ``prop``."""
+        return self.conflicting if prop == AGREEMENT else self.contradicted
+
 
 def replay(path, cfg: CheckConfig) -> ReplayResult:
     """Re-execute an action path through the core state machines.
@@ -657,12 +668,9 @@ class SweepEntry:
     name: str
     quorum: QuorumSystem
     intersects: bool
-    violation_found: bool
+    verdict: str  # its search's CheckResult.verdict
     states: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.violation_found == (not self.intersects)
+    consistent: bool  # intersecting and safe, or broken with a confirmed violation
 
 
 def sweep_catalog(n_max: int):
@@ -693,20 +701,21 @@ def sweep_catalog(n_max: int):
     return entries
 
 
-def quorum_safety_sweep(
-    n_max: int = 3, ballots: int = 2, values: int = 2, max_states: int = 500_000
-):
-    """Cross-check the checker against the intersection test.
+def quorum_safety_sweep(n_max: int, **check):
+    """Cross-check the checker against the intersection test, up to ``n_max``.
 
-    For every catalog entry, a violation must be found exactly when the
-    quorum family fails cross-phase intersection.
+    Each catalog family is searched as ``CheckConfig(quorum, **check)``.  It
+    is consistent when it intersects and is ``safe``, or it does not and
+    replay shows its violation; a ``partial`` search is neither.
     """
     if n_max > MAX_SWEEP_N:
         raise ValueError(f"combinatorial sweep limited to n_max <= {MAX_SWEEP_N}")
     report = []
     for name, qs in sweep_catalog(n_max):
-        cfg = CheckConfig(qs, ballots=ballots, values=value_names(values), max_states=max_states)
-        res = explore(cfg)
-        intersects = validate_cross_intersection(qs)
-        report.append(SweepEntry(name, qs, intersects, res.violation is not None, res.states))
+        cfg = CheckConfig(qs, **check)
+        res, intersects = explore(cfg), validate_cross_intersection(qs)
+        v = res.violation
+        consistent = (res.verdict == SAFE if intersects
+                      else v is not None and replay(v.path, cfg).shows(v.property))
+        report.append(SweepEntry(name, qs, intersects, res.verdict, res.states, consistent))
     return report

@@ -8,7 +8,9 @@ Subcommands:
 * ``simulate`` -- one deterministic simulation run or scripted scenario.
 * ``sweep`` -- a family of simulation runs written as CSV/JSON.
 
-Exit codes: 0 success/safe, 1 safety violation found, 2 usage error.
+Exit codes: 0 success/safe, 1 safety violation found or a ``--sweep``
+entry whose verdict (``safe``, ``violation`` or ``partial``, a search
+out of budget) disagrees with intersection, 2 usage error.
 All output is a pure function of flags plus the seed; the default seed
 comes from ``FPAXOS_SEED`` when set.
 
@@ -63,6 +65,8 @@ def add_quorum_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rows", type=int, help="grid: row count")
     p.add_argument("--cols", type=int, help="grid: column count")
     p.add_argument("--mode", choices=["paxos", "fpaxos"], help="grid mode (default fpaxos)")
+    p.add_argument("--custom-q1", help="explicit phase-1 sets as JSON, e.g. '[[0]]'")
+    p.add_argument("--custom-q2", help="explicit phase-2 sets as JSON, e.g. '[[1]]'")
 
 
 # The quorum flags each family reads, by dest; "custom" is --custom-q1/--custom-q2.
@@ -194,19 +198,12 @@ def cmd_check(args) -> int:
         if not 1 <= args.sweep <= chk.MAX_SWEEP_N:
             raise ValueError(f"--sweep must be in [1, {chk.MAX_SWEEP_N}], got {args.sweep}")
         only_mode_flags(args, "sweep", "ballots", "values", "max_states")
-        report = chk.quorum_safety_sweep(
-            args.sweep,
-            ballots=getattr(args, "ballots", chk.CheckConfig.ballots),
-            values=getattr(args, "values", len(chk.CheckConfig.values)),
-            max_states=getattr(args, "max_states", chk.CheckConfig.max_states),
-        )
+        check = {k: chk.value_names(v) if k == "values" else v
+                 for k, v in vars(args).items() if k in CHECK_KEYS}
+        report = chk.quorum_safety_sweep(args.sweep, **check)
         for e in report:
-            verdict = "violation" if e.violation_found else "safe"
-            agree = "" if e.consistent else "  << INCONSISTENT"
-            print(
-                f"{e.name:28s} intersects={str(e.intersects):5s} "
-                f"{verdict:9s} states={e.states}{agree}"
-            )
+            print(f"{e.name:28s} intersects={str(e.intersects):5s} {e.verdict:9s} "
+                  f"states={e.states}{'' if e.consistent else '  << INCONSISTENT'}")
         ok = all(e.consistent for e in report)
         print("sweep:", "consistent" if ok else "INCONSISTENT")
         return 0 if ok else 1
@@ -214,21 +211,16 @@ def cmd_check(args) -> int:
     cfg = chk.check_config_from_json(merge_entries(args.config, args, CHECK_KEYS))
     res = chk.explore(cfg)
     print(f"states explored : {res.states}")
-    if res.complete:
-        completeness = "yes"
-    elif res.violation is not None:
-        completeness = "no (stopped at first violation)"
-    else:
-        completeness = "no (state budget exceeded)"
-    print(f"complete        : {completeness}")
-    if res.violation is None:
-        print("result          : SAFE" if res.complete else "result          : NO VIOLATION FOUND (partial)")
+    if res.verdict != chk.VIOLATION:
+        safe = res.verdict == chk.SAFE
+        print(f"complete        : {'yes' if safe else 'no (state budget exceeded)'}")
+        print(f"result          : {'SAFE' if safe else 'NO VIOLATION FOUND (partial)'}")
         return 0
+    print("complete        : no (stopped at first violation)")
     v = res.violation
     print(f"result          : VIOLATION ({v.property}) in {len(v.path)} actions")
     rr = chk.replay(v.path, cfg)
-    shown = rr.conflicting if v.property == chk.AGREEMENT else rr.contradicted
-    print(f"replay          : {'confirmed' if shown else 'NOT CONFIRMED'}"
+    print(f"replay          : {'confirmed' if rr.shows(v.property) else 'NOT CONFIRMED'}"
           f" ({len(rr.decisions)} decisions observed)")
     if args.counterexample:
         with open(args.counterexample, "w") as f:
@@ -401,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="bounded exhaustive safety check")
     add_quorum_args(pc)
-    pc.add_argument("--custom-q1", help="explicit phase-1 sets as JSON, e.g. '[[0]]'")
-    pc.add_argument("--custom-q2", help="explicit phase-2 sets as JSON, e.g. '[[1]]'")
     pc.add_argument("--ballots", type=int, default=S, help="distinct ballots to explore")
     pc.add_argument("--values", type=int, default=S, help="distinct proposable values")
     pc.add_argument("--max-states", type=int, default=S)

@@ -126,7 +126,8 @@ class PartitionEvent:
     groups: Tuple[Tuple[int, ...], ...] = ()  # empty tuple heals the network
 
     def __post_init__(self):  # JSON gives lists; keep the event hashable
-        object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
+        if is_id_lists(self.groups):
+            object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
 
 
 # What each entry of a schedule row must be, by event field.

@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpaxos import checker
 from fpaxos.checker import (
     AGREEMENT,
+    PARTIAL,
     PROPOSAL_CONSISTENCY,
+    SAFE,
+    VIOLATION,
     CheckConfig,
     ReplayDivergenceError,
+    ReplayResult,
     action_json,
     check_config_from_json,
     counterexample_jsonl,
@@ -490,17 +495,43 @@ def test_safety_sweep_biconditional():
     assert report and all(e.consistent for e in report)
     by_name = {e.name: e for e in report}
     assert not by_name["broken-singletons(n=3)"].intersects
-    assert by_name["broken-singletons(n=3)"].violation_found
+    assert by_name["broken-singletons(n=3)"].verdict == VIOLATION
     assert by_name["any1-vs-all(n=3)"].intersects
-    assert not by_name["any1-vs-all(n=3)"].violation_found
-    assert not by_name["majority(n=3)"].violation_found
+    assert by_name["any1-vs-all(n=3)"].verdict == SAFE
+    assert by_name["majority(n=3)"].verdict == SAFE
 
 
 def test_sweep_covers_grid_2x2():
     report = quorum_safety_sweep(4, max_states=100_000)
     by_name = {e.name: e for e in report}
     entry = by_name["grid-fpaxos(2x2)"]
-    assert entry.intersects and not entry.violation_found
+    assert entry.intersects and entry.verdict == SAFE
+
+
+def test_verdict_is_safe_only_for_a_complete_search():
+    assert explore(CheckConfig(make_majority(3))).verdict == SAFE
+    assert explore(DISJOINT).verdict == VIOLATION
+    spent = explore(CheckConfig(make_majority(3), max_states=1000))
+    assert not spent.complete and spent.violation is None
+    assert spent.verdict == PARTIAL
+
+
+def test_sweep_entry_out_of_budget_is_inconsistent():
+    # once listed as safe: a search cut off by its budget proves nothing
+    report = quorum_safety_sweep(3, max_states=1000)
+    partial = {e.name for e in report if e.verdict == PARTIAL}
+    assert partial == {"majority(n=3)", "simple(n=3,q2=2)", "simple(n=3,q2=3)",
+                       "grid-fpaxos(3x1)", "any1-vs-all(n=3)"}
+    assert {e.name for e in report if not e.consistent} == partial
+
+
+def test_sweep_entry_whose_replay_shows_no_violation_is_inconsistent(monkeypatch):
+    monkeypatch.setattr(checker, "replay", lambda path, cfg: ReplayResult(states={}))
+    report = quorum_safety_sweep(2)
+    broken = {e.name for e in report if not e.intersects}
+    assert broken == {"broken-singletons(n=2)", "broken-disjoint(n=2)"}
+    assert all(e.verdict == VIOLATION for e in report if e.name in broken)
+    assert {e.name for e in report if not e.consistent} == broken
 
 
 def test_config_json_roundtrip():

@@ -1,11 +1,12 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from fpaxos import checker
 from fpaxos.cli import build_parser, main, sim_config_from_args
-from fpaxos.quorum import make_majority
+from fpaxos.quorum import failure_tolerance, make_explicit, make_majority
 from fpaxos.scenarios import SCENARIOS
 from fpaxos.sim import SimConfig
 
@@ -72,6 +73,20 @@ def test_analyze_large_threshold_family_gets_a_verdict(capsys):
     code, out, _ = run_cli(capsys, *flags, "--json")
     assert code == 0
     assert json.loads(out)["intersects"] is True
+
+
+def test_analyze_explicit_families(capsys):
+    custom = ["quorum", "analyze", "--custom-q1", "[[0]]", "--custom-q2", "[[1]]", "--n", "2"]
+    code, out, _ = run_cli(capsys, *custom)
+    assert code == 1
+    assert "cross-phase intersection : BROKEN" in out
+    q1, q2 = [[0, 1, 2], [1, 2, 3]], [[1, 2], [0, 3]]
+    code, out, _ = run_cli(capsys, "quorum", "analyze", "--custom-q1", json.dumps(q1),
+                           "--custom-q2", json.dumps(q2), "--n", "4", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["intersects"] is True
+    assert report["tolerance"] == asdict(failure_tolerance(make_explicit(4, q1, q2)))
 
 
 # ------------------------------------------------------------------- check
@@ -188,6 +203,20 @@ def test_check_sweep_passes_ballots_and_values(capsys, monkeypatch):
     assert out.splitlines()[0].endswith(f"states={res.states}")
 
 
+def test_check_sweep_out_of_budget_is_inconsistent(capsys):
+    # once printed these five as safe and exited 0
+    code, out, _ = run_cli(capsys, "check", "--sweep", "3", "--max-states", "1000")
+    assert code == 1
+    lines = out.splitlines()
+    partial = [l for l in lines if " partial " in l]
+    assert [l.split()[0] for l in partial] == [
+        "majority(n=3)", "simple(n=3,q2=2)", "simple(n=3,q2=3)",
+        "grid-fpaxos(3x1)", "any1-vs-all(n=3)"]
+    assert all(l.endswith("states=1000  << INCONSISTENT") for l in partial)
+    assert sum("INCONSISTENT" in l for l in lines[:-1]) == 5
+    assert lines[-1] == "sweep: INCONSISTENT"
+
+
 @pytest.mark.parametrize(
     "flag, extra",
     [
@@ -200,6 +229,7 @@ def test_check_sweep_passes_ballots_and_values(capsys, monkeypatch):
         ("--improved", []),
         ("--mode", ["fpaxos"]),
         ("--custom-q1", ["[[0]]"]),
+        ("--custom-q2", ["[[0]]"]),
     ],
 )
 def test_check_sweep_rejects_flags_it_would_ignore(capsys, flag, extra):
@@ -562,6 +592,8 @@ def test_flag_value_must_have_the_exact_form(capsys, command, flag, text, form):
         ("--kind", ["majority", "--n", "3"]),
         ("--metrics", ["m.json"]),
         ("--config", ["sim.json"]),
+        ("--custom-q1", ["[[0]]"]),
+        ("--custom-q2", ["[[0]]"]),
     ],
 )
 def test_simulate_scenario_rejects_flags_it_would_ignore(capsys, tmp_path, monkeypatch,

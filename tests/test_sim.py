@@ -711,6 +711,9 @@ def test_config_validation():
         ("elections", (ElectionEvent(100, 1.0),)),
         ("restores", (RestoreEvent(100, True),)),
         ("partitions", (PartitionEvent(100, ((0, 1.0), (2,))),)),
+        # these two died in PartitionEvent itself with a TypeError
+        ("partitions", (PartitionEvent(100, None),)),
+        ("partitions", (PartitionEvent(100, [0, 1]),)),
         ("initial_leader", 1.0),
         ("window", 2.5),
         # each of these ran, or died in the run or in validate with a TypeError
