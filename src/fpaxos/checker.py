@@ -25,15 +25,21 @@ Checked properties:
 * ``proposal-consistency`` -- once (b, v) is chosen, every proposal at a
   higher ballot carries v.  This is strictly stronger than agreement.
 
-Search: a state is one packed int (see ``_Space``), and each reached
-state costs one dict entry, which maps it to its BFS parent.  The search
-stops at the first violating state, so every state it expands is safe,
-and a successor is checked only where it can break a property: an accept
-that makes its pair chosen, or a propose while some pair is chosen.  With
+Search: a state is one packed int (see ``_Space``).  Every action adds
+exactly one event (a prepared bit, a promise cell, a proposal or an
+accept bit), so the state graph is layered by event count, and the
+search goes level by level: a set of the next level alone finds every
+duplicate (frontier search, Korf et al. 2005), and a finished level is
+kept only as a list of states, with no parent map.  The search stops at
+the first violating state, so every state it expands is safe, and a
+successor is checked only where it can break a property: an accept that
+makes its pair chosen, or a propose while some pair is chosen.  With
 ``symmetry`` the search keeps one state per orbit under value and, for
 threshold kinds, acceptor permutations (scalarset reduction, Ip & Dill
-1996): same verdicts from fewer states.  Either way a counterexample's
-actions are recovered afterwards by walking its parents forward again.
+1996): same verdicts from fewer states, on the same layers.  Either way
+a counterexample's parents are found afterwards, a level at a time, as
+the first state of the level before whose successors include it, and its
+actions by walking that chain forward again.
 
 A search is ``safe`` only when complete, and a violation counts once its
 path, replayed through :mod:`fpaxos.core`'s rules (the ones ``multi.Replica``
@@ -45,7 +51,6 @@ so.  :func:`replay` also runs the scripts of :mod:`fpaxos.scenarios`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional, Tuple
@@ -491,60 +496,72 @@ class _Space:
 
 
 def explore(cfg: CheckConfig) -> CheckResult:
-    """BFS over all reachable states; stops at the first violation.
+    """BFS over all reachable states, one level at a time; stops at the first violation.
 
-    ``visited`` maps each state (under symmetry, one canonical state per
-    orbit) to its BFS parent, the violating child's too; a counterexample's
-    actions are recovered from the parents afterwards.  The initial state
-    is 0 and violates nothing.
+    Every action adds one event to a state (a prepared bit, a promise cell,
+    a proposal or an accept bit), and a canonical key has its state's
+    events, so each child lies on the level after its parent's.  A set of
+    that next level alone therefore finds every duplicate, and a finished
+    level is kept only as the list of its keys (under symmetry, one
+    canonical state per orbit) in BFS order.  There is no parent map: for
+    a counterexample, ``_path_to`` takes a key's parent to be the first key
+    of the level before whose successors include it, the one that reached
+    it first.  The initial state is 0 and violates nothing.
     """
     space = _Space(cfg)
     expand = space.expand
     key = space.canonical if cfg.symmetry else None
     max_states = cfg.max_states
-    init = space.initial()
-    visited = {init: None}
-    queue = deque([init])
-    while queue:
-        s = queue.popleft()
-        edges, bad = expand(s)
-        for _, child in edges if bad is None else edges[: bad[0]]:
-            if key:
-                child = key(child)
-            if child in visited:
-                continue
-            visited[child] = s
-            if len(visited) >= max_states:
-                return CheckResult(states=len(visited), complete=False)
-            queue.append(child)
-        if bad is not None:
-            i, prop = bad
-            child = edges[i][1]
-            if key:
-                child = key(child)
-            visited[child] = s
-            path = _path_to(space, visited, child, key)
-            return CheckResult(
-                states=len(visited), complete=False, violation=Violation(prop, path)
-            )
-    return CheckResult(states=len(visited), complete=True)
+    levels = [[space.initial()]]
+    states = 1
+    while levels[-1]:
+        level, seen = [], set()
+        for s in levels[-1]:
+            edges, bad = expand(s)
+            for _, child in edges if bad is None else edges[: bad[0]]:
+                if key:
+                    child = key(child)
+                if child in seen:
+                    continue
+                seen.add(child)
+                level.append(child)
+                states += 1
+                if states >= max_states:
+                    return CheckResult(states=states, complete=False)
+            if bad is not None:
+                i, prop = bad
+                child = edges[i][1]
+                if key:
+                    child = key(child)
+                path = _path_to(space, levels, s, child, key)
+                # the child is new: a parent that reached it first would have stopped here
+                return CheckResult(states=states + 1, complete=False,
+                                   violation=Violation(prop, path))
+        levels.append(level)
+    return CheckResult(states=states, complete=True)
 
 
-def _path_to(space: _Space, visited: dict, target: int, key=None):
+def _path_to(space: _Space, levels, s: int, target: int, key=None):
     """The actions of a concrete run from the initial state to one keyed ``target``.
 
-    Walking forward, each step takes the first action whose child's key is
-    the next on ``target``'s parent chain.  Without symmetry a key is its
-    state, so the step is the edge the search reached it by.  Under
-    symmetry the group maps a key's edges onto those of every state in its
-    orbit, so the step exists, and the run is as long as a plain search's.
+    ``target`` is a child of ``s``, a key of the last of ``levels``.  Going
+    back a level at a time, a key's parent is the first key of the level
+    before, in BFS order, with it among its keyed successors: the state the
+    search first reached it from.  Walking forward, each step then takes
+    the first action whose child's key is the next on that chain.  Without
+    symmetry a key is its state, so the step is the edge the search reached
+    it by.  Under symmetry the group maps a key's edges onto those of every
+    state in its orbit, so the step exists, and the run is as long as a
+    plain search's.
     """
-    chain = [target]
-    while visited[chain[-1]] is not None:
-        chain.append(visited[chain[-1]])
+    keyed = key or (lambda c: c)
+    chain = [target, s]
+    for level in reversed(levels[:-1]):
+        chain.append(next(p for p in level
+                          if any(keyed(c) == chain[-1] for _, c in space.successors(p))))
     s, path = chain.pop(), []
     for nxt in reversed(chain):
-        a, s = next((a, c) for a, c in space.successors(s) if (key(c) if key else c) == nxt)
+        a, s = next((a, c) for a, c in space.successors(s) if keyed(c) == nxt)
         path.append(a)
     return tuple(path)
 
@@ -666,7 +683,6 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
 @dataclass(frozen=True)
 class SweepEntry:
     name: str
-    quorum: QuorumSystem
     intersects: bool
     verdict: str  # its search's CheckResult.verdict
     states: int
@@ -710,6 +726,8 @@ def quorum_safety_sweep(n_max: int, **check):
     """
     if n_max > MAX_SWEEP_N:
         raise ValueError(f"combinatorial sweep limited to n_max <= {MAX_SWEEP_N}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     report = []
     for name, qs in sweep_catalog(n_max):
         cfg = CheckConfig(qs, **check)
@@ -717,5 +735,5 @@ def quorum_safety_sweep(n_max: int, **check):
         v = res.violation
         consistent = (res.verdict == SAFE if intersects
                       else v is not None and replay(v.path, cfg).shows(v.property))
-        report.append(SweepEntry(name, qs, intersects, res.verdict, res.states, consistent))
+        report.append(SweepEntry(name, intersects, res.verdict, res.states, consistent))
     return report

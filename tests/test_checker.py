@@ -455,6 +455,70 @@ def test_symmetry_still_finds_violations_with_concrete_path():
     assert replay(res.violation.path, cfg).conflicting
 
 
+def _events(space, s):
+    """Prepared bits, non-empty promise cells, proposals and accept bits of ``s``."""
+    prepared = bin(s & (1 << space.B) - 1).count("1")
+    cells = sum(1 for b in range(space.B) for a in range(space.n)
+                if s >> space.row_sh[b] + a * space.wC & space.cmask)
+    proposals = sum(1 for b in range(space.B) if s >> space.PROP + b * space.wV & space.vmask)
+    accepts = bin(s >> space.AMSG).count("1")
+    return prepared + cells + proposals + accepts
+
+
+@pytest.mark.parametrize("cfg", [
+    CheckConfig(make_majority(3), ballots=2, symmetry=True),
+    CheckConfig(make_grid(2, 2, "fpaxos"), ballots=2, symmetry=True),
+    CheckConfig(make_majority(4, improved=True), ballots=2, symmetry=True),
+    DISJOINT,
+])
+def test_every_action_adds_exactly_one_event(cfg):
+    # explore deduplicates against the next BFS level only, which is
+    # complete because every edge, keyed or not, climbs one event level
+    from fpaxos.checker import _Space
+
+    space = _Space(cfg)
+    seen = {space.initial()}
+    frontier = [space.initial()]
+    assert _events(space, space.initial()) == 0
+    while frontier:
+        s = frontier.pop()
+        level = _events(space, s)
+        for _, child in space.successors(s):
+            assert _events(space, child) == _events(space, space.canonical(child)) == level + 1
+            key = space.canonical(child) if cfg.symmetry else child
+            if key not in seen:
+                seen.add(key)
+                frontier.append(key)
+
+
+def test_search_order_results_are_pinned():
+    # values that depend on the BFS order: budget cut-offs and which
+    # counterexample is found first
+    res = explore(CheckConfig(make_explicit(2, [[0]], [[1]]), ballots=3))
+    assert res.violation.property == PROPOSAL_CONSISTENCY
+    assert (res.states, len(res.violation.path)) == (582, 7)
+    cfg = CheckConfig(make_explicit(4, [[0, 1]], [[2, 3]]), ballots=2, symmetry=True)
+    res = explore(cfg)
+    assert res.violation.property == PROPOSAL_CONSISTENCY
+    assert (res.states, len(res.violation.path)) == (1356, 10)
+    assert replay(res.violation.path, cfg).contradicted
+    res = explore(CheckConfig(make_majority(3), ballots=3, max_states=5000))
+    assert (res.verdict, res.states) == (PARTIAL, 5000)
+
+
+def test_search_keeps_no_table_of_every_state():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        res = explore(CheckConfig(make_majority(3), ballots=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.states == STATE_COUNTS["majority3_b3"]
+    assert peak < 14 * 2**20, peak
+
+
 @settings(deadline=None, max_examples=15)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_explicit_families_violate_iff_disjoint(seed):
@@ -532,6 +596,13 @@ def test_sweep_entry_whose_replay_shows_no_violation_is_inconsistent(monkeypatch
     assert broken == {"broken-singletons(n=2)", "broken-disjoint(n=2)"}
     assert all(e.verdict == VIOLATION for e in report if e.name in broken)
     assert {e.name for e in report if not e.consistent} == broken
+
+
+def test_sweep_below_one_acceptor_is_rejected():
+    # an empty report would read as all-consistent
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="n_max"):
+            quorum_safety_sweep(n_max)
 
 
 def test_config_json_roundtrip():
