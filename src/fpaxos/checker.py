@@ -42,9 +42,10 @@ the first state of the level before whose successors include it, and its
 actions by walking that chain forward again.
 
 A search is ``safe`` only when complete, and a violation counts once its
-path, replayed through :mod:`fpaxos.core`'s rules (the ones ``multi.Replica``
-applies too), shows it; :func:`quorum_safety_sweep` judges every family
-so.  :func:`replay` also runs the scripts of :mod:`fpaxos.scenarios`.
+path, replayed on the simulator's acceptors (``multi.Replica``s taking
+:mod:`fpaxos.core`'s promise and accept steps), shows it;
+:func:`quorum_safety_sweep` judges every family so.  :func:`replay` also
+runs the scripts of :mod:`fpaxos.scenarios`.
 :func:`check_config_from_json` decodes a check through
 :func:`fpaxos.core.read_config`, the simulator's reader too.
 """
@@ -56,12 +57,7 @@ from functools import partial
 from typing import Optional, Tuple
 
 from .core import (
-    AcceptorState,
     Ballot,
-    Prepare,
-    Promise,
-    Propose,
-    Accept,
     acceptor_handle_prepare,
     acceptor_handle_propose,
     check_type,
@@ -70,6 +66,7 @@ from .core import (
     read_config,
     to_jsonl,
 )
+from .multi import Replica
 from .quorum import (
     EXPLICIT,
     QuorumSystem,
@@ -104,6 +101,10 @@ class CheckConfig:
         for f in fields(self):
             if f.name in ("ballots", "max_states", "symmetry"):
                 check_type(f.name, getattr(self, f.name), f.default)
+        if type(self.quorum) is not QuorumSystem:
+            raise ValueError(f"quorum must be a QuorumSystem, got {self.quorum!r}")
+        if type(self.values) is not tuple or any(type(v) is not str for v in self.values):
+            raise ValueError(f"values must be a tuple of strings, got {self.values!r}")
         if self.ballots < 1:
             raise ValueError("need at least one ballot")
         if not self.values:
@@ -571,7 +572,7 @@ def _path_to(space: _Space, levels, s: int, target: int, key=None):
 
 @dataclass
 class ReplayResult:
-    states: dict
+    states: list  # one multi.Replica per acceptor, indexed by id
     decisions: list = field(default_factory=list)  # (ballot, value), as first decided
     proposals: dict = field(default_factory=dict)  # ballot -> its proposed value
     events: list = field(default_factory=list)  # what was delivered and decided, in order
@@ -592,42 +593,45 @@ class ReplayResult:
 
 
 def replay(path, cfg: CheckConfig) -> ReplayResult:
-    """Re-execute an action path through the core state machines.
+    """Re-execute an action path through the simulator's acceptors.
 
-    Besides the checker's four actions a path may hold three that only
-    scripted runs use: ``("refuse", a, b, v)``, a proposal that acceptor a
-    nacks; ``("answer", a, b)``, a's accept or nack of ballot b's proposal
-    reaching its proposer; and ``("crash", a, wipe)``.  Every action must
-    be enabled under the core's rules and agree on the produced values;
-    any mismatch raises :class:`ReplayDivergenceError`.  Decisions observed
-    along the way (via the learner rule) accumulate, so a decision later
-    overwritten at a higher ballot still counts.
+    Each acceptor is a ``multi.Replica`` with a window of 1, and each
+    delivery takes core's promise or accept step on it at slot 0.  Besides
+    the checker's four actions a path may hold three that only scripted
+    runs use: ``("refuse", a, b, v)``, a proposal that acceptor a nacks;
+    ``("answer", a, b)``, a's accept or nack of ballot b's proposal
+    reaching its proposer; and ``("crash", a, wipe)``, which crashes a's
+    replica and wipes its memory if asked.  Every action must be enabled
+    under the core's rules and agree on the produced values; any mismatch
+    raises :class:`ReplayDivergenceError`.  Decisions observed along the
+    way (via the learner rule) accumulate, so a decision later overwritten
+    at a higher ballot still counts.
 
-    ``events`` holds, in order, ``("msg", m)`` per delivered message (a
-    prepare at its promise, the promises at the propose they justify in
-    the order of its senders, a proposal at its accept or refusal, an
-    answer at its own action), ``("decide", pair)`` per newly decided
-    pair, ``("violation", values)`` when a second value is decided, and
-    each crash action.
+    ``events`` holds, in order, one tuple per delivered message: its type,
+    its acceptor, its ballot and, for a promise, a propose or a nack, the
+    reported pair (or None), the value or the promised ballot.  A prepare
+    is delivered at its promise, the promises at the propose they justify
+    in the order of its senders, a proposal at its accept or refusal and
+    an answer at its own action.  ``("decide", pair)`` follows each newly
+    decided pair, ``("violation", values)`` the decision of a second
+    value, and each crash action is listed as it is.
     """
     qs = cfg.quorum
     ballots = cfg.ballot_list()
-    acc = {a: AcceptorState() for a in range(qs.n)}
-    promises = {}  # (a, b) -> a's promise for ballot b
-    answers = {}  # (a, b) -> a's answer to ballot b's proposal
+    acc = [Replica(a, qs, window=1) for a in range(qs.n)]
+    promises = {}  # (a, b) -> a's promise event for ballot b
+    answers = {}  # (a, b) -> a's answer event to ballot b's proposal
     result = ReplayResult(states=acc)
     proposed, log = result.proposals, result.events.append
     for act in path:
         kind = act[0]
         if kind == "promise":
             a, b = act[1], act[2]
-            prepare = Prepare(src=ballots[b].proposer, dst=a, ballot=ballots[b])
-            log(("msg", prepare))
-            st, reply = acceptor_handle_prepare(acc[a], prepare)
-            if not isinstance(reply, Promise):
+            ballot = ballots[b]
+            log(("prepare", a, ballot))
+            if not acceptor_handle_prepare(acc[a], ballot):
                 raise ReplayDivergenceError(f"core refused promise for {act}")
-            acc[a] = st
-            promises[(a, b)] = reply
+            promises[(a, b)] = ("promise", a, ballot, acc[a].accepted.get(0))
         elif kind == "propose":
             b, v, senders = act[1], act[2], act[3]
             if not qs.is_q1(mask_of(senders)):
@@ -637,26 +641,25 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
             except KeyError:
                 raise ReplayDivergenceError(f"{act} cites a promise that was never sent")
             value = cfg.values[v]
-            if choose_value([m.accepted for m in cited], value) != value:
+            if choose_value([m[3] for m in cited], value) != value:
                 raise ReplayDivergenceError(f"core value-choice rule rejects {act}")
             if proposed.setdefault(ballots[b], value) != value:
                 raise ReplayDivergenceError(f"two proposals for one ballot at {act}")
             for m in cited:
-                log(("msg", m))
+                log(m)
         elif kind in ("accept", "refuse"):
             a, b, v = act[1], act[2], act[3]
-            value = cfg.values[v]
-            if proposed.get(ballots[b]) != value:
+            ballot, value = ballots[b], cfg.values[v]
+            if proposed.get(ballot) != value:
                 raise ReplayDivergenceError(f"{act} delivers a value never proposed")
-            m = Propose(src=ballots[b].proposer, dst=a, ballot=ballots[b], value=value)
-            log(("msg", m))
-            st, reply = acceptor_handle_propose(acc[a], m)
-            if isinstance(reply, Accept) != (kind == "accept"):
-                raise ReplayDivergenceError(f"core answers {act} with {type(reply).__name__}")
-            acc[a] = st
-            answers[(a, b)] = reply
+            log(("propose", a, ballot, value))
+            accepted = acceptor_handle_propose(acc[a], ballot, 0, value)
+            answer = ("accept", a, ballot) if accepted else ("nack", a, ballot, acc[a].promised)
+            answers[(a, b)] = answer
+            if accepted != (kind == "accept"):
+                raise ReplayDivergenceError(f"core answers {act} with {answer[0]}")
             # Only a delivered proposal can change what the acceptors hold.
-            for pair in decided_proposals(acc, qs):
+            for pair in decided_proposals([r.accepted.get(0) for r in acc], qs):
                 if pair not in result.decisions:
                     conflicting = result.conflicting
                     result.decisions.append(pair)
@@ -664,14 +667,13 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
                     if result.conflicting and not conflicting:
                         log(("violation", [v for _, v in result.decisions]))
         elif kind == "answer":
-            reply = answers.get((act[1], act[2]))
-            if reply is None:
+            answer = answers.get((act[1], act[2]))
+            if answer is None:
                 raise ReplayDivergenceError(f"{act} answers a proposal never delivered")
-            log(("msg", reply))
+            log(answer)
         elif kind == "crash":
             log(act)
-            if act[2]:
-                acc[act[1]] = AcceptorState()
+            acc[act[1]].crash(lose_memory=act[2])
         elif kind != "prepare":
             raise ReplayDivergenceError(f"unknown action {act!r}")
     return result

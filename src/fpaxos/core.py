@@ -1,42 +1,34 @@
-"""Single-decree protocol rules.
+"""Protocol rules shared by the simulator's replicas and the checker's replay.
 
-Pure functions over immutable acceptor states: the acceptor's promise and
-accept rules, the proposer's value choice (:func:`choose_value`) and the
-learner's rule (:func:`decided_proposals`).  The callers own message
-delivery and scheduling: :func:`fpaxos.checker.replay`, which also runs
-the scripted scenarios, and the simulator's ``multi.Replica``, the one
-proposer, which applies the acceptor rules :func:`can_promise` and
-:func:`can_accept` to its per-slot state.  Every function here is
-deterministic in (state, input).
-
-Messages follow the classic two-phase shape: prepare/promise to win a
-phase-1 quorum, propose/accept to commit a value on a phase-2 quorum.
-Explicit nacks are an artifact addition so rejected proposers can react
-promptly; they never change acceptor state, so safety is unaffected.
-The wire messages, here and in ``multi``, are slotted dataclass records
-that nothing mutates or hashes.  They are not frozen: a frozen dataclass
-sets each field through ``object.__setattr__``, which makes building one,
-the simulator's commonest operation, more than twice as slow.  A
-delivery must leave its message as it was, since a duplicated message is
-one object delivered twice; ``tests/test_sim.py`` checks that of every
-handler.  Ballots and acceptor states stay frozen.
+The acceptor has two steps.  :func:`acceptor_handle_prepare` applies the
+promise rule :func:`can_promise` and :func:`acceptor_handle_propose` the
+accept rule :func:`can_accept`.  Each changes, in place, any record with a
+``promised`` ballot and an ``accepted`` map from slot to (ballot, value),
+and returns whether it promised or accepted; the caller builds the reply.
+``multi.Replica`` takes these steps on every prepare and propose it
+receives, and :func:`fpaxos.checker.replay`, which also runs the scripted
+scenarios, takes them at slot 0 on one replica per acceptor, so a
+counterexample replays through the simulator's acceptor.  The proposer's
+value rule is :func:`choose_value`, which the replica's leader applies
+at recovery, and the learner's rule is :func:`decided_proposals`.  Every
+function here is deterministic in its arguments.
 
 :class:`SafetyViolationError` is the one safety exception, of replicas
 and simulator alike.  :func:`message_json`, which reads a message's JSON
-off its fields, is the one trace encoder for these messages and the
-slot-level ones of ``multi``; :func:`to_jsonl` is the one writer of JSON
-lines, for traces and counterexamples alike; :func:`read_config` is the
-one reader of JSON run configurations, for simulations, checks and sweep
-specs alike, and :func:`check_type` its type rule, which directly built
-configurations apply too.
+off its fields, is the one trace encoder for ``multi``'s messages;
+:func:`to_jsonl` is the one writer of JSON lines, for traces and
+counterexamples alike; :func:`read_config` is the one reader of JSON run
+configurations, for simulations, checks and sweep specs alike, and
+:func:`check_type` its type rule, which directly built configurations
+apply too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Callable, Mapping, Optional
 
 from .quorum import QuorumSystem, select_quorum  # noqa: F401 (perfbench/spans.py wraps it)
 
@@ -64,51 +56,7 @@ class Ballot:
         return [self.round, self.proposer]
 
 
-@dataclass(frozen=True)
-class AcceptorState:
-    promised: Optional[Ballot] = None
-    accepted: Optional[Tuple[Ballot, Value]] = None
-
-
-# -- wire messages ------------------------------------------------------
-
-
-@dataclass(slots=True)
-class Prepare:
-    src: object
-    dst: object
-    ballot: Ballot
-
-
-@dataclass(slots=True)
-class Promise:
-    src: object
-    dst: object
-    ballot: Ballot
-    accepted: Optional[Tuple[Ballot, Value]]
-
-
-@dataclass(slots=True)
-class Propose:
-    src: object
-    dst: object
-    ballot: Ballot
-    value: Value
-
-
-@dataclass(slots=True)
-class Accept:
-    src: object
-    dst: object
-    ballot: Ballot
-
-
-@dataclass(slots=True)
-class Nack:
-    src: object
-    dst: object
-    ballot: Ballot
-    promised: Ballot
+# -- trace encoding -----------------------------------------------------
 
 
 @cache
@@ -131,7 +79,7 @@ def _json_value(v):
 
 
 def message_json(m) -> dict:
-    """Canonical trace form of a message of either vocabulary, read off its fields.
+    """Canonical trace form of a message, read off its fields.
 
     ``type`` is the class name without a ``Leader``/``Slot`` prefix,
     lower-cased; the other fields follow in declaration order, then ``src``
@@ -214,20 +162,28 @@ def can_accept(promised: Optional[Ballot], ballot: Ballot) -> bool:
     return promised is None or ballot >= promised
 
 
-def acceptor_handle_prepare(st: AcceptorState, m: Prepare):
-    """Promise the ballot if :func:`can_promise` allows it, else nack."""
-    if can_promise(st.promised, m.ballot):
-        st2 = replace(st, promised=m.ballot)
-        return st2, Promise(src=m.dst, dst=m.src, ballot=m.ballot, accepted=st.accepted)
-    return st, Nack(src=m.dst, dst=m.src, ballot=m.ballot, promised=st.promised)
+def acceptor_handle_prepare(acc, ballot: Ballot) -> bool:
+    """The promise step: whether ``acc`` promises ``ballot``, raising its promise if so.
+
+    A prepare of the ballot already promised is promised again, so a
+    duplicated prepare gets a second promise rather than a nack.
+    """
+    if ballot != acc.promised and not can_promise(acc.promised, ballot):
+        return False
+    acc.promised = ballot
+    return True
 
 
-def acceptor_handle_propose(st: AcceptorState, m: Propose):
-    """Accept if :func:`can_accept` allows it, else nack; re-accepting is idempotent."""
-    if can_accept(st.promised, m.ballot):
-        st2 = AcceptorState(promised=m.ballot, accepted=(m.ballot, m.value))
-        return st2, Accept(src=m.dst, dst=m.src, ballot=m.ballot)
-    return st, Nack(src=m.dst, dst=m.src, ballot=m.ballot, promised=st.promised)
+def acceptor_handle_propose(acc, ballot: Ballot, slot: int, value: Value) -> bool:
+    """The accept step: whether ``acc`` accepts ``value`` at ``slot``.
+
+    Re-accepting is idempotent.
+    """
+    if not can_accept(acc.promised, ballot):
+        return False
+    acc.promised = ballot
+    acc.accepted[slot] = (ballot, value)
+    return True
 
 
 # -- value choice -------------------------------------------------------
@@ -244,10 +200,13 @@ def choose_value(promised_pairs, candidate: Value) -> Value:
 # -- learner ------------------------------------------------------------
 
 
-def decided_proposals(states: Mapping[int, AcceptorState], qs: QuorumSystem):
-    """All (ballot, value) pairs currently held by a full phase-2 quorum."""
+def decided_proposals(pairs, qs: QuorumSystem):
+    """All (ballot, value) pairs held by a full phase-2 quorum.
+
+    Acceptor a holds ``pairs[a]``, or None.
+    """
     holders = {}
-    for aid, st in states.items():
-        if st.accepted is not None:
-            holders[st.accepted] = holders.get(st.accepted, 0) | 1 << aid
+    for aid, pair in enumerate(pairs):
+        if pair is not None:
+            holders[pair] = holders.get(pair, 0) | 1 << aid
     return sorted((pair for pair, who in holders.items() if qs.is_q2(who)), key=lambda p: p[0])

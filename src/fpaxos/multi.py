@@ -4,10 +4,13 @@ One aggregated phase 1 establishes a replica as leader for every slot at
 or above its first undecided index; phase 2 then runs per slot to commit
 client values.  Each replica combines the acceptor, proposer and learner
 roles, and its leader is the only proposer.  The rules are
-:mod:`fpaxos.core`'s: promise or nack a prepare (``core.can_promise``),
-accept or nack per slot (``core.can_accept``), and at recovery choose
-each slot's value (``core.choose_value``, else a no-op).  The one aggregated
-piece of durable state is the promised ballot, which covers all slots.
+:mod:`fpaxos.core`'s: the acceptor takes core's promise step on a prepare
+(``core.acceptor_handle_prepare``) and its accept step per slot on a
+propose (``core.acceptor_handle_propose``), and nacks what they refuse;
+at recovery the leader chooses each slot's value with
+``core.choose_value``, else a no-op.  The checker's replay takes the same
+two steps on replicas of this class.  The one aggregated piece of
+durable state is the promised ballot, which covers all slots.
 
 Followers learn decisions from the leader's commit point, as with Raft's
 ``leaderCommit``: every propose carries the sender's first undecided
@@ -24,11 +27,16 @@ delivery (including the liveness machinery of retries and elections).
 Crashes wipe volatile leader state; durable state additionally vanishes
 only when a crash is injected with ``lose_memory``.
 
-The wire messages here are classes of their own, since the simulator's
-message counts are keyed by class name, but they share core's trace
-encoder: ``message_json`` is :func:`fpaxos.core.message_json`.  Like
-core's, they are slotted records that nothing mutates or hashes, and
-``on_message`` dispatches them through a table keyed by class.
+These wire messages are the program's one message vocabulary; the
+simulator's message counts are keyed by class name, and the trace
+encoder is :func:`fpaxos.core.message_json`.  They are slotted
+dataclass records that nothing mutates or hashes, and ``on_message``
+dispatches them through a table keyed by class.  They are not frozen: a
+frozen dataclass sets each field through ``object.__setattr__``, which
+makes building one, the simulator's commonest operation, more than twice
+as slow.  A delivery must leave its message as it was, since a
+duplicated message is one object delivered twice; ``tests/test_sim.py``
+checks that of every handler.
 
 A ``first`` or ``fastest`` quorum pick depends only on the phase and the
 alive set, so a replica makes it once per reachable set and remembers
@@ -124,7 +132,7 @@ class SlotNack:
     promised: Ballot
 
 
-message_json = core.message_json  # one encoder serves both vocabularies
+message_json = core.message_json  # the simulator encodes its trace through this name
 
 _INBOUND = (Request, LeaderPrepare, LeaderPromise, LeaderNack, SlotPropose, SlotAccept, SlotNack)
 _REMEMBERED = ("first", "fastest")  # strategies whose pick is a function of (phase, alive)
@@ -337,10 +345,8 @@ class Replica:
 
     def _on_LeaderPrepare(self, m: LeaderPrepare, alive) -> list:
         self._observe(m.ballot)
-        # A duplicate of the promised ballot's prepare is promised again, not nacked.
-        if m.ballot != self.promised and not core.can_promise(self.promised, m.ballot):
+        if not core.acceptor_handle_prepare(self, m.ballot):
             return [LeaderNack(src=self.id, dst=m.src, ballot=m.ballot, promised=self.promised)]
-        self.promised = m.ballot
         pairs = tuple((s, b, v) for s, (b, v) in sorted(self.accepted.items()) if s >= m.from_slot)
         return [LeaderPromise(src=self.id, dst=m.src, ballot=m.ballot,
                               from_slot=m.from_slot, accepted=pairs)]
@@ -355,12 +361,10 @@ class Replica:
 
     def _on_SlotPropose(self, m: SlotPropose, alive) -> list:
         self._observe(m.ballot)
-        if not core.can_accept(self.promised, m.ballot):
+        if not core.acceptor_handle_propose(self, m.ballot, m.slot, m.value):
             nack = SlotNack(src=self.id, dst=m.src, ballot=m.ballot, slot=m.slot,
                             promised=self.promised)
             return [nack]
-        self.promised = m.ballot
-        self.accepted[m.slot] = (m.ballot, m.value)
         self._learn_commit(m.ballot, m.slot, m.commit)
         return [SlotAccept(src=self.id, dst=m.src, ballot=m.ballot, slot=m.slot)]
 

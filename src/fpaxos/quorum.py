@@ -311,7 +311,12 @@ def make_grid(rows: int, cols: int, mode: str = "fpaxos") -> QuorumSystem:
 
 
 def make_explicit(n: int, q1_sets, q2_sets) -> QuorumSystem:
-    """Quorum system generated by explicitly listed acceptor sets."""
+    """Quorum system generated by explicitly listed acceptor sets.
+
+    Only the minimal listed sets are kept: a superset of another listed set
+    is a quorum by upward closure anyway, and keeping it would let
+    :func:`select_quorum` pick a quorum larger than it needs.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
 
@@ -326,7 +331,7 @@ def make_explicit(n: int, q1_sets, q2_sets) -> QuorumSystem:
             out.append(q)
         if not out:
             raise ValueError(f"{name} must list at least one set")
-        return tuple(sorted(set(out), key=sorted))
+        return tuple(sorted({q for q in out if not any(p < q for p in out)}, key=sorted))
 
     return QuorumSystem(
         kind=EXPLICIT,

@@ -1,11 +1,13 @@
 """Scripted single-decree executions with byte-stable traces.
 
 A scenario is data: a quorum system, its values, a path of actions and
-the documented outcome.  :func:`fpaxos.checker.replay` runs the path
-through :mod:`fpaxos.core`'s acceptors and records what it delivers and
-decides; this module names the parties (ballot i's owner ``P{i+1}``,
-acceptor a ``A{a+1}``), renders the record as a trace and raises
-:class:`ScenarioOutcomeError` unless the outcome is the documented one.
+the documented outcome.  :func:`fpaxos.checker.replay` runs the path on
+the simulator's acceptors, ``multi.Replica``s taking core's promise and
+accept steps at slot 0, and records what it delivers and decides as
+event tuples; this module names the parties (ballot i's owner
+``P{i+1}``, acceptor a ``A{a+1}``), renders each event as a
+single-decree trace line and raises :class:`ScenarioOutcomeError`
+unless the outcome is the documented one.
 
 Two scenarios exercise the four-acceptor improved-majority system
 (|Q1| = 3, |Q2| = 2) with two competing proposers: ``fig2a`` runs them
@@ -108,29 +110,40 @@ def _acceptor(a: int) -> str:
     return f"A{a + 1}"
 
 
-def _message(m) -> dict:
-    """A delivered message's trace form, with its parties and ballots named."""
-    named = {k: _ballot(getattr(m, k)) for k in ("ballot", "promised") if hasattr(m, k)}
-    if getattr(m, "accepted", None):
-        named["accepted"] = (_ballot(m.accepted[0]), m.accepted[1])
-    proposer = named["ballot"].proposer
-    if isinstance(m, (core.Prepare, core.Propose)):
-        named.update(src=proposer, dst=_acceptor(m.dst))
-    else:
-        named.update(src=_acceptor(m.src), dst=proposer)
-    return core.message_json(replace(m, **named))
+def _named(x):
+    """``x`` as trace JSON, with the proposer of each ballot named."""
+    if type(x) is core.Ballot:
+        return _ballot(x).json()
+    if type(x) is tuple:
+        return [_named(y) for y in x]
+    return x
+
+
+_EXTRA_KEY = {"promise": "accepted", "propose": "value", "nack": "promised"}
+
+
+def _message(kind, a, ballot, *extra) -> dict:
+    """The trace line of a message that replay delivered between acceptor a
+    and ``ballot``'s proposer; ``extra`` is the one field its type adds."""
+    d = {"type": kind, "ballot": _named(ballot)}
+    if extra:
+        d[_EXTRA_KEY[kind]] = _named(extra[0])
+    proposer = _ballot(ballot).proposer
+    to_acceptor = kind in ("prepare", "propose")
+    d["src"], d["dst"] = (proposer, _acceptor(a)) if to_acceptor else (_acceptor(a), proposer)
+    return d
 
 
 def _lines(kind, x, *rest) -> list:
     """The trace lines of one replay event, before their step numbers."""
-    if kind == "msg":
-        return [{"ev": "msg", "msg": _message(x)}]
     if kind == "decide":
         return [{"ev": "decide", "ballot": _ballot(x[0]).json(), "value": x[1]}]
     if kind == "violation":
         return [{"ev": "violation", "values": x}]
-    return [{"ev": "crash", "acceptor": _acceptor(x), "wipe": rest[0]},
-            {"ev": "restore", "acceptor": _acceptor(x)}]
+    if kind == "crash":
+        return [{"ev": "crash", "acceptor": _acceptor(x), "wipe": rest[0]},
+                {"ev": "restore", "acceptor": _acceptor(x)}]
+    return [{"ev": "msg", "msg": _message(kind, x, *rest)}]
 
 
 def run_scenario(name: str) -> ScenarioResult:
@@ -139,8 +152,8 @@ def run_scenario(name: str) -> ScenarioResult:
     sc = _SCENARIOS[name]
     rr = replay(sc.path, CheckConfig(sc.quorum, values=sc.values))
     # a proposer learns its value once accepts from a phase-2 quorum reach it
-    accepts = [m for kind, m, *_ in rr.events if kind == "msg" and isinstance(m, core.Accept)]
-    learned = lambda b: sc.quorum.is_q2(mask_of(m.src for m in accepts if m.ballot == b))
+    accepts = [e[1:] for e in rr.events if e[0] == "accept"]  # (acceptor, ballot)
+    learned = lambda b: sc.quorum.is_q2(mask_of(a for a, b1 in accepts if b1 == b))
     result = ScenarioResult(
         name=name,
         trace=[{"step": i, **l} for i, l in enumerate(l for e in rr.events for l in _lines(*e))],

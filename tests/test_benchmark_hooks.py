@@ -41,3 +41,4 @@ def test_span_recorder_installs_and_uninstalls():
     assert metrics.committed > 0 and text.count("\n") == len(trace)
     for name in ("sim.run", "multi.on_message", "trace.message_json", "trace.to_jsonl", "quorum.is_q2"):
         assert rec.calls[name] > 0, name
+    assert rec.calls["core.acceptor_handle_propose"] > 0  # the simulator's acceptor steps

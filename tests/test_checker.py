@@ -26,7 +26,7 @@ from fpaxos.checker import (
     value_names,
 )
 from fpaxos.cli import main
-from fpaxos.core import AcceptorState, Ballot
+from fpaxos.core import Ballot
 from fpaxos.quorum import (
     QuorumSystem,
     make_explicit,
@@ -87,7 +87,7 @@ def test_replay_shows_proposal_consistency_only_once_a_pair_is_decided():
 def test_replay_empty_path_is_initial_state():
     rr = replay((), DISJOINT)
     assert rr.decisions == []
-    assert all(st.promised is None and st.accepted is None for st in rr.states.values())
+    assert all(r.promised is None and r.accepted.get(0) is None for r in rr.states)
 
 
 def test_replay_prefixes_of_safe_run_hold_invariants():
@@ -143,12 +143,13 @@ def test_replay_crash_wipes_only_when_asked():
     cfg = CheckConfig(make_majority(3), ballots=2)
     path = (("prepare", 0), ("promise", 0, 0), ("promise", 1, 0),
             ("propose", 0, 0, (0, 1)), ("accept", 1, 0, 0))
-    held = replay(path, cfg).states[1]
-    assert held == AcceptorState(Ballot(1, 0), (Ballot(1, 0), "a"))
+    acceptor = lambda r: (r.promised, r.accepted.get(0))
+    held = acceptor(replay(path, cfg).states[1])
+    assert held == (Ballot(1, 0), (Ballot(1, 0), "a"))
     kept = replay(path + (("crash", 1, False),), cfg)
-    assert kept.states[1] == held and kept.events[-1] == ("crash", 1, False)
+    assert acceptor(kept.states[1]) == held and kept.events[-1] == ("crash", 1, False)
     wiped = replay(path + (("crash", 1, True),), cfg)
-    assert wiped.states[1] == AcceptorState() and wiped.events[-1] == ("crash", 1, True)
+    assert acceptor(wiped.states[1]) == (None, None) and wiped.events[-1] == ("crash", 1, True)
 
 
 def test_checker_value_rule_matches_core_on_recovery():
@@ -348,6 +349,14 @@ def test_directly_built_config_values_of_the_wrong_type_are_named():
                        ("symmetry", "yes")]:
         with pytest.raises(ValueError, match=key):
             CheckConfig(make_majority(3), **{key: value})
+
+
+def test_directly_built_config_quorum_and_values_of_the_wrong_type_are_named():
+    for key, value in [("quorum", {"kind": "majority", "n": 3}), ("values", 3),
+                       ("values", ["a", "b"]), ("values", ("a", 1)), ("values", "ab")]:
+        kw = {"quorum": make_majority(3), key: value}
+        with pytest.raises(ValueError, match=key):
+            CheckConfig(**kw)
 
 
 def test_repeated_value_names_are_rejected():

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpaxos import core, sim
+from fpaxos import core, scenarios, sim
 from fpaxos.core import (
-    Accept,
-    AcceptorState,
     Ballot,
-    Nack,
-    Prepare,
-    Promise,
-    Propose,
     SafetyViolationError,
     acceptor_handle_prepare,
     acceptor_handle_propose,
@@ -28,6 +22,7 @@ from fpaxos.multi import (
     Replica,
     Request,
     SlotAccept,
+    SlotNack,
     SlotPropose,
 )
 from fpaxos.quorum import make_grid, make_majority, make_simple
@@ -37,63 +32,106 @@ P1, P2 = 100, 101  # proposer ids used in scenarios
 
 
 def prep(b, src=P1, dst=0):
-    return Prepare(src=src, dst=dst, ballot=b)
+    return LeaderPrepare(src=src, dst=dst, ballot=b, from_slot=0)
 
 
 def prop(b, v, src=P1, dst=0):
-    return Propose(src=src, dst=dst, ballot=b, value=v)
+    return SlotPropose(src=src, dst=dst, ballot=b, slot=0, value=v, commit=0)
 
 
 # ---------------------------------------------------------------- acceptor
+#
+# Core's two acceptor steps, taken on a replica at slot 0, and the replies
+# the replica builds around them.
+
+
+def acceptor(promised=None, accepted=None):
+    """Replica 0 of one acceptor, holding ``promised`` and, at slot 0, ``accepted``."""
+    r = Replica(0, make_majority(1))
+    r.promised = promised
+    if accepted is not None:
+        r.accepted[0] = accepted
+    return r
+
+
+def state(r):
+    return r.promised, dict(r.accepted)
+
+
+def reply(r, m):
+    """The one message ``r`` answers ``m`` with."""
+    [out] = r.on_message(m, {0})
+    return out
 
 
 def test_prepare_fresh_promises():
-    st0 = AcceptorState()
-    st1, reply = acceptor_handle_prepare(st0, prep(B(1, P1)))
-    assert st1.promised == B(1, P1)
-    assert reply == Promise(src=0, dst=P1, ballot=B(1, P1), accepted=None)
+    acc = acceptor()
+    assert acceptor_handle_prepare(acc, B(1, P1))
+    assert acc.promised == B(1, P1)
+    assert reply(acceptor(), prep(B(1, P1))) == LeaderPromise(
+        src=0, dst=P1, ballot=B(1, P1), from_slot=0, accepted=()
+    )
 
 
 def test_prepare_stale_nacks_and_keeps_state():
-    st0 = AcceptorState(promised=B(2, P2))
-    st1, reply = acceptor_handle_prepare(st0, prep(B(1, P1)))
-    assert st1 == st0
-    assert reply == Nack(src=0, dst=P1, ballot=B(1, P1), promised=B(2, P2))
+    acc = acceptor(promised=B(2, P2))
+    st0 = state(acc)
+    assert not acceptor_handle_prepare(acc, B(1, P1))
+    assert state(acc) == st0
+    nack = reply(acc, prep(B(1, P1)))
+    assert nack == LeaderNack(src=0, dst=P1, ballot=B(1, P1), promised=B(2, P2))
+    assert state(acc) == st0
 
 
 def test_prepare_carries_accepted_pair():
-    st0 = AcceptorState(promised=B(1, P1), accepted=(B(1, P1), "a"))
-    st1, reply = acceptor_handle_prepare(st0, prep(B(2, P2), src=P2))
-    assert st1.promised == B(2, P2)
-    assert st1.accepted == (B(1, P1), "a")
-    assert reply.accepted == (B(1, P1), "a")
+    acc = acceptor(promised=B(1, P1), accepted=(B(1, P1), "a"))
+    assert acceptor_handle_prepare(acc, B(2, P2))
+    assert acc.promised == B(2, P2)
+    assert acc.accepted[0] == (B(1, P1), "a")
+    acc = acceptor(promised=B(1, P1), accepted=(B(1, P1), "a"))
+    assert reply(acc, prep(B(2, P2), src=P2)).accepted == ((0, B(1, P1), "a"),)
+
+
+def test_prepare_of_the_promised_ballot_promises_again():
+    acc = acceptor(promised=B(2, P2), accepted=(B(1, P1), "a"))
+    st0 = state(acc)
+    assert acceptor_handle_prepare(acc, B(2, P2))
+    assert state(acc) == st0
 
 
 def test_propose_accepts_at_promise():
-    st0 = AcceptorState(promised=B(1, P1))
-    st1, reply = acceptor_handle_propose(st0, prop(B(1, P1), "a"))
-    assert st1.accepted == (B(1, P1), "a")
-    assert reply == Accept(src=0, dst=P1, ballot=B(1, P1))
+    acc = acceptor(promised=B(1, P1))
+    assert acceptor_handle_propose(acc, B(1, P1), 0, "a")
+    assert acc.accepted[0] == (B(1, P1), "a")
+    assert reply(acceptor(promised=B(1, P1)), prop(B(1, P1), "a")) == SlotAccept(
+        src=0, dst=P1, ballot=B(1, P1), slot=0
+    )
 
 
 def test_propose_below_promise_nacks():
-    st0 = AcceptorState(promised=B(2, P2))
-    st1, reply = acceptor_handle_propose(st0, prop(B(1, P1), "a"))
-    assert st1 == st0
-    assert isinstance(reply, Nack) and reply.promised == B(2, P2)
+    acc = acceptor(promised=B(2, P2))
+    st0 = state(acc)
+    assert not acceptor_handle_propose(acc, B(1, P1), 0, "a")
+    assert state(acc) == st0
+    nack = reply(acc, prop(B(1, P1), "a"))
+    assert isinstance(nack, SlotNack) and nack.promised == B(2, P2)
+    assert state(acc) == st0
 
 
 def test_propose_duplicate_reaccepts():
-    st0 = AcceptorState(promised=B(1, P1), accepted=(B(1, P1), "a"))
-    st1, reply = acceptor_handle_propose(st0, prop(B(1, P1), "a"))
-    assert st1 == st0
-    assert isinstance(reply, Accept)
+    acc = acceptor(promised=B(1, P1), accepted=(B(1, P1), "a"))
+    st0 = state(acc)
+    assert acceptor_handle_propose(acc, B(1, P1), 0, "a")
+    assert state(acc) == st0
+    assert isinstance(reply(acc, prop(B(1, P1), "a")), SlotAccept)
+    assert state(acc) == st0
 
 
 def test_propose_without_prior_prepare_is_allowed():
-    st1, reply = acceptor_handle_propose(AcceptorState(), prop(B(3, P1), "z"))
-    assert st1.promised == B(3, P1)
-    assert isinstance(reply, Accept)
+    acc = acceptor()
+    assert acceptor_handle_propose(acc, B(3, P1), 0, "z")
+    assert acc.promised == B(3, P1)
+    assert isinstance(reply(acceptor(), prop(B(3, P1), "z")), SlotAccept)
 
 
 # ---------------------------------------------------------------- proposer
@@ -226,19 +264,14 @@ def test_nack_then_retry_bumps_round():
 
 def test_learner_examples():
     qs = make_majority(4, improved=True)
-    states = {
-        0: AcceptorState(promised=B(1, P1), accepted=(B(1, P1), "a")),
-        1: AcceptorState(promised=B(2, P2), accepted=(B(2, P2), "a")),
-        2: AcceptorState(promised=B(2, P2), accepted=(B(2, P2), "a")),
-        3: AcceptorState(promised=B(2, P2), accepted=(B(2, P2), "a")),
-    }
-    assert decided_proposals(states, qs) == [(B(2, P2), "a")]
+    pairs = [(B(1, P1), "a"), (B(2, P2), "a"), (B(2, P2), "a"), (B(2, P2), "a")]
+    assert decided_proposals(pairs, qs) == [(B(2, P2), "a")]
 
-    empty = {i: AcceptorState() for i in range(4)}
+    empty = [None] * 4
     assert decided_proposals(empty, qs) == []
 
-    lone = dict(empty)
-    lone[0] = AcceptorState(promised=B(1, P1), accepted=(B(1, P1), "a"))
+    lone = list(empty)
+    lone[0] = (B(1, P1), "a")
     assert decided_proposals(lone, qs) == []
 
 
@@ -246,11 +279,8 @@ def test_learner_flags_conflicting_quorums():
     from fpaxos.quorum import make_explicit
 
     qs = make_explicit(2, [[0]], [[0], [1]])
-    states = {
-        0: AcceptorState(promised=B(1, P1), accepted=(B(1, P1), "x")),
-        1: AcceptorState(promised=B(2, P2), accepted=(B(2, P2), "y")),
-    }
-    assert decided_proposals(states, qs) == [(B(1, P1), "x"), (B(2, P2), "y")]
+    pairs = [(B(1, P1), "x"), (B(2, P2), "y")]
+    assert decided_proposals(pairs, qs) == [(B(1, P1), "x"), (B(2, P2), "y")]
     # the replica's learner refuses to log a second value for a slot
     r, _ = candidate(qs)
     feed_promises(r, [(0, [(0, B(0, P1), "x")])])
@@ -272,20 +302,21 @@ def test_choose_value_rule():
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40))
 def test_acceptor_ballots_never_decrease(seed, steps):
     rng = random.Random(seed)
-    st0 = AcceptorState()
+    acc = acceptor()
     for _ in range(steps):
         b = B(rng.randint(0, 5), rng.randint(0, 2))
+        promised0, pair0 = acc.promised, acc.accepted.get(0)
         if rng.random() < 0.5:
-            st1, _ = acceptor_handle_prepare(st0, prep(b, src=b.proposer))
+            acceptor_handle_prepare(acc, b)
         else:
-            st1, _ = acceptor_handle_propose(st0, prop(b, rng.choice("xyz"), src=b.proposer))
-        if st0.promised is not None:
-            assert st1.promised >= st0.promised
-        if st0.accepted is not None:
-            assert st1.accepted[0] >= st0.accepted[0]
-        if st1.accepted is not None and st1.promised is not None:
-            assert st1.accepted[0] <= st1.promised
-        st0 = st1
+            acceptor_handle_propose(acc, b, 0, rng.choice("xyz"))
+        promised1, pair1 = acc.promised, acc.accepted.get(0)
+        if promised0 is not None:
+            assert promised1 >= promised0
+        if pair0 is not None:
+            assert pair1[0] >= pair0[0]
+        if pair1 is not None and promised1 is not None:
+            assert pair1[0] <= promised1
 
 
 @st.composite
@@ -348,24 +379,17 @@ def test_replaying_a_message_log_is_deterministic(seed):
             log.append(prop(b, rng.choice("pq"), src=b.proposer))
 
     def run():
-        st0 = AcceptorState()
-        replies = []
-        for m in log:
-            if isinstance(m, Prepare):
-                st0, r = acceptor_handle_prepare(st0, m)
-            else:
-                st0, r = acceptor_handle_propose(st0, m)
-            replies.append(r)
-        return st0, replies
+        acc = acceptor()
+        replies = [reply(acc, m) for m in log]
+        return state(acc), replies
 
     assert run() == run()
 
 
 def test_message_json_shape():
-    m = Propose(src="P1", dst="A2", ballot=B(2, 1), value="a")
-    assert core.message_json(m) == {
+    assert scenarios._message("propose", 1, B(2, 0), "a") == {
         "type": "propose",
-        "ballot": [2, 1],
+        "ballot": [2, "P1"],
         "value": "a",
         "src": "P1",
         "dst": "A2",
@@ -391,9 +415,8 @@ _scalars = (
 _ballots = st.builds(B, st.integers(0, 10**12), st.integers(-5, 5))
 _accepted = st.tuples(st.integers(0, 99), _ballots, _text)
 _messages = st.one_of(
-    st.builds(Promise, st.integers(), st.integers(), _ballots, st.none() | st.tuples(_ballots, _text)),
-    st.builds(Propose, _text, st.integers(), _ballots, _text),
-    st.builds(Nack, st.integers(), _text, _ballots, _ballots),
+    st.builds(Request, _text, st.integers(), _text, _text),
+    st.builds(LeaderNack, st.integers(), _text, _ballots, _ballots),
     st.builds(LeaderPromise, st.integers(), st.integers(), _ballots, st.integers(0, 99),
               st.lists(_accepted, max_size=3).map(tuple)),
     st.builds(SlotPropose, st.integers(), st.integers(), _ballots, st.integers(0, 99), _text,

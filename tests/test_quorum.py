@@ -428,6 +428,30 @@ def test_tolerance_explicit_exhaustive():
     assert failure_tolerance(qs) == oracle_tolerance(qs)
 
 
+def test_explicit_family_keeps_only_its_minimal_sets():
+    qs = make_explicit(2, [[1], [0, 1]], [[0], [1]])
+    minimal = make_explicit(2, [[1]], [[0], [1]])
+    assert select_quorum(qs, 1, {0, 1}) == frozenset({1})
+    assert qs == minimal and qs.q1_sets == (frozenset({1}),)
+    assert qs.to_json() == minimal.to_json() == {"kind": "explicit", "n": 2, "q1_sets": [[1]],
+                                                 "q2_sets": [[0], [1]]}
+    assert QuorumSystem.from_json({**qs.to_json(), "q1_sets": [[0, 1], [1]]}) == minimal
+
+
+@settings(deadline=None, max_examples=100)
+@given(n=st.integers(1, 5), data=st.data())
+def test_explicit_family_equals_its_minimal_form(n, data):
+    family = st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=5)
+    q1, q2 = data.draw(family), data.draw(family)
+    minimal = lambda sets: [s for s in sets if not any(t < s for t in sets)]
+    qs = make_explicit(n, q1, q2)
+    assert qs == make_explicit(n, minimal(q1), minimal(q2))
+    assert qs.to_json() == make_explicit(n, minimal(q1), minimal(q2)).to_json()
+    for m in range(1 << n):  # upward closure: the same predicates
+        assert qs.is_q1(m) == any(mask_of(s) & m == mask_of(s) for s in q1)
+        assert qs.is_q2(m) == any(mask_of(s) & m == mask_of(s) for s in q2)
+
+
 @st.composite
 def explicit_families(draw):
     n = draw(st.integers(1, 7))

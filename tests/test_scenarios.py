@@ -5,6 +5,7 @@ import pytest
 
 from fpaxos import scenarios
 from fpaxos.checker import CheckConfig, ReplayDivergenceError, _Space, replay
+from fpaxos.core import Ballot
 from fpaxos.quorum import make_majority
 from fpaxos.scenarios import SCENARIOS, ScenarioOutcomeError, run_scenario
 from fpaxos.sim import to_jsonl
@@ -105,3 +106,22 @@ def test_fig2a_schedule_under_classic_majorities_agrees():
     assert not r.conflicting
     with pytest.raises(ReplayDivergenceError):
         replay(first + scenarios._round(1, 1, (1, 2, 3), (1, 2, 3)), cfg)
+
+
+def test_scenario_lines_pin_every_message_type():
+    """A replay event's trace line: type, ballot, its one extra field, src, dst."""
+    b, p = Ballot(2, 0), Ballot(3, 1)
+    cases = [
+        (("prepare", 1, b), '{"type":"prepare","ballot":[2,"P1"],"src":"P1","dst":"A2"}'),
+        (("promise", 1, b, None),
+         '{"type":"promise","ballot":[2,"P1"],"accepted":null,"src":"A2","dst":"P1"}'),
+        (("promise", 1, b, (Ballot(1, 1), "x")),
+         '{"type":"promise","ballot":[2,"P1"],"accepted":[[1,"P2"],"x"],"src":"A2","dst":"P1"}'),
+        (("propose", 1, b, "x"),
+         '{"type":"propose","ballot":[2,"P1"],"value":"x","src":"P1","dst":"A2"}'),
+        (("accept", 1, b), '{"type":"accept","ballot":[2,"P1"],"src":"A2","dst":"P1"}'),
+        (("nack", 1, b, p),
+         '{"type":"nack","ballot":[2,"P1"],"promised":[3,"P2"],"src":"A2","dst":"P1"}'),
+    ]
+    for event, want in cases:
+        assert to_jsonl([scenarios._message(*event)]) == want + "\n", event

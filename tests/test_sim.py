@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 from dataclasses import fields, replace
@@ -8,7 +9,14 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from fpaxos.multi import Replica, SlotPropose
-from fpaxos.quorum import make_grid, make_majority, make_simple, select_quorum
+from fpaxos.quorum import (
+    make_explicit,
+    make_grid,
+    make_majority,
+    make_simple,
+    mask_of,
+    select_quorum,
+)
 from fpaxos.sim import (
     CrashEvent,
     ElectionEvent,
@@ -98,6 +106,13 @@ def test_message_accounting_send_to_all():
     m, _ = run(quick(make_simple(10, 3), send_to_all=True, record_trace=False))
     assert m.protocol_msgs_per_commit == 20.0  # broadcast style: 2n
     assert m.msgs_per_commit == 22.0
+
+
+def test_message_accounting_explicit_family_listing_a_superset():
+    qs = make_explicit(3, [[0, 1, 2]], [[2], [0, 2]])  # {0, 2} holds the smaller {2}
+    m, _ = run(quick(qs, duration_ms=3000, record_trace=False))
+    assert m.committed > 0
+    assert m.protocol_msgs_per_commit == 2 * qs.min_q2_size() == 2.0
 
 
 def test_rotating_strategy_spreads_phase2_load():
@@ -531,6 +546,45 @@ def test_message_mutation_check_flags_the_mutating_handler(monkeypatch):
 
     monkeypatch.setattr(Replica, "_on_SlotPropose", mutating)
     assert set(mutating_deliveries(quick(make_majority(3)))) == {"SlotPropose"}
+
+
+def crash_set_runs(qs):
+    """``(crashed, live, candidate)`` for every crash set of ``qs``.
+
+    Replica 0 leads first.  If it survives it keeps leading (candidate
+    None); if not, each survivor in turn is the candidate of an election.
+    """
+    for k in range(qs.n + 1):
+        for crashed in itertools.combinations(range(qs.n), k):
+            live = [r for r in range(qs.n) if r not in crashed]
+            for candidate in live if 0 in crashed else [None]:
+                yield crashed, live, candidate
+
+
+def test_commits_go_on_after_a_crash_exactly_where_the_phases_allow():
+    """The availability claim on every crash set: after crashing F at 1 s,
+    commits go on iff the live set holds a phase-2 quorum and, when the
+    leader died and another replica is elected, also a phase-1 quorum."""
+    families = [make_majority(3), make_majority(4, improved=True), make_simple(4, 2),
+                make_grid(2, 2, "fpaxos")]
+    runs, mismatches = 0, []
+    for qs in families:
+        for crashed, live, candidate in crash_set_runs(qs):
+            cfg = quick(
+                qs, duration_ms=2500, record_trace=False,
+                crashes=tuple(CrashEvent(1000, r) for r in crashed),
+                elections=() if candidate is None else (ElectionEvent(1001, candidate),),
+            )
+            world = World(cfg)
+            world.run()
+            committing = any(t > 1_800_000 for t, _, _ in world.responses.values())
+            m = mask_of(live)
+            expected = qs.is_q2(m) and (candidate is None or qs.is_q1(m))
+            runs += 1
+            if committing != expected:
+                mismatches.append((qs.to_json(), crashed, candidate, committing))
+    assert runs == 68
+    assert mismatches == []
 
 
 # ------------------------------------------------------------ quorum picks
