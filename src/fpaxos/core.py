@@ -14,10 +14,13 @@ at recovery, and the learner's rule is :func:`decided_proposals`.  Every
 function here is deterministic in its arguments.
 
 :class:`SafetyViolationError` is the one safety exception, of replicas
-and simulator alike.  :func:`message_json`, which reads a message's JSON
-off its fields, is the one trace encoder for ``multi``'s messages;
-:func:`to_jsonl` is the one writer of JSON lines, for traces and
-counterexamples alike; :func:`read_config` is the one reader of JSON run
+and simulator alike.  :func:`message_json`, which writes a message's JSON
+text off its fields, is the one trace encoder for ``multi``'s messages,
+and :func:`json_text` encodes the other values a trace line holds.  A
+:class:`Trace` keeps the simulator's lines as that text, from the moment
+they are recorded, and reads them back as dicts.  :func:`to_jsonl` is the
+one writer of JSON lines, for traces and counterexamples alike;
+:func:`read_config` is the one reader of JSON run
 configurations, for simulations, checks and sweep specs alike, and
 :func:`check_type` its type rule, which directly built configurations
 apply too.
@@ -25,6 +28,8 @@ apply too.
 
 from __future__ import annotations
 
+import json
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cache
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
@@ -36,7 +41,7 @@ Value = str
 
 
 class SafetyViolationError(Exception):
-    """A slot resolved to two different values; ``sim.World.run`` adds the trace."""
+    """A slot resolved to two different values; ``sim.World.run`` adds its :class:`Trace`."""
 
     def __init__(self, slot, values, trace=None):
         self.slot = slot
@@ -70,29 +75,69 @@ def _plan(cls) -> tuple:
     )
 
 
-def _json_value(v):
-    if type(v) is Ballot:
-        return [v.round, v.proposer]
-    if type(v) is tuple:
-        return [_json_value(x) for x in v]
-    return v
+# The trace's value types, by exact type; a bool or a float is not an int here.
+_TEXTS = {
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    Ballot: lambda b: f"[{b.round},{b.proposer}]",
+    tuple: lambda t: "[" + ",".join([json_text(x) for x in t]) + "]",
+}
 
 
-def message_json(m) -> dict:
-    """Canonical trace form of a message, read off its fields.
+def json_text(v) -> str:
+    """``json.dumps(v, separators=(",", ":"))``, with a ballot as ``[round, proposer]``
+    and a tuple as a list, as a trace records ``v``."""
+    text = _TEXTS.get(type(v))
+    return text(v) if text is not None else _COMPACT.encode(v)
 
-    ``type`` is the class name without a ``Leader``/``Slot`` prefix,
-    lower-cased; the other fields follow in declaration order, then ``src``
-    and ``dst``.  A ballot is ``[round, proposer]`` and a tuple a list.  A
-    field's ``metadata["trace"]`` renames its key, or with None leaves it out.
+
+@cache
+def _formatter(cls):
+    """``message_json`` of ``cls``, compiled once from ``_plan``: the constant
+    text of its keys joined around each field's ``json_text``."""
+    name, keys = _plan(cls)
+    parts = [repr('{"type":' + encode_basestring_ascii(name))]
+    for key, attr in (*keys, ("src", "src"), ("dst", "dst")):
+        parts += [repr("," + encode_basestring_ascii(key) + ":"), f"json_text(m.{attr})"]
+    namespace = {"json_text": json_text}
+    exec(f"def message_json(m):\n    return ''.join(({', '.join(parts)}, '}}'))", namespace)
+    return namespace["message_json"]
+
+
+def message_json(m) -> str:
+    """Canonical trace text of a message, read off its fields.
+
+    It is the compact JSON of an object: ``type``, the class name without a
+    ``Leader``/``Slot`` prefix, lower-cased; the other fields in declaration
+    order, then ``src`` and ``dst``.  A ballot is ``[round, proposer]`` and a
+    tuple a list.  A field's ``metadata["trace"]`` renames its key, or with
+    None leaves it out.
     """
-    name, keys = _plan(type(m))
-    d = {"type": name}
-    for key, attr in keys:
-        d[key] = _json_value(getattr(m, attr))
-    d["src"] = m.src
-    d["dst"] = m.dst
-    return d
+    return _formatter(type(m))(m)
+
+
+class Trace(Sequence):
+    """A simulator trace: one JSON text line per event, each ending in ``\\n``.
+
+    A run records each line as its final text in ``lines``, so it keeps no
+    dict per event; indexing and iteration read a line back as a dict.
+    """
+
+    __slots__ = ("lines",)
+
+    def __init__(self):
+        self.lines = []
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [json.loads(line) for line in self.lines[i]]
+        return json.loads(self.lines[i])
+
+    def __iter__(self):
+        return map(json.loads, self.lines)
 
 
 _COMPACT = JSONEncoder(separators=(",", ":"))  # json.dumps(v, separators=(",", ":"))
@@ -101,11 +146,15 @@ _COMPACT = JSONEncoder(separators=(",", ":"))  # json.dumps(v, separators=(",", 
 def to_jsonl(lines) -> str:
     """``json.dumps(line, separators=(",", ":")) + "\\n"`` for each line, joined.
 
-    ``json.dumps`` with non-default separators builds a new encoder for
-    every line; this builds one C encoder with the same settings and runs it
-    on them all.  It is built per call so that its circular-reference
-    markers, which an encoding error leaves filled, are never shared.
+    A :class:`Trace` is already that text, and is joined.  For dict lines
+    (checker counterexamples, scenario traces) ``json.dumps`` with
+    non-default separators would build a new encoder for every line; this
+    builds one C encoder with the same settings and runs it on them all.
+    It is built per call so that its circular-reference markers, which an
+    encoding error leaves filled, are never shared.
     """
+    if isinstance(lines, Trace):
+        return "".join(lines.lines)
     if c_make_encoder is None:  # an interpreter without the _json accelerator
         return "".join([_COMPACT.encode(line) + "\n" for line in lines])
     c = _COMPACT

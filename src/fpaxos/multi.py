@@ -29,7 +29,8 @@ only when a crash is injected with ``lose_memory``.
 
 These wire messages are the program's one message vocabulary; the
 simulator's message counts are keyed by class name, and the trace
-encoder is :func:`fpaxos.core.message_json`.  They are slotted
+encoder is :func:`fpaxos.core.message_json`, which writes a message's
+JSON text as the simulator records it.  They are slotted
 dataclass records that nothing mutates or hashes, and ``on_message``
 dispatches them through a table keyed by class.  They are not frozen: a
 frozen dataclass sets each field through ``object.__setattr__``, which

@@ -36,11 +36,17 @@ quorum system's compiled phase-2 predicate; the first pair to qualify is
 the slot's decision, and any later pair with another value aborts the run
 with the trace as counterexample.  So does ``core.SafetyViolationError``
 (re-exported here) from a replica's learner, or a client's wrong payload.
+
+The trace, when recorded, is a :class:`fpaxos.core.Trace`: each event is
+written as its final JSON line when it happens, a message through
+``multi.message_json``, so a run builds no dict per event and ``to_jsonl``
+only joins the lines.  Reading the trace back parses the lines.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import random
 from collections import Counter, defaultdict
@@ -49,7 +55,7 @@ from typing import Tuple
 
 from . import multi
 from .core import SafetyViolationError  # noqa: F401 (re-exported)
-from .core import check_type, read_config, to_jsonl
+from .core import Trace, check_type, json_text, read_config, to_jsonl
 from .multi import CLIENT, NOOP, Replica
 from .quorum import STRATEGIES, QuorumSystem, is_id_lists, mask_of
 
@@ -350,7 +356,7 @@ class World:
         self.seq = 0
         self.now = 0
         self.end_us = ms_to_us(cfg.duration_ms)
-        self.trace = []
+        self.trace = Trace()
         self.leader_id = None
         self.elections = 0  # scheduled elections so far; a retry of an earlier one stops
         # client
@@ -378,13 +384,19 @@ class World:
         self.seq += 1
 
     def _trace(self, ev: str, **fields) -> None:
+        """Record ``{"t", "ev", **fields}`` as JSON text; ``ev`` and the keys are plain names."""
         if self.cfg.record_trace:
-            self.trace.append({"t": self.now, "ev": ev, **fields})
+            text = "".join([f',"{key}":{json_text(v)}' for key, v in fields.items()])
+            self.trace.lines.append(f'{{"t":{self.now},"ev":"{ev}"{text}}}\n')
 
-    def _trace_msg(self, ev: str, m, **fields) -> None:
-        """Like ``_trace`` with a trailing ``msg`` field, encoded only when recorded."""
+    def _trace_msg(self, ev: str, m, why: str = "") -> None:
+        """Like ``_trace`` with a ``why`` field if given and a trailing ``msg``,
+        encoded only when recorded."""
         if self.cfg.record_trace:
-            self.trace.append({"t": self.now, "ev": ev, **fields, "msg": multi.message_json(m)})
+            why = why and f',"why":"{why}"'
+            self.trace.lines.append(
+                f'{{"t":{self.now},"ev":"{ev}"{why},"msg":{multi.message_json(m)}}}\n'
+            )
 
     def _same_side(self, a, b) -> bool:
         if self.partition is None:
@@ -559,7 +571,7 @@ class World:
 
     def _leader_established(self, r: int) -> None:
         self.leader_id = r
-        self._trace("leader", replica=r, ballot=self.replicas[r].ballot.json())
+        self._trace("leader", replica=r, ballot=self.replicas[r].ballot)
         for req_id in sorted(self.outstanding):  # re-send what an earlier leader left
             _, payload = self.outstanding[req_id]
             self._send(_request_to(r, req_id, payload))
@@ -603,7 +615,7 @@ class World:
         prev = self.registry.get(slot)
         if prev is None:
             self.registry[slot] = v
-            self._trace("decide", slot=slot, ballot=b.json(), value=v)
+            self._trace("decide", slot=slot, ballot=b, value=v)
         elif prev != v:
             raise SafetyViolationError(slot, [prev, v])
 
@@ -652,8 +664,10 @@ def _request_to(leader_id: int, req_id: str, payload: str) -> multi.Request:
 
 
 def run(cfg: SimConfig):
-    """Execute one world; returns (metrics, trace lines).
+    """Execute one world; returns (metrics, trace).
 
+    The trace is a :class:`fpaxos.core.Trace`, empty unless
+    ``record_trace``: its lines are JSON text and read back as dicts.
     Raises :class:`SafetyViolationError` with the trace if any slot ever
     resolves to two different values (impossible for quorum systems with
     cross-phase intersection and durable acceptors).
@@ -663,6 +677,11 @@ def run(cfg: SimConfig):
     return metrics, world.trace
 
 
-def commit_times_us(trace) -> list:
-    """Response timestamps from a trace, for windowed commit-rate asserts."""
-    return [l["t"] for l in trace if l["ev"] == "response"]
+def commit_times_us(trace: Trace) -> list:
+    """Response timestamps from a trace, for windowed commit-rate asserts.
+
+    Only ``response`` lines are parsed: every line's text starts
+    ``{"t":T,"ev":"...``, so the text after the first comma tells them apart.
+    """
+    return [json.loads(line)["t"] for line in trace.lines
+            if line.startswith('"ev":"response"', line.index(",") + 1)]

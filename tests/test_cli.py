@@ -742,6 +742,27 @@ def test_simulate_faults_trace_and_metrics_match_golden(capsys, tmp_path):
     assert metrics.read_text() == (GOLDEN / "cli_simulate_faults.metrics.json").read_text()
 
 
+def test_simulate_amnesia_and_nacks_trace_matches_golden(capsys, tmp_path):
+    trace = tmp_path / "t.jsonl"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--kind", "majority", "--n", "5", "--window", "1",
+        "--latency", "1:30", "--duplicate", "0.1",
+        "--duration-ms", "400", "--warmup-ms", "50", "--cooldown-ms", "50",
+        "--crash", "t=100,r=1,wipe", "--restore", "t=120,r=1",
+        "--elect", "t=85,r=4", "--elect", "t=197,r=4", "--elect", "t=214,r=1",
+        "--seed", "5056", "--trace", str(trace),
+    )
+    assert code == 0
+    text = trace.read_text()
+    # the run covers what the faults golden does not: a memory-wiping crash,
+    # a message dropped at a crashed replica, a nack and a duplicate response
+    assert '"wipe":true' in text and '"why":"crashed"' in text
+    lines = [json.loads(l) for l in text.splitlines()]
+    assert any(l["ev"] == "send" and l["msg"]["type"] == "nack" for l in lines)
+    assert any(l["ev"] == "duplicate_response" for l in lines)
+    assert text == (GOLDEN / "cli_simulate_amnesia_nack.jsonl").read_text()
+
+
 # ------------------------------------------------------------------- sweep
 
 

@@ -421,7 +421,7 @@ _messages = st.one_of(
               st.lists(_accepted, max_size=3).map(tuple)),
     st.builds(SlotPropose, st.integers(), st.integers(), _ballots, st.integers(0, 99), _text,
               st.integers(0, 99)),
-).map(core.message_json)
+).map(lambda m: json.loads(core.message_json(m)))
 _keys = _text | st.integers() | st.floats() | st.booleans() | st.none()
 _values = st.recursive(
     _scalars | _messages,
@@ -441,10 +441,21 @@ def test_to_jsonl_matches_json_dumps_per_line(lines):
 
 def test_to_jsonl_serves_sim_and_matches_without_the_c_encoder(monkeypatch):
     assert sim.to_jsonl is core.to_jsonl
-    lines = [{"a": [1, 2.5, float("nan")], "é": None}, core.message_json(prop(B(1, 2), "v"))]
+    propose = json.loads(core.message_json(prop(B(1, 2), "v")))
+    lines = [{"a": [1, 2.5, float("nan")], "é": None}, propose]
     assert core.to_jsonl([]) == ""
     monkeypatch.setattr(core, "c_make_encoder", None)  # the pure-Python path gives the same text
     assert core.to_jsonl(lines) == dumps_lines(lines)
+
+
+def test_trace_reads_its_text_lines_back_as_dicts():
+    trace = core.Trace()
+    trace.lines += ['{"t":0,"ev":"a"}\n', '{"t":5,"ev":"b","x":[1,"\\u00e9"]}\n']
+    assert len(trace) == 2
+    assert trace[1] == trace[-1] == {"t": 5, "ev": "b", "x": [1, "é"]}
+    assert trace[:1] == [{"t": 0, "ev": "a"}]
+    assert list(trace) == [trace[0], trace[1]] and {"t": 0, "ev": "a"} in trace
+    assert core.to_jsonl(trace) == "".join(trace.lines) == dumps_lines(trace)
 
 
 def test_to_jsonl_errors_like_json_dumps_and_recovers():

@@ -2,7 +2,7 @@ import json
 import random
 from collections import deque
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpaxos import core, multi
@@ -10,12 +10,14 @@ from fpaxos.core import Ballot
 from fpaxos.multi import (
     CLIENT,
     NOOP,
+    LeaderNack,
     LeaderPrepare,
     LeaderPromise,
     Replica,
     Request,
     Response,
     SlotAccept,
+    SlotNack,
     SlotPropose,
     message_json,
 )
@@ -437,7 +439,8 @@ def test_crash_semantics():
 
 
 def test_message_json_has_slot_fields():
-    d = message_json(SlotPropose(src=0, dst=1, ballot=Ballot(2, 0), slot=7, value="v", commit=4))
+    m = SlotPropose(src=0, dst=1, ballot=Ballot(2, 0), slot=7, value="v", commit=4)
+    d = json.loads(message_json(m))
     assert d == {
         "type": "propose",
         "ballot": [2, 0],
@@ -447,7 +450,7 @@ def test_message_json_has_slot_fields():
         "src": 0,
         "dst": 1,
     }
-    r = message_json(Response(src=0, dst=CLIENT, req_id="r1", slot=3, payload="v"))
+    r = json.loads(message_json(Response(src=0, dst=CLIENT, req_id="r1", slot=3, payload="v")))
     assert r["type"] == "response" and r["slot"] == 3
 
 
@@ -474,4 +477,60 @@ def test_message_json_pins_every_class():
          '{"type":"nack","ballot":[2,0],"slot":7,"promised":[3,1],"src":1,"dst":0}'),
     ]
     for m, want in cases:
-        assert json.dumps(message_json(m), separators=(",", ":")) == want, m
+        assert message_json(m) == want, m
+
+
+def spelled_out(m) -> dict:
+    """A message's trace form written out class by class, not read off its fields."""
+
+    def b(x):
+        return [x.round, x.proposer]
+
+    t = type(m)
+    if t is Request:
+        d = {"type": "request", "req": m.req_id}
+    elif t is Response:
+        d = {"type": "response", "req": m.req_id, "slot": m.slot}
+    elif t is LeaderPrepare:
+        d = {"type": "prepare", "ballot": b(m.ballot), "from_slot": m.from_slot}
+    elif t is LeaderPromise:
+        d = {"type": "promise", "ballot": b(m.ballot), "from_slot": m.from_slot,
+             "accepted": [[s, b(x), v] for s, x, v in m.accepted]}
+    elif t is LeaderNack:
+        d = {"type": "nack", "ballot": b(m.ballot), "promised": b(m.promised)}
+    elif t is SlotPropose:
+        d = {"type": "propose", "ballot": b(m.ballot), "slot": m.slot, "value": m.value,
+             "commit": m.commit}
+    elif t is SlotAccept:
+        d = {"type": "accept", "ballot": b(m.ballot), "slot": m.slot}
+    else:
+        assert t is SlotNack
+        d = {"type": "nack", "ballot": b(m.ballot), "slot": m.slot, "promised": b(m.promised)}
+    return {**d, "src": m.src, "dst": m.dst}
+
+
+_strs = st.text() | st.sampled_from(
+    [NOOP, '"', "\\", '\\"', "é😀", "\u2028\ud800", "\x00\x1f\x7f", 'a"b\\cé']
+)
+_ends = st.integers(0, 9) | st.just(CLIENT)
+_ints = st.integers(0, 2**40)
+_ballots = st.builds(Ballot, _ints, st.integers(0, 9))
+_wire = st.one_of(
+    st.builds(Request, _ends, _ends, _strs, _strs),
+    st.builds(Response, _ends, _ends, _strs, _ints, _strs),
+    st.builds(LeaderPrepare, _ends, _ends, _ballots, _ints),
+    st.builds(LeaderPromise, _ends, _ends, _ballots, _ints,
+              st.lists(st.tuples(_ints, _ballots, _strs), max_size=3).map(tuple)),
+    st.builds(LeaderNack, _ends, _ends, _ballots, _ballots),
+    st.builds(SlotPropose, _ends, _ends, _ballots, _ints, _strs, _ints),
+    st.builds(SlotAccept, _ends, _ends, _ballots, _ints),
+    st.builds(SlotNack, _ends, _ends, _ballots, _ints, _ballots),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_wire)
+@example(LeaderPromise(1, CLIENT, Ballot(1, 0), 0, ()))
+@example(LeaderPromise(CLIENT, 0, Ballot(1, 0), 0, ((0, Ballot(0, 1), NOOP), (1, Ballot(1, 1), "é"))))
+def test_message_json_is_json_dumps_of_the_spelled_out_form(m):
+    assert message_json(m) == json.dumps(spelled_out(m), separators=(",", ":"))

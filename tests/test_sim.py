@@ -343,7 +343,7 @@ def test_faulty_run_metrics_do_not_depend_on_tracing():
     traced, trace = run(cfg)
     untraced, no_trace = run(replace(cfg, record_trace=False))
     assert untraced == traced
-    assert no_trace == []
+    assert list(no_trace) == []
     assert traced.drops > 0 and traced.committed > 0
     assert any(l["ev"] == "decide" for l in trace)
 
@@ -475,6 +475,19 @@ def test_fault_schedules_stay_safe_and_recover(cfg):
     assert_logs_hold_decisions(world)
     final_us = (FAULT_MS + SETTLE_MS) * 1000
     assert any(t >= final_us for t, _, _ in world.responses.values())
+
+
+@settings(deadline=None, max_examples=15, derandomize=True)
+@given(cfg=fault_schedules())
+def test_trace_text_is_json_dumps_of_the_lines_it_reads_back(cfg):
+    """A recorded line is final text: exactly ``json.dumps`` of the dict it reads back as."""
+    world = World(replace(cfg, record_trace=True))
+    world.run()
+    lines = list(world.trace)
+    assert len(lines) == len(world.trace) > 0
+    dumped = "".join(json.dumps(l, separators=(",", ":")) + "\n" for l in lines)
+    assert to_jsonl(world.trace) == dumped
+    assert commit_times_us(world.trace) == [l["t"] for l in lines if l["ev"] == "response"]
 
 
 def test_drawn_fault_schedules_run_dueling_leaders():
@@ -684,7 +697,7 @@ def test_memory_loss_violation_is_caught_without_a_trace():
     with pytest.raises(SafetyViolationError) as err:
         run(replace(amnesia_config(wipe=True), record_trace=False))
     assert len(err.value.values) == 2
-    assert err.value.trace == []
+    assert list(err.value.trace) == []
 
 
 def test_replica_detected_violation_ends_the_run_with_a_trace():
@@ -709,7 +722,7 @@ def test_replica_detected_violation_ends_the_run_with_a_trace():
     assert deliver["msg"]["value"] == e.values[1]
     with pytest.raises(SafetyViolationError) as err:
         run(replace(cfg, record_trace=False))
-    assert (err.value.slot, err.value.values, err.value.trace) == (77, e.values, [])
+    assert (err.value.slot, err.value.values, list(err.value.trace)) == (77, e.values, [])
 
 
 def test_same_schedule_with_durable_state_is_safe():
