@@ -5,13 +5,13 @@ breadth-first search with deduplication.  The encoding follows the usual
 explicit-state style for asynchronous consensus: the network is a
 monotonically growing set of sent messages (loss is "never delivered",
 duplication is "delivered again"), and acceptor state is the promised
-ballot plus the last accepted proposal.
+ballot; its accepted pair is read off its accepts.
 
 Actions:
 
 * ``prepare(b)`` -- the owner of ballot b asks for promises.
 * ``promise(a, b)`` -- acceptor a promises b if it beats every earlier
-  promise; the reply freezes a's accepted pair at promise time.
+  promise; the reply reports a's highest-ballot accept at promise time.
 * ``propose(b, v)`` -- enabled once some phase-1 quorum of promises for
   b exists; v is forced to the highest-ballot accepted value among that
   quorum's promises, and is a free choice only when the quorum reported
@@ -223,13 +223,16 @@ class _Space:
       prepared   B bits, bit b: ballot b was prepared
       promised   n fields of wP bits: acceptor a's promise (0 = none, else 1+b)
       proposals  B fields of wV bits: ballot b's proposal (0 = absent, else 1+v)
-      accepted   n fields of wA bits: a's accepted pair (0 = none, else 1+b*V+v)
       promises   n*B fields of wC bits, ballot-major (field b*n+a): the
-                 promise a sent for b (0 = absent, else 1 + a's accepted
-                 field when it promised); ballot b's n fields form one
-                 row, the key of b's phase-1 value choice
+                 promise a sent for b (0 = absent, else 1 + a's pair when it
+                 promised: 0 = none, else 1+b*V+v); ballot b's n fields
+                 form one row, the key of b's phase-1 value choice
       accepts    B*V*n bits, bit (b*V+v)*n + a: a's accept message for
                  (b, v), so the holders of (b, v) are one shift and one mask
+
+    An acceptor's accepted pair is its highest-ballot accept (it accepts
+    only at or above its promise, and each accept raises it), so it is read
+    off the accept bits, not stored.
 
     The initial state is 0, and every successor is ``s | bit`` or
     ``s + delta``.  The first three fields, the control bits, decide
@@ -245,18 +248,14 @@ class _Space:
         self.V = V = len(cfg.values)
         self.wP = wP = B.bit_length()
         self.wV = wV = V.bit_length()
-        self.wA = wA = (B * V).bit_length()
         self.wC = wC = (B * V + 1).bit_length()
         self.PROM = B
         self.PROP = self.PROM + n * wP
-        self.ACC = self.PROP + B * wV  # the control bits end here
-        self.CELL = self.ACC + n * wA
+        self.CELL = self.PROP + B * wV  # the control bits end here
         self.AMSG = self.CELL + B * n * wC
         self.prom_sh = [self.PROM + a * wP for a in range(n)]
-        self.acc_sh = [self.ACC + a * wA for a in range(n)]
         self.row_sh = [self.CELL + b * n * wC for b in range(B)]
-        self.pmask, self.vmask = (1 << wP) - 1, (1 << wV) - 1
-        self.amask, self.cmask = (1 << wA) - 1, (1 << wC) - 1
+        self.pmask, self.vmask, self.cmask = (1 << wP) - 1, (1 << wV) - 1, (1 << wC) - 1
         self.is_q1 = qs.is_q1
         self.q2 = _Memo(qs.is_q2)  # holders mask -> is a phase-2 quorum
         self.threshold_kind = qs.kind in _THRESHOLD_KINDS  # acceptors interchangeable
@@ -278,7 +277,7 @@ class _Space:
              for v in range(V)]
             for b in range(B)
         ]
-        self.chosen = _Memo(self._chosen)  # accept bits -> chosen pairs
+        self.accepted = _Memo(self._accepted)  # accept bits -> chosen pairs, promise cells
         self.templates = _Memo(self._templates)  # control bits -> edge templates
         self.choices = [_Memo(partial(self._value_choices, b)) for b in range(B)]  # row
         # symmetry: proposals -> proposals renamed in order, and acceptor blocks
@@ -306,18 +305,17 @@ class _Space:
         add = edges.append
         bad = None
         prepares, promises, unproposed, accepts, later_conflicts = (
-            self.templates[s & (1 << self.ACC) - 1]
+            self.templates[s & (1 << self.CELL) - 1]
         )
         for action, bit in prepares:
             add((action, s | bit))
 
-        cmask, amask = self.cmask, self.amask
-        for action, delta, cell, acc in promises:
+        chosen, cells = self.accepted[s >> self.AMSG]
+        cmask = self.cmask
+        for action, delta, cell, own in promises:
             if not s >> cell & cmask:
-                add((action, s + delta + (1 + (s >> acc & amask) << cell)))
+                add((action, s + delta + ((cells >> own & cmask) << cell)))
 
-        am = s >> self.AMSG
-        chosen = self.chosen[am]
         row_mask = (1 << self.n * self.wC) - 1
         for b, row_sh, choices in unproposed:
             row = s >> row_sh & row_mask
@@ -328,7 +326,7 @@ class _Space:
                     add((action, s + delta))
 
         q2, holders_mask = self.q2, (1 << self.n) - 1
-        for action, delta, acc, held_sh, bit, k in accepts:
+        for action, delta, held_sh, bit, k in accepts:
             held = s >> held_sh & holders_mask
             if not held & bit:
                 if bad is None and q2[held | bit] and not q2[held]:  # k newly chosen
@@ -336,25 +334,25 @@ class _Space:
                         bad = (len(edges), AGREEMENT)
                     elif later_conflicts >> k & 1:
                         bad = (len(edges), PROPOSAL_CONSISTENCY)
-                add((action, s + delta - ((s >> acc & amask) << acc)))
+                add((action, s + delta))
         return edges, bad
 
     def _templates(self, control: int):
         """The edge templates of one value of the control bits.
 
         * prepares: ``(action, bit)`` per ballot not yet prepared.
-        * promises: ``(action, delta, cell, acc)`` per promise(a, b) with b
+        * promises: ``(action, delta, cell, own)`` per promise(a, b) with b
           prepared and above a's promise, a-major.  It is enabled while
           its cell is empty; ``delta`` raises a's promise, and the caller
-          also copies a's accepted field (at ``acc``) into the cell.
+          also writes the cell: field ``own`` of the accept bits' cells
+          (``_accepted``).
         * unproposed: ``(b, row shift, value-choice memo)`` per ballot
           without a proposal.
-        * accepts: ``(action, delta, acc, held_sh, bit, k)`` per accept(a,
-          b, v) of the proposed pair k = b*V+v by an acceptor promised at
-          most b, b-major.  It is enabled while a does not hold the pair
-          (bit ``bit`` of the holders at ``held_sh``); ``delta`` raises a's
-          promise, sets the accept bit and adds k+1 to a's accepted field
-          at ``acc``, from which the caller subtracts the old pair.
+        * accepts: ``(action, delta, held_sh, bit, k)`` per accept(a, b, v)
+          of the proposed pair k = b*V+v by an acceptor promised at most
+          b, b-major.  It is enabled while a does not hold the pair (bit
+          ``bit`` of the holders at ``held_sh``); ``delta`` raises a's
+          promise and sets the accept bit.
         * later_conflicts: the pairs (b, v) that a proposal at a ballot
           above b contradicts, if proposal-consistency is checked.
         """
@@ -365,7 +363,7 @@ class _Space:
         prepares = [(("prepare", b), 1 << b) for b in range(B) if not prepared[b]]
         promises = [
             (("promise", a, b), 1 + b - promised[a] << self.prom_sh[a],
-             self.row_sh[b] + a * self.wC, self.acc_sh[a])
+             self.row_sh[b] + a * self.wC, a * self.wC)
             for a in range(n)
             for b in range(promised[a], B)
             if prepared[b]
@@ -380,10 +378,8 @@ class _Space:
                 held_sh = self.AMSG + k * n
                 for a in range(n):
                     if promised[a] <= b + 1:
-                        delta = ((1 + b - promised[a] << self.prom_sh[a])
-                                 + (1 + k << self.acc_sh[a]) + (1 << held_sh + a))
-                        accepts.append((("accept", a, b, v), delta, self.acc_sh[a], held_sh,
-                                        1 << a, k))
+                        delta = (1 + b - promised[a] << self.prom_sh[a]) + (1 << held_sh + a)
+                        accepts.append((("accept", a, b, v), delta, held_sh, 1 << a, k))
                 if self.pc:
                     later_conflicts |= sum(1 << b1 * V + v1 for b1 in range(b)
                                            for v1 in range(V) if v1 != v)
@@ -417,17 +413,25 @@ class _Space:
             for v in sorted(choices)
         ]
 
-    def _chosen(self, am: int) -> int:
-        """The pairs whose accept bits ``am`` cover a phase-2 quorum."""
+    def _accepted(self, am: int):
+        """``(chosen, cells)`` of accept bits ``am``.  ``chosen`` holds the pairs
+        whose holders are a phase-2 quorum; field a (wC bits) of ``cells`` is
+        the cell a promise by acceptor a writes: 2+k for its highest-ballot
+        pair k (k = b*V+v ascends with b), or 1 if it holds none."""
         n, q2, holders_mask = self.n, self.q2, (1 << self.n) - 1
-        return sum(1 << k for k in range(self.B * self.V) if q2[am >> k * n & holders_mask])
+        chosen, cells = 0, [1] * n
+        for k in range(self.B * self.V):
+            held = am >> k * n & holders_mask
+            chosen |= q2[held] << k
+            cells = [2 + k if held >> a & 1 else c for a, c in enumerate(cells)]
+        return chosen, sum(c << a * self.wC for a, c in enumerate(cells))
 
     # -- optional symmetry canonicalization --------------------------
 
     def canonical(self, s: int) -> int:
         """The state that stands for ``s``'s orbit under the symmetry group.
 
-        The model accepts only a ballot's proposal, and promise cells copy
+        The model accepts only a ballot's proposal, and promise cells report
         accepted pairs, so every value a state holds is its ballot's
         proposal: naming values by first appearance among the proposals
         fixes every label.  Threshold kinds also sort the acceptor blocks.
@@ -456,21 +460,20 @@ class _Space:
         """Region memos that cut a state into acceptor blocks, and per
         position a memo that packs a block, plus proposals, back.
 
-        Acceptor a's block holds its promise, the ballot of its accepted
-        pair, the ballot in its cell of each promise row and, per ballot,
-        whether it holds that ballot's proposal; the proposals fix every
-        value.  A region (the promises, the accepted pairs, one promise
-        row, one ballot's holders) maps its bits to each acceptor's share.
+        Acceptor a's block holds its promise, the ballot in its cell of
+        each promise row and, per ballot, whether it holds that ballot's
+        proposal; the proposals fix every value.  A region (the promises,
+        one promise row, one ballot's holders) maps its bits to each
+        acceptor's share.
         """
         n, B, V, wP, wC, wV = self.n, self.B, self.V, self.wP, self.wC, self.wV
         wb = (B + 1).bit_length()  # a cell's ballot: 0 absent, 1 nothing accepted, else 2+b
         prom_at = B * wV  # below it, the proposals
-        cell_at, held_at = prom_at + 2 * wP, prom_at + 2 * wP + B * wb
+        cell_at, held_at = prom_at + wP, prom_at + wP + B * wb
 
         def block(a, s):
             ballot = lambda code: code and 1 + (code - 1) // V  # of an accepted pair
             x = (s >> self.prom_sh[a] & self.pmask) << prom_at
-            x |= ballot(s >> self.acc_sh[a] & self.amask) << prom_at + wP
             for b, row_sh in enumerate(self.row_sh):
                 cell = s >> row_sh + a * wC & self.cmask
                 x |= (cell and 1 + ballot(cell - 1)) << cell_at + b * wb
@@ -480,7 +483,6 @@ class _Space:
         def place(i, x):
             pair = lambda c: c and (c - 1) * V + (x >> (c - 1) * wV & self.vmask)  # c = 1 + b
             s = (x >> prom_at & self.pmask) << self.prom_sh[i]
-            s |= pair(x >> prom_at + wP & self.pmask) << self.acc_sh[i]
             for b, row_sh in enumerate(self.row_sh):
                 cell = x >> cell_at + b * wb & (1 << wb) - 1
                 s |= (cell and 1 + pair(cell - 1)) << row_sh + i * wC
@@ -488,7 +490,7 @@ class _Space:
                     s |= 1 << self.AMSG + (pair(1 + b) - 1) * n + i
             return s
 
-        spans = ([(self.PROM, n * wP), (self.ACC, n * self.wA)]
+        spans = ([(self.PROM, n * wP)]
                  + [(sh, n * wC) for sh in self.row_sh]
                  + [(self.AMSG + b * V * n, V * n) for b in range(B)])
         split = lambda lo: _Memo(lambda r: tuple(block(a, r << lo) for a in range(n)))

@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import checker as chk
 from . import scenarios, sim
-from .core import read_config
+from .core import check_type
 from .quorum import (
     EXPLICIT,
     SIMPLE,
@@ -322,15 +322,18 @@ def cmd_simulate(args) -> int:
 def build_sweep(args):
     """Expand a JSON spec, overridden by the flags given, into a run list.
 
-    The spec's own keys (``SWEEP_DEFAULTS``) go through ``read_config``; the
-    rest is every run's ``SimConfig`` but ``seed`` and ``record_trace``.
+    The spec's own keys (``SWEEP_DEFAULTS``) must have their defaults'
+    types; the rest is every run's ``SimConfig`` but ``seed`` and
+    ``record_trace``.
     """
     d = merge_entries(args.spec, args, SWEEP_KEYS)
     for key in ("seed", "record_trace"):
         if key in d:
             raise ValueError(f"{key} cannot be set in a sweep spec: the sweep sets it on every run")
     own = {key: d.pop(key) for key in SWEEP_DEFAULTS if key in d}
-    spec = {**SWEEP_DEFAULTS, **read_config(own, SWEEP_DEFAULTS, {}, "sweep")}
+    for key, value in own.items():
+        check_type(key, value, SWEEP_DEFAULTS[key])
+    spec = {**SWEEP_DEFAULTS, **own}
     q2_list, quorum = spec["q2_list"], d.get("quorum")
     if q2_list and not (isinstance(quorum, dict) and quorum.get("kind") == SIMPLE):
         raise ValueError(f"q2_list needs a simple quorum, got {quorum!r}")

@@ -20,10 +20,10 @@ and :func:`json_text` encodes the other values a trace line holds.  A
 :class:`Trace` keeps the simulator's lines as that text, from the moment
 they are recorded, and reads them back as dicts.  :func:`to_jsonl` is the
 one writer of JSON lines, for traces and counterexamples alike;
-:func:`read_config` is the one reader of JSON run
-configurations, for simulations, checks and sweep specs alike, and
-:func:`check_type` its type rule, which directly built configurations
-apply too.
+:func:`read_config` is the one reader of JSON run configurations, for
+simulations and checks alike.  It only decodes: each configuration checks
+its own values when it is built, by :func:`check_type`'s type rule among
+others.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cache
-from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
+from json.encoder import JSONEncoder, encode_basestring_ascii
 from typing import Callable, Mapping, Optional
 
 from .quorum import QuorumSystem, select_quorum  # noqa: F401 (perfbench/spans.py wraps it)
@@ -146,23 +146,13 @@ _COMPACT = JSONEncoder(separators=(",", ":"))  # json.dumps(v, separators=(",", 
 def to_jsonl(lines) -> str:
     """``json.dumps(line, separators=(",", ":")) + "\\n"`` for each line, joined.
 
-    A :class:`Trace` is already that text, and is joined.  For dict lines
-    (checker counterexamples, scenario traces) ``json.dumps`` with
-    non-default separators would build a new encoder for every line; this
-    builds one C encoder with the same settings and runs it on them all.
-    It is built per call so that its circular-reference markers, which an
-    encoding error leaves filled, are never shared.
+    A :class:`Trace` is already that text, and is joined.  Dict lines
+    (checker counterexamples, scenario traces) go through one shared
+    encoder with those separators, which is what ``json.dumps`` runs.
     """
     if isinstance(lines, Trace):
         return "".join(lines.lines)
-    if c_make_encoder is None:  # an interpreter without the _json accelerator
-        return "".join([_COMPACT.encode(line) + "\n" for line in lines])
-    c = _COMPACT
-    encode = c_make_encoder(
-        {}, c.default, encode_basestring_ascii, c.indent, c.key_separator,
-        c.item_separator, c.sort_keys, c.skipkeys, c.allow_nan,
-    )
-    return "".join(["".join(encode(line, 0)) + "\n" for line in lines])
+    return "".join([_COMPACT.encode(line) + "\n" for line in lines])
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
@@ -172,20 +162,15 @@ _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str:
 def read_config(d, defaults: Mapping, decoders: Mapping[str, Callable], what: str) -> dict:
     """The keyword arguments that the JSON object ``d`` gives a configuration.
 
-    Each key must be in ``defaults``.  A key in ``decoders`` takes what its
-    decoder returns; any other value must pass :func:`check_type`.  A
-    violation is a ``ValueError`` naming the key.  Absent keys stay absent.
+    Each key must be in ``defaults``, or it is a ``ValueError`` naming it.
+    A key in ``decoders`` takes what its decoder returns, and any other
+    value is passed as it is: the configuration checks its own values.
+    Absent keys stay absent.
     """
     unknown = sorted(set(d) - set(defaults))
     if unknown:
         raise ValueError(f"unknown {what} config key(s): {', '.join(unknown)}")
-    kw = dict(d)
-    for key, value in d.items():
-        if key in decoders:
-            kw[key] = decoders[key](value)
-        else:
-            check_type(key, value, defaults[key])
-    return kw
+    return {key: decoders[key](value) if key in decoders else value for key, value in d.items()}
 
 
 def check_type(key: str, value, default) -> None:

@@ -5,7 +5,8 @@ clock in integer microseconds, and a single seeded RNG.  Identical
 configurations (including the seed) produce byte-identical traces and
 metrics.  Events are processed in (time, insertion-sequence) order, so
 ties break deterministically.  ``SimConfig.from_json`` decodes a config
-through :func:`fpaxos.core.read_config`; every time must be finite in us.
+through :func:`fpaxos.core.read_config`, and a ``SimConfig`` checks its
+values when it is built; every time must be finite in us.
 
 The network model is one-way link latency per replica pair (fixed, or
 sampled once per pair from a uniform range), optional message loss and
@@ -205,6 +206,9 @@ class SimConfig:
     election_retry_ms: float = 100.0
     retransmit_ms: float = 200.0
 
+    def __post_init__(self):
+        self.validate()
+
     @property
     def n(self) -> int:
         return self.quorum.n
@@ -212,7 +216,8 @@ class SimConfig:
     def validate(self) -> None:
         """Raise a ``ValueError`` naming the field unless the run is well defined.
 
-        Field and schedule-entry types follow the rules of JSON input.
+        Field and schedule-entry types follow the rules of JSON input.  A
+        config runs this when it is built.
         """
         for f in fields(self):
             if f.name not in _DECODERS:
@@ -328,7 +333,6 @@ class World:
     """Owner of all replica state, the event heap, and the metrics."""
 
     def __init__(self, cfg: SimConfig):
-        cfg.validate()
         self.cfg = cfg
         n = cfg.n
         self.rng = random.Random(cfg.seed)

@@ -407,7 +407,6 @@ def _image(space, s, ap, vp):
         out |= (p and 1 + vp[p - 1]) << sh
     for a in range(n):
         out |= field(space.prom_sh[a], space.wP) << space.prom_sh[ap[a]]
-        out |= pair(field(space.acc_sh[a], space.wA)) << space.acc_sh[ap[a]]
         for b in range(B):
             cell = field(space.row_sh[b] + a * wC, wC)
             out |= (cell and 1 + pair(cell - 1)) << space.row_sh[b] + ap[a] * wC
@@ -498,6 +497,45 @@ def test_every_action_adds_exactly_one_event(cfg):
             if key not in seen:
                 seen.add(key)
                 frontier.append(key)
+
+
+@pytest.mark.parametrize("cfg", [
+    CheckConfig(make_majority(3), ballots=2),
+    CheckConfig(make_majority(4, improved=True), ballots=2),
+    DISJOINT,
+    CheckConfig(make_majority(2), ballots=3),  # a promise after two accepts
+])
+def test_model_acceptors_match_the_simulators_on_every_reachable_state(cfg):
+    # the model stores an acceptor's promise but reads its accepted pair,
+    # and the pair its promises report, off its accept bits
+    from fpaxos.checker import _Space
+
+    space = _Space(cfg)
+    n, V, ballots = space.n, space.V, cfg.ballot_list()
+    parent = {space.initial(): None}
+    order = [space.initial()]
+    for s in order:  # BFS: order grows while it is read
+        for action, child in space.successors(s):
+            if child not in parent:
+                parent[child] = (s, action)
+                order.append(child)
+    for s in order:
+        path, t = [], s
+        while parent[t]:
+            t, action = parent[t]
+            path.append(action)
+        replicas = replay(path[::-1], cfg).states
+        for a, replica in enumerate(replicas):
+            promised = s >> space.prom_sh[a] & space.pmask
+            assert replica.promised == (ballots[promised - 1] if promised else None)
+            held = [k for k in range(space.B * V) if s >> space.AMSG + k * n + a & 1]
+            pair = (ballots[held[-1] // V], cfg.values[held[-1] % V]) if held else None
+            assert replica.accepted.get(0) == pair
+            for b in range(space.B):
+                cell = s >> space.row_sh[b] + a * space.wC & space.cmask
+                if cell:
+                    below = [k for k in held if k // V < b]
+                    assert cell == (2 + below[-1] if below else 1)
 
 
 def test_search_order_results_are_pinned():

@@ -801,6 +801,12 @@ def test_config_validation():
         SimConfig(quorum={"kind": "majority", "n": 3}).validate()
 
 
+def test_directly_built_config_is_checked_when_built():
+    # it once raised only when a World was built from it
+    with pytest.raises(ValueError, match="loss"):
+        SimConfig(quorum=make_majority(3), loss=1.5)
+
+
 def test_config_json_roundtrip():
     entries = {
         "quorum": {"kind": "simple", "n": 8, "q2_size": 3},
