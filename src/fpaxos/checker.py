@@ -606,8 +606,9 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
     replica and wipes its memory if asked.  Every action must be enabled
     under the core's rules and agree on the produced values; any mismatch
     raises :class:`ReplayDivergenceError`.  Decisions observed along the
-    way (via the learner rule) accumulate, so a decision later overwritten
-    at a higher ballot still counts.
+    way accumulate: a pair is decided once a phase-2 quorum has accepted
+    it, whatever its acceptors accepted or lost since, as
+    :func:`fpaxos.core.decided_proposals` rules.
 
     ``events`` holds, in order, one tuple per delivered message: its type,
     its acceptor, its ballot and, for a promise, a propose or a nack, the
@@ -623,6 +624,7 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
     acc = [Replica(a, qs, window=1) for a in range(qs.n)]
     promises = {}  # (a, b) -> a's promise event for ballot b
     answers = {}  # (a, b) -> a's answer event to ballot b's proposal
+    accepts = {}  # (ballot, value) -> mask of the acceptors that accepted it
     result = ReplayResult(states=acc)
     proposed, log = result.proposals, result.events.append
     for act in path:
@@ -660,8 +662,8 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
             answers[(a, b)] = answer
             if accepted != (kind == "accept"):
                 raise ReplayDivergenceError(f"core answers {act} with {answer[0]}")
-            # Only a delivered proposal can change what the acceptors hold.
-            for pair in decided_proposals([r.accepted.get(0) for r in acc], qs):
+            accepts[ballot, value] = accepts.get((ballot, value), 0) | accepted << a
+            for pair in decided_proposals(accepts, qs):
                 if pair not in result.decisions:
                     conflicting = result.conflicting
                     result.decisions.append(pair)

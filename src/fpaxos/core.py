@@ -10,7 +10,9 @@ receives, and :func:`fpaxos.checker.replay`, which also runs the scripted
 scenarios, takes them at slot 0 on one replica per acceptor, so a
 counterexample replays through the simulator's acceptor.  The proposer's
 value rule is :func:`choose_value`, which the replica's leader applies
-at recovery, and the learner's rule is :func:`decided_proposals`.  Every
+at recovery.  The learner's rule is :func:`decided_proposals`: a pair is
+chosen once every acceptor of a phase-2 quorum has sent an accept for it,
+at any times.  ``replay`` and ``sim.World`` both decide by it.  Every
 function here is deterministic in its arguments.
 
 :class:`SafetyViolationError` is the one safety exception, of replicas
@@ -234,13 +236,10 @@ def choose_value(promised_pairs, candidate: Value) -> Value:
 # -- learner ------------------------------------------------------------
 
 
-def decided_proposals(pairs, qs: QuorumSystem):
-    """All (ballot, value) pairs held by a full phase-2 quorum.
+def decided_proposals(accepts: Mapping, qs: QuorumSystem):
+    """The chosen (ballot, value) pairs, by ballot: those a full phase-2 quorum accepted.
 
-    Acceptor a holds ``pairs[a]``, or None.
+    ``accepts`` maps each pair to the bitmask of acceptors that have sent an
+    accept for it.  When each sent it does not matter, nor what it holds now.
     """
-    holders = {}
-    for aid, pair in enumerate(pairs):
-        if pair is not None:
-            holders[pair] = holders.get(pair, 0) | 1 << aid
-    return sorted((pair for pair, who in holders.items() if qs.is_q2(who)), key=lambda p: p[0])
+    return sorted([pair for pair, who in accepts.items() if qs.is_q2(who)], key=lambda p: p[0])

@@ -28,15 +28,16 @@ ballot deposes a leader it reaches, as do a crash and the leader's own
 next campaign, so one cut off by a partition keeps leading its side and
 two proposers can compete.
 
-Safety is checked online.  Only a propose delivery changes what an
-acceptor holds, and then only for the recipient's slot, so it is the one
-(ballot, value) pair the recipient now holds there that can newly reach a
-phase-2 quorum (a memory-wiping crash only removes holders).  The world
-collects that pair's holders as a bitmask over the replicas and asks the
-quorum system's compiled phase-2 predicate; the first pair to qualify is
-the slot's decision, and any later pair with another value aborts the run
-with the trace as counterexample.  So does ``core.SafetyViolationError``
-(re-exported here) from a replica's learner, or a client's wrong payload.
+Safety is checked online, off the messages.  A pair is chosen once every
+acceptor of a phase-2 quorum has sent an accept for it, whatever each one
+accepted or lost since, in a memory-wiping crash too.  Each propose that a
+replica accepts adds the replica to the bitmask of that (slot, ballot,
+value), and ``core.decided_proposals`` asks the quorum system's compiled
+phase-2 predicate.  A slot's first chosen pair is its decision; from then
+on only pairs of other values keep a mask, so these masks stay flat in
+history.  A chosen pair of another value aborts the run with the trace as
+counterexample.  So does ``core.SafetyViolationError`` (re-exported here)
+from a replica's learner, or a client's wrong payload.
 
 The trace, when recorded, is a :class:`fpaxos.core.Trace`: each event is
 written as its final JSON line when it happens, a message through
@@ -54,7 +55,7 @@ from collections import Counter, defaultdict
 from dataclasses import MISSING, dataclass, fields
 from typing import Tuple
 
-from . import multi
+from . import core, multi
 from .core import SafetyViolationError  # noqa: F401 (re-exported)
 from .core import Trace, check_type, json_text, read_config, to_jsonl
 from .multi import CLIENT, NOOP, Replica
@@ -375,6 +376,7 @@ class World:
         self.slot_client = defaultdict(int)
         self.req_msgs = Counter()
         self.registry = {}  # slot -> first decided value (world learner)
+        self.accepts = {}  # slot -> {(ballot, value): accepters' mask}, bar the decided value's
         self.drops = 0
         self.armed = [set() for _ in range(n)]  # per replica, its slots with a retransmit timer
         self.faults_possible = bool(
@@ -505,8 +507,8 @@ class World:
         rep = self.replicas[m.dst]
         out = rep.on_message(m, self.reachable(m.dst))
         self._dispatch(out, owner=rep)
-        if isinstance(m, multi.SlotPropose):
-            self._check_slot(m.slot, rep.accepted.get(m.slot))
+        if isinstance(m, multi.SlotPropose) and type(out[0]) is multi.SlotAccept:
+            self._check_slot(m)
         if isinstance(m, multi.LeaderPromise) and rep.leading and self.leader_id != rep.id:
             self._leader_established(rep.id)
 
@@ -605,23 +607,21 @@ class World:
 
     # -- online safety ------------------------------------------------------
 
-    def _check_slot(self, slot: int, pair) -> None:
-        """Record or refute ``pair``, the (ballot, value) a propose recipient holds at ``slot``."""
-        if pair is None:
-            return
-        holders = 0
-        for i, rep in enumerate(self.replicas):
-            if rep.accepted.get(slot) == pair:
-                holders |= 1 << i
-        if not self.cfg.quorum.is_q2(holders):
-            return
-        b, v = pair
-        prev = self.registry.get(slot)
-        if prev is None:
-            self.registry[slot] = v
+    def _check_slot(self, m: multi.SlotPropose) -> None:
+        """Count the accept that ``m``'s recipient sent, then record or refute what it chose."""
+        slot, pair, decided = m.slot, (m.ballot, m.value), self.registry.get(m.slot)
+        if m.value == decided:
+            return  # only a pair of another value can still break agreement
+        accepts = self.accepts.setdefault(slot, {})
+        accepts[pair] = accepts.get(pair, 0) | 1 << m.dst
+        for b, v in core.decided_proposals(accepts, self.cfg.quorum):
+            if decided is not None:
+                raise SafetyViolationError(slot, [decided, v])
+            self.registry[slot] = decided = v
             self._trace("decide", slot=slot, ballot=b, value=v)
-        elif prev != v:
-            raise SafetyViolationError(slot, [prev, v])
+            accepts = self.accepts[slot] = {p: who for p, who in accepts.items() if p[1] != v}
+        if not accepts:
+            del self.accepts[slot]
 
     # -- metrics -------------------------------------------------------------
 

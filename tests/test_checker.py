@@ -65,6 +65,21 @@ def test_disjoint_counterexample_replays_to_two_decisions():
     assert len({v for _, v in rr.decisions}) == 2
 
 
+def test_replay_decides_a_pair_whose_quorum_accepted_it_at_different_times():
+    # {0, 1} accept both pairs, but 0 already holds (1, b) when 1 accepts
+    # (0, a): a pair is chosen by the accepts sent, not by who holds it now.
+    cfg = CheckConfig(make_explicit(4, [[3]], [[0, 1]]), ballots=2, properties=(AGREEMENT,))
+    path = [
+        ("prepare", 0), ("prepare", 1), ("promise", 3, 0), ("promise", 3, 1),
+        ("propose", 0, 0, (3,)), ("propose", 1, 1, (3,)), ("accept", 3, 1, 1),
+        ("accept", 0, 0, 0), ("accept", 0, 1, 1), ("accept", 1, 0, 0), ("accept", 1, 1, 1),
+    ]
+    rr = replay(path, cfg)
+    assert rr.shows(AGREEMENT)
+    b0, b1 = cfg.ballot_list()
+    assert set(rr.decisions) == {(b0, cfg.values[0]), (b1, cfg.values[1])}
+
+
 def test_proposal_consistency_fires_before_agreement():
     cfg = CheckConfig(make_explicit(2, [[0]], [[1]]), ballots=2)
     res = explore(cfg)

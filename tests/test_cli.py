@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -368,6 +371,33 @@ def test_simulate_determinism_across_invocations(capsys, tmp_path):
         assert code == 0
         outs.append((out, trace.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """A faulty simulation and a broken family's check, each run in a fresh
+    process under two ``PYTHONHASHSEED`` values, write the same bytes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    commands = [
+        ("simulate", "--kind", "majority", "--n", "3", "--window", "2", "--latency", "5:15",
+         "--loss", "0.1", "--duplicate", "0.1", "--duration-ms", "600", "--warmup-ms", "50",
+         "--cooldown-ms", "50", "--crash", "t=100,r=0,wipe", "--elect", "t=150,r=1",
+         "--restore", "t=200,r=0", "--partition", "t=250;0|1,2", "--partition", "t=300;",
+         "--elect", "t=320,r=0", "--elect", "t=322,r=2", "--seed", "3", "--trace", "out.jsonl"),
+        ("check", "--custom-q1", "[[3]]", "--custom-q2", "[[0,1]]", "--n", "4",
+         "--counterexample", "out.jsonl"),
+    ]
+    for argv in commands:
+        runs = set()
+        for hash_seed in ("0", "1"):
+            cwd = tmp_path / f"{argv[0]}-{hash_seed}"
+            cwd.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-m", "fpaxos.cli", *argv], cwd=cwd, capture_output=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            )
+            runs.add((proc.returncode, proc.stdout, proc.stderr, (cwd / "out.jsonl").read_bytes()))
+        assert len(runs) == 1, argv[0]
 
 
 def test_seed_env_default(capsys, monkeypatch, tmp_path):

@@ -264,23 +264,28 @@ def test_nack_then_retry_bumps_round():
 
 def test_learner_examples():
     qs = make_majority(4, improved=True)
-    pairs = [(B(1, P1), "a"), (B(2, P2), "a"), (B(2, P2), "a"), (B(2, P2), "a")]
-    assert decided_proposals(pairs, qs) == [(B(2, P2), "a")]
+    accepts = {(B(1, P1), "a"): 0b0001, (B(2, P2), "a"): 0b1110}
+    assert decided_proposals(accepts, qs) == [(B(2, P2), "a")]
 
-    empty = [None] * 4
-    assert decided_proposals(empty, qs) == []
+    assert decided_proposals({}, qs) == []
 
-    lone = list(empty)
-    lone[0] = (B(1, P1), "a")
+    lone = {(B(1, P1), "a"): 0b0001}
     assert decided_proposals(lone, qs) == []
+
+
+def test_learner_counts_accepts_of_acceptors_that_moved_on():
+    # 0 and 1 accepted (1, a); 0 has since accepted (2, b) and holds only that
+    qs = make_majority(3)
+    accepts = {(B(1, P1), "a"): 0b011, (B(2, P2), "b"): 0b001}
+    assert decided_proposals(accepts, qs) == [(B(1, P1), "a")]
 
 
 def test_learner_flags_conflicting_quorums():
     from fpaxos.quorum import make_explicit
 
     qs = make_explicit(2, [[0]], [[0], [1]])
-    pairs = [(B(1, P1), "x"), (B(2, P2), "y")]
-    assert decided_proposals(pairs, qs) == [(B(1, P1), "x"), (B(2, P2), "y")]
+    accepts = {(B(2, P2), "y"): 0b10, (B(1, P1), "x"): 0b01}
+    assert decided_proposals(accepts, qs) == [(B(1, P1), "x"), (B(2, P2), "y")]
     # the replica's learner refuses to log a second value for a slot
     r, _ = candidate(qs)
     feed_promises(r, [(0, [(0, B(0, P1), "x")])])

@@ -370,14 +370,31 @@ def test_post_run_structural_invariants():
         for b in world.replicas:
             for slot in set(a.log) & set(b.log):
                 assert a.log[slot][1] == b.log[slot][1]
-        for slot, (_, value) in a.log.items():
-            assert world.registry.get(slot) in (None, value)
+    assert_logs_hold_decisions(world)
 
 
 def assert_logs_hold_decisions(world):
     for rep in world.replicas:
         for slot, (_, value) in rep.log.items():
             assert world.registry.get(slot) == value, (rep.id, slot)
+
+
+def test_world_decides_a_pair_whose_accepter_was_wiped_before_the_quorum_completed():
+    # Replica 1 accepts slot 29's pair, is wiped, and only then does replica 0
+    # accept it: the pair is chosen, though no phase-2 quorum holds it at once.
+    cfg = SimConfig(
+        quorum=make_majority(4, improved=True), seed=60430, latency=Latency(2, 3),
+        loss=0.05, duplicate=0.05, window=2, initial_leader=1, election_retry_ms=60,
+        retransmit_ms=12, crashes=(CrashEvent(108, 1, lose_memory=True),),
+        restores=(RestoreEvent(45, 1), RestoreEvent(215, 0),
+                  *(RestoreEvent(300, r) for r in range(4))),
+        elections=(ElectionEvent(9, 3), ElectionEvent(163, 1), ElectionEvent(183, 0),
+                   ElectionEvent(350, 3)),
+        duration_ms=500, warmup_ms=0, cooldown_ms=0, record_trace=False,
+    )
+    world = World(cfg)
+    world.run()
+    assert_logs_hold_decisions(world)
 
 
 def test_failover_recovery_is_flat_in_history_length():
@@ -397,7 +414,7 @@ def test_failover_recovery_is_flat_in_history_length():
                     self.proposes += 1
             super()._send(m)
 
-    costs = []
+    costs, masks = [], []
     for t_ms in (5000, 20000):
         cfg = quick(
             make_majority(5), seed=1, duration_ms=t_ms + 5000, warmup_ms=100, cooldown_ms=100,
@@ -411,8 +428,13 @@ def test_failover_recovery_is_flat_in_history_length():
         # acceptors hold most of the history, all of it decided
         assert len(world.replicas[1].log) > len(world.registry) - 2 * cfg.window
         assert_logs_hold_decisions(world)
+        # the online check keeps accept masks only for pairs that could still conflict
+        for slot, accepts in world.accepts.items():
+            assert accepts and all(v != world.registry.get(slot) for _, v in accepts)
+        masks.append(sum(map(len, world.accepts.values())))
     (e5, p5), (e20, p20) = costs
     assert 0 < e20 <= 2 * e5 and 0 < p20 <= 2 * p5
+    assert masks[0] == masks[1]
 
 
 FAMILIES = [
