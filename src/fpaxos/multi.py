@@ -36,8 +36,10 @@ dispatches them through a table keyed by class.  They are not frozen: a
 frozen dataclass sets each field through ``object.__setattr__``, which
 makes building one, the simulator's commonest operation, more than twice
 as slow.  A delivery must leave its message as it was, since a
-duplicated message is one object delivered twice; ``tests/test_sim.py``
-checks that of every handler.
+duplicated message is one object delivered twice, and the simulator's
+trace encodes a message once, when it is sent, and writes that text in
+its drop and deliver lines too; ``tests/test_sim.py`` checks that of
+every handler.
 
 A ``first`` or ``fastest`` quorum pick depends only on the phase and the
 alive set, so a replica makes it once per reachable set and remembers

@@ -40,9 +40,14 @@ counterexample.  So does ``core.SafetyViolationError`` (re-exported here)
 from a replica's learner, or a client's wrong payload.
 
 The trace, when recorded, is a :class:`fpaxos.core.Trace`: each event is
-written as its final JSON line when it happens, a message through
-``multi.message_json``, so a run builds no dict per event and ``to_jsonl``
-only joins the lines.  Reading the trace back parses the lines.
+written as its final JSON line when it happens, so a run builds no dict per
+event and ``to_jsonl`` only joins the lines.  A message is encoded once,
+through ``multi.message_json``, when it is sent; the text travels with it,
+and its drop and deliver lines, both deliveries of a duplicate too, reuse
+it.  That is the text a delivery would encode, since no handler mutates a
+message.  An untraced run encodes nothing and calls no trace method for a
+message.
+Reading the trace back parses the lines.
 """
 
 from __future__ import annotations
@@ -395,14 +400,11 @@ class World:
             text = "".join([f',"{key}":{json_text(v)}' for key, v in fields.items()])
             self.trace.lines.append(f'{{"t":{self.now},"ev":"{ev}"{text}}}\n')
 
-    def _trace_msg(self, ev: str, m, why: str = "") -> None:
-        """Like ``_trace`` with a ``why`` field if given and a trailing ``msg``,
-        encoded only when recorded."""
-        if self.cfg.record_trace:
-            why = why and f',"why":"{why}"'
-            self.trace.lines.append(
-                f'{{"t":{self.now},"ev":"{ev}"{why},"msg":{multi.message_json(m)}}}\n'
-            )
+    def _trace_msg(self, ev: str, text: str, why: str = "") -> None:
+        """Record ``{"t", "ev", "why", "msg"}``, with ``why`` only if given and ``msg``
+        the message's JSON ``text``, encoded once when it was sent; called only when traced."""
+        why = why and f',"why":"{why}"'
+        self.trace.lines.append(f'{{"t":{self.now},"ev":"{ev}"{why},"msg":{text}}}\n')
 
     def _same_side(self, a, b) -> bool:
         if self.partition is None:
@@ -475,35 +477,44 @@ class World:
             self.req_msgs[m.req_id] += 1
         elif isinstance(m, multi.Response):
             self.slot_client[m.slot] += self.req_msgs[m.req_id] + 1
-        self._trace_msg("send", m)
+        text = None  # the message's trace text, shared by all its lines
+        if cfg.record_trace:
+            text = multi.message_json(m)
+            self._trace_msg("send", text)
         if m.src == CLIENT or m.dst == CLIENT:
-            self._schedule(self.now, "deliver", m)  # co-located, lossless
+            self._schedule(self.now, "deliver", (m, text))  # co-located, lossless
             return
         if not self._same_side(m.src, m.dst):
             self.drops += 1
-            self._trace_msg("drop", m, why="partition")
+            if text is not None:
+                self._trace_msg("drop", text, why="partition")
             return
         if cfg.loss and self.rng.random() < cfg.loss:
             self.drops += 1
-            self._trace_msg("drop", m, why="loss")
+            if text is not None:
+                self._trace_msg("drop", text, why="loss")
             return
-        d = self.lat[m.src][m.dst]
-        self._schedule(self.now + d, "deliver", m)
+        d, sent = self.lat[m.src][m.dst], (m, text)
+        self._schedule(self.now + d, "deliver", sent)
         if cfg.duplicate and self.rng.random() < cfg.duplicate:
-            self._schedule(self.now + d, "deliver", m)
+            self._schedule(self.now + d, "deliver", sent)
 
     # -- event handlers ---------------------------------------------------
 
-    def _on_deliver(self, m) -> None:
+    def _on_deliver(self, sent) -> None:
+        """Deliver ``sent``, a message and its trace text (None when untraced)."""
+        m, text = sent
         if m.dst == CLIENT:
             self._client_on_response(m)
             return
         if m.dst not in self.alive:
             self.drops += 1
-            self._trace_msg("drop", m, why="crashed")
+            if text is not None:
+                self._trace_msg("drop", text, why="crashed")
             return
         self.recv[m.dst] += 1
-        self._trace_msg("deliver", m)
+        if text is not None:
+            self._trace_msg("deliver", text)
         rep = self.replicas[m.dst]
         out = rep.on_message(m, self.reachable(m.dst))
         self._dispatch(out, owner=rep)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+from fpaxos import multi
 from fpaxos.multi import Replica, SlotPropose
 from fpaxos.quorum import (
     make_explicit,
@@ -53,8 +54,8 @@ class LeaderWatch(World):
         super().__init__(cfg)
         self.leaders = [(0, ())]
 
-    def _on_deliver(self, m):
-        super()._on_deliver(m)
+    def _on_deliver(self, sent):
+        super()._on_deliver(sent)
         ids = tuple(r.id for r in self.replicas if r.leading)
         if ids != self.leaders[-1][1]:
             self.leaders.append((self.now, ids))
@@ -327,8 +328,9 @@ def test_leader_crash_failover_preserves_log_values():
     assert commits_between(trace, 2600, 5000) > 0  # service resumes under new leader
 
 
-def test_faulty_run_metrics_do_not_depend_on_tracing():
-    cfg = quick(
+def faulty_config() -> SimConfig:
+    """majority(5) with loss, duplication, crashes during traffic and a partition."""
+    return quick(
         make_majority(5),
         duration_ms=4000,
         latency=Latency(5.0, 25.0),
@@ -340,12 +342,54 @@ def test_faulty_run_metrics_do_not_depend_on_tracing():
         restores=(RestoreEvent(2000, 0), RestoreEvent(2100, 4)),
         partitions=(PartitionEvent(2500, ((0, 1), (2, 3, 4))), PartitionEvent(3000, ())),
     )
+
+
+def test_faulty_run_metrics_do_not_depend_on_tracing():
+    cfg = faulty_config()
     traced, trace = run(cfg)
     untraced, no_trace = run(replace(cfg, record_trace=False))
     assert untraced == traced
     assert list(no_trace) == []
     assert traced.drops > 0 and traced.committed > 0
     assert any(l["ev"] == "decide" for l in trace)
+
+
+def test_each_message_is_encoded_once_and_its_lines_reuse_the_text(monkeypatch):
+    """A traced run encodes a message when it is sent, and its drop and deliver
+    lines carry that text; an untraced run encodes nothing and traces no message."""
+    calls = Counter()
+    encode, trace_msg = multi.message_json, World._trace_msg
+
+    def counted_encode(m):
+        calls["message_json"] += 1
+        return encode(m)
+
+    def counted_trace_msg(self, *args, **kwargs):
+        calls["_trace_msg"] += 1
+        return trace_msg(self, *args, **kwargs)
+
+    monkeypatch.setattr(multi, "message_json", counted_encode)
+    monkeypatch.setattr(World, "_trace_msg", counted_trace_msg)
+    world = World(faulty_config())
+    world.run()
+    texts = {ev: Counter() for ev in ("send", "deliver", "partition", "loss", "crashed")}
+    for line, parsed in zip(world.trace.lines, world.trace):
+        if "msg" in parsed:
+            # the message is the last field: its text runs from the key to the closing brace
+            texts[parsed.get("why", parsed["ev"])][line.partition(',"msg":')[2][:-2]] += 1
+    sends = texts["send"]
+    assert all(texts[why] for why in ("partition", "loss", "crashed"))
+    assert calls["message_json"] == sends.total() > 0
+    assert calls["_trace_msg"] == sum(c.total() for c in texts.values())
+    for ev in ("deliver", "partition", "loss", "crashed"):
+        assert texts[ev].keys() <= sends.keys(), ev
+    # a text that arrives more often than it survived the network was duplicated
+    arrived = texts["deliver"] + texts["crashed"]
+    assert any(arrived[t] > sends[t] - texts["partition"][t] - texts["loss"][t] for t in arrived)
+
+    calls.clear()
+    World(replace(faulty_config(), record_trace=False)).run()
+    assert calls == Counter()
 
 
 def test_post_run_structural_invariants():
@@ -399,7 +443,6 @@ def test_world_decides_a_pair_whose_accepter_was_wiped_before_the_quorum_complet
 
 def test_failover_recovery_is_flat_in_history_length():
     """Promise entries and re-proposals after a crash track the window, not the history."""
-    from fpaxos import multi
 
     class Counting(World):
         def __init__(self, cfg, crash_us):
