@@ -42,8 +42,8 @@ the first state of the level before whose successors include it, and its
 actions by walking that chain forward again.
 
 A search is ``safe`` only when complete, and a violation counts once its
-path, replayed on the simulator's acceptors (``multi.Replica``s taking
-:mod:`fpaxos.core`'s promise and accept steps), shows it;
+path, delivered to the simulator's acceptors (``multi.Replica``s, whose
+handlers take :mod:`fpaxos.core`'s steps and build the replies), shows it;
 :func:`quorum_safety_sweep` judges every family so.  :func:`replay` also
 runs the scripts of :mod:`fpaxos.scenarios`.
 :func:`check_config_from_json` decodes a check through
@@ -58,15 +58,15 @@ from typing import Optional, Tuple
 
 from .core import (
     Ballot,
-    acceptor_handle_prepare,
-    acceptor_handle_propose,
+    acceptor_handle_prepare,  # noqa: F401 (perfbench/spans.py wraps it)
+    acceptor_handle_propose,  # noqa: F401 (perfbench/spans.py wraps it)
     check_type,
     choose_value,
     decided_proposals,
     read_config,
     to_jsonl,
 )
-from .multi import Replica
+from .multi import LeaderPrepare, LeaderPromise, Replica, SlotAccept, SlotPropose
 from .quorum import (
     EXPLICIT,
     QuorumSystem,
@@ -595,10 +595,12 @@ class ReplayResult:
 
 
 def replay(path, cfg: CheckConfig) -> ReplayResult:
-    """Re-execute an action path through the simulator's acceptors.
+    """Re-execute an action path by delivering its messages to the simulator's acceptors.
 
-    Each acceptor is a ``multi.Replica`` with a window of 1, and each
-    delivery takes core's promise or accept step on it at slot 0.  Besides
+    Each acceptor is a ``multi.Replica`` with a window of 1, whose
+    ``on_message`` is handed a ``LeaderPrepare`` or ``SlotPropose`` at slot
+    0 (``from_slot`` and ``commit`` 0).  What replay records is read off the
+    reply: a promise's pair, accept or refusal, and a nack's ballot.  Besides
     the checker's four actions a path may hold three that only scripted
     runs use: ``("refuse", a, b, v)``, a proposal that acceptor a nacks;
     ``("answer", a, b)``, a's accept or nack of ballot b's proposal
@@ -633,9 +635,10 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
             a, b = act[1], act[2]
             ballot = ballots[b]
             log(("prepare", a, ballot))
-            if not acceptor_handle_prepare(acc[a], ballot):
+            [reply] = acc[a].on_message(LeaderPrepare(ballot.proposer, a, ballot, 0), ())
+            if type(reply) is not LeaderPromise:
                 raise ReplayDivergenceError(f"core refused promise for {act}")
-            promises[(a, b)] = ("promise", a, ballot, acc[a].accepted.get(0))
+            promises[(a, b)] = ("promise", a, ballot, reply.accepted[0][1:] if reply.accepted else None)
         elif kind == "propose":
             b, v, senders = act[1], act[2], act[3]
             if not qs.is_q1(mask_of(senders)):
@@ -657,8 +660,9 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
             if proposed.get(ballot) != value:
                 raise ReplayDivergenceError(f"{act} delivers a value never proposed")
             log(("propose", a, ballot, value))
-            accepted = acceptor_handle_propose(acc[a], ballot, 0, value)
-            answer = ("accept", a, ballot) if accepted else ("nack", a, ballot, acc[a].promised)
+            [reply] = acc[a].on_message(SlotPropose(ballot.proposer, a, ballot, 0, value, 0), ())
+            accepted = type(reply) is SlotAccept
+            answer = ("accept", a, ballot) if accepted else ("nack", a, ballot, reply.promised)
             answers[(a, b)] = answer
             if accepted != (kind == "accept"):
                 raise ReplayDivergenceError(f"core answers {act} with {answer[0]}")

@@ -96,6 +96,7 @@ def quorum_from_args(args) -> Optional[QuorumSystem]:
     """The quorum the quorum flags name, or None when they name none.
 
     A quorum flag that the chosen family does not read is a ``ValueError``.
+    A sweep's ``--q2-list`` stands in for a simple family's ``--q2``.
     """
     custom = _given(args, "custom_q1") or _given(args, "custom_q2")
     if custom and args.kind is not None:
@@ -110,9 +111,10 @@ def quorum_from_args(args) -> Optional[QuorumSystem]:
             raise ValueError("--kind majority requires --n")
         return make_majority(args.n, improved=args.improved)
     if kind == "simple":
-        if args.n is None or args.q2 is None:
-            raise ValueError("--kind simple requires --n and --q2")
-        return make_simple(args.n, args.q2)
+        q2 = args.q2 if args.q2 is not None else getattr(args, "q2_list", [None])[0]
+        if args.n is None or q2 is None:
+            raise ValueError("--kind simple requires --n and --q2 (or, in a sweep, --q2-list)")
+        return make_simple(args.n, q2)
     if kind == "grid":
         if args.rows is None or args.cols is None:
             raise ValueError("--kind grid requires --rows and --cols")

@@ -6,14 +6,15 @@ accept rule :func:`can_accept`.  Each changes, in place, any record with a
 ``promised`` ballot and an ``accepted`` map from slot to (ballot, value),
 and returns whether it promised or accepted; the caller builds the reply.
 ``multi.Replica`` takes these steps on every prepare and propose it
-receives, and :func:`fpaxos.checker.replay`, which also runs the scripted
-scenarios, takes them at slot 0 on one replica per acceptor, so a
-counterexample replays through the simulator's acceptor.  The proposer's
-value rule is :func:`choose_value`, which the replica's leader applies
-at recovery.  The learner's rule is :func:`decided_proposals`: a pair is
-chosen once every acceptor of a phase-2 quorum has sent an accept for it,
-at any times.  ``replay`` and ``sim.World`` both decide by it.  Every
-function here is deterministic in its arguments.
+receives and builds the reply; :func:`fpaxos.checker.replay` delivers its
+prepares and proposes at slot 0 to one replica per acceptor and reads
+each promise, accept and nack off the reply, so a counterexample replays
+through the simulator's acceptor.  The proposer's value rule is
+:func:`choose_value`, which the replica's leader applies at recovery.
+The learner's rule is :func:`decided_proposals`: a pair is chosen once
+every acceptor of a phase-2 quorum has sent an accept for it, at any
+times.  ``replay``, ``sim.World`` and the scripted scenarios' proposers
+all decide by it.  Every function here is deterministic in its arguments.
 
 :class:`SafetyViolationError` is the one safety exception, of replicas
 and simulator alike.  :func:`message_json`, which writes a message's JSON

@@ -8,9 +8,9 @@ roles, and its leader is the only proposer.  The rules are
 (``core.acceptor_handle_prepare``) and its accept step per slot on a
 propose (``core.acceptor_handle_propose``), and nacks what they refuse;
 at recovery the leader chooses each slot's value with
-``core.choose_value``, else a no-op.  The checker's replay takes the same
-two steps on replicas of this class.  The one aggregated piece of
-durable state is the promised ballot, which covers all slots.
+``core.choose_value``, else a no-op.  The checker's replay delivers to
+replicas of this class and reads its records off their replies.  The one
+aggregated piece of durable state is the promised ballot, for all slots.
 
 Followers learn decisions from the leader's commit point, as with Raft's
 ``leaderCommit``: every propose carries the sender's first undecided

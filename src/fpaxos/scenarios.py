@@ -1,13 +1,14 @@
 """Scripted single-decree executions with byte-stable traces.
 
 A scenario is data: a quorum system, its values, a path of actions and
-the documented outcome.  :func:`fpaxos.checker.replay` runs the path on
-the simulator's acceptors, ``multi.Replica``s taking core's promise and
-accept steps at slot 0, and records what it delivers and decides as
-event tuples; this module names the parties (ballot i's owner
-``P{i+1}``, acceptor a ``A{a+1}``), renders each event as a
-single-decree trace line and raises :class:`ScenarioOutcomeError`
-unless the outcome is the documented one.
+the documented outcome.  :func:`fpaxos.checker.replay` delivers the path
+to ``multi.Replica.on_message`` at slot 0 and records what it delivers
+and decides as event tuples; this module names the parties (ballot i's
+owner ``P{i+1}``, acceptor a ``A{a+1}``), renders each event as a
+single-decree trace line, lets each proposer learn by
+:func:`fpaxos.core.decided_proposals` over the accepts that reached it,
+and raises :class:`ScenarioOutcomeError` unless the outcome is the
+documented one.
 
 Two scenarios exercise the four-acceptor improved-majority system
 (|Q1| = 3, |Q2| = 2) with two competing proposers: ``fig2a`` runs them
@@ -153,13 +154,13 @@ def run_scenario(name: str) -> ScenarioResult:
     rr = replay(sc.path, CheckConfig(sc.quorum, values=sc.values))
     # a proposer learns its value once accepts from a phase-2 quorum reach it
     accepts = [e[1:] for e in rr.events if e[0] == "accept"]  # (acceptor, ballot)
-    learned = lambda b: sc.quorum.is_q2(mask_of(a for a, b1 in accepts if b1 == b))
+    reached = {(b, v): mask_of(a for a, b1 in accepts if b1 == b) for b, v in rr.proposals.items()}
+    learned = dict(core.decided_proposals(reached, sc.quorum))  # ballot -> value
     result = ScenarioResult(
         name=name,
         trace=[{"step": i, **l} for i, l in enumerate(l for e in rr.events for l in _lines(*e))],
         decisions=[(_ballot(b), v) for b, v in rr.decisions],
-        proposer_values={_ballot(b).proposer: v if learned(b) else None
-                         for b, v in rr.proposals.items()},
+        proposer_values={_ballot(b).proposer: learned.get(b) for b in rr.proposals},
         violation=rr.conflicting,
     )
     outcome = (result.proposer_values, tuple(result.decided_values))

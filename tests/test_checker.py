@@ -152,6 +152,15 @@ def test_replay_rejects_ill_formed_paths():
         replay(proposed + (("prepare", 1), ("promise", 0, 1), ("accept", 0, 0, 0)), cfg)
     with pytest.raises(ReplayDivergenceError):
         replay(proposed + (("accept", 1, 0, 0), ("answer", 0, 0)), cfg)  # 0 got no proposal
+    with pytest.raises(ReplayDivergenceError, match="core refused promise"):
+        # acceptor 0 promised ballot 1 first, so its reply to ballot 0's prepare is a nack
+        replay((("prepare", 1), ("promise", 0, 1), ("prepare", 0), ("promise", 0, 0)), cfg)
+    with pytest.raises(ReplayDivergenceError, match="not a phase-1 quorum"):
+        replay((("prepare", 0), ("promise", 0, 0), ("propose", 0, 0, (0,))), cfg)
+    with pytest.raises(ReplayDivergenceError, match="two proposals for one ballot"):
+        replay(proposed + (("propose", 0, 1, (0, 1)),), cfg)
+    with pytest.raises(ReplayDivergenceError, match="unknown action"):
+        replay((("elect", 0),), cfg)
 
 
 def test_replay_crash_wipes_only_when_asked():

@@ -543,6 +543,7 @@ def test_malformed_config_value_exits_2_naming_the_key(capsys, tmp_path, entries
         (["check", "--custom-q1", "x", "--custom-q2", "[[1]]", "--n", "2"], "--custom-q1"),
         (["FPAXOS_SEED=abc", "simulate", *SHORT_RUN], "FPAXOS_SEED"),
         (["sweep", *SHORT_RUN, "--seeds", "-2", "--out", "never.csv"], "seeds"),
+        (["sweep", "--kind", "simple", "--n", "5", "--out", "never.csv"], "--q2-list"),
         (["check", "--sweep", "0"], "--sweep"),
         (["check", "--sweep", "-1"], "--sweep"),
         (["check", "--sweep", "5"], "--sweep"),
@@ -744,6 +745,19 @@ def test_sweep_output_matches_golden(capsys, tmp_path):
     )
     assert code == 0
     assert out_path.read_text() == (GOLDEN / "cli_sweep_small.csv").read_text()
+
+
+def test_q2_list_stands_in_for_q2(capsys, tmp_path):
+    # the golden sweep without its --q2, which the sizes replace anyway
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--kind", "simple", "--n", "5",
+        "--q2-list", "1,2", "--seeds", "1", "--duration-ms", "800",
+        "--warmup-ms", "100", "--cooldown-ms", "100", "--out", str(out_path),
+    )
+    assert code == 0
+    assert out_path.read_text() == (GOLDEN / "cli_sweep_small.csv").read_text()
+
 
 
 def test_simulate_faults_trace_and_metrics_match_golden(capsys, tmp_path):

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from fpaxos import scenarios
-from fpaxos.checker import CheckConfig, ReplayDivergenceError, _Space, replay
+from fpaxos import core, scenarios
+from fpaxos.checker import AGREEMENT, CheckConfig, ReplayDivergenceError, _Space, replay
 from fpaxos.core import Ballot
+from fpaxos.multi import LeaderPromise, Replica
 from fpaxos.quorum import make_majority
 from fpaxos.scenarios import SCENARIOS, ScenarioOutcomeError, run_scenario
 from fpaxos.sim import to_jsonl
@@ -106,6 +107,43 @@ def test_fig2a_schedule_under_classic_majorities_agrees():
     assert not r.conflicting
     with pytest.raises(ReplayDivergenceError):
         replay(first + scenarios._round(1, 1, (1, 2, 3), (1, 2, 3)), cfg)
+
+
+def test_replay_and_scenarios_run_the_replicas_promise_handler(monkeypatch):
+    # fig2a, but P2 proposes b: A2's promise reports (1, a), so the value
+    # rule forbids it
+    sc = scenarios._SCENARIOS["fig2a"]
+    cfg = CheckConfig(sc.quorum, values=sc.values)
+    path = scenarios._round(0, 0, (0, 1, 2), (0, 1)) + scenarios._round(1, 1, (3, 2, 1), (2, 3))
+    with pytest.raises(ReplayDivergenceError, match="value-choice"):
+        replay(path, cfg)
+    golden = (GOLDEN / "fig2a.jsonl").read_text()
+    assert to_jsonl(run_scenario("fig2a").trace) == golden
+    # replay reads each promise off the reply Replica.on_message builds, so
+    # a planted bug, a promise that drops its last entry, lets P2 decide b over a
+    honest = Replica._on_LeaderPrepare
+
+    def mutant(self, m, alive):
+        return [replace(r, accepted=r.accepted[:-1]) if type(r) is LeaderPromise else r
+                for r in honest(self, m, alive)]
+
+    monkeypatch.setattr(Replica, "_on_LeaderPrepare", mutant)
+    assert replay(path, cfg).shows(AGREEMENT)
+    assert to_jsonl(run_scenario("fig2a").trace) != golden
+
+
+def test_proposers_learn_by_cores_learner_over_the_accepts_that_reach_them(monkeypatch):
+    # fig2b: A1's accept reaches P1 and A3's and A4's reach P2; A2's nack
+    # counts for nothing.  One call of core's learner, after replay, rules
+    # on both.
+    calls = []
+    decided = core.decided_proposals
+    monkeypatch.setattr(core, "decided_proposals",
+                        lambda accepts, qs: calls.append(dict(accepts)) or decided(accepts, qs))
+    r = run_scenario("fig2b")
+    b1, b2 = Ballot(1, 0), Ballot(2, 1)
+    assert calls[-1] == {(b1, "a"): 0b0001, (b2, "b"): 0b1100}
+    assert r.proposer_values == {"P1": None, "P2": "b"}
 
 
 def test_scenario_lines_pin_every_message_type():

@@ -19,6 +19,7 @@ from fpaxos.quorum import (
     select_quorum,
 )
 from fpaxos.sim import (
+    REQUEST_BYTES,
     CrashEvent,
     ElectionEvent,
     Latency,
@@ -788,6 +789,28 @@ def test_replica_detected_violation_ends_the_run_with_a_trace():
     with pytest.raises(SafetyViolationError) as err:
         run(replace(cfg, record_trace=False))
     assert (err.value.slot, err.value.values, list(err.value.trace)) == (77, e.values, [])
+
+
+def test_a_response_with_another_payload_ends_the_run_with_a_trace(monkeypatch):
+    # the client's check: a response must carry the payload its request sent
+    honest = Replica._on_SlotAccept
+
+    def forging(self, m, alive):
+        return [replace(r, payload="forged") if type(r) is multi.Response else r
+                for r in honest(self, m, alive)]
+
+    monkeypatch.setattr(Replica, "_on_SlotAccept", forging)
+    with pytest.raises(SafetyViolationError) as err:
+        run(quick(make_majority(3)))
+    e = err.value
+    assert (e.slot, e.values) == (0, ["r000000:".ljust(REQUEST_BYTES, "x"), "forged"])
+    *_, last, violation = e.trace
+    assert violation == {"t": last["t"], "ev": "violation", "slot": 0, "values": e.values}
+    assert any(l["ev"] == "send" and l["msg"]["type"] == "response" and l["msg"]["req"] == "r000000"
+               for l in e.trace)
+    with pytest.raises(SafetyViolationError) as err:
+        run(quick(make_majority(3), record_trace=False))
+    assert (err.value.slot, err.value.values, list(err.value.trace)) == (0, e.values, [])
 
 
 def test_same_schedule_with_durable_state_is_safe():
