@@ -543,10 +543,10 @@ def test_malformed_config_value_exits_2_naming_the_key(capsys, tmp_path, entries
         (["check", "--custom-q1", "x", "--custom-q2", "[[1]]", "--n", "2"], "--custom-q1"),
         (["FPAXOS_SEED=abc", "simulate", *SHORT_RUN], "FPAXOS_SEED"),
         (["sweep", *SHORT_RUN, "--seeds", "-2", "--out", "never.csv"], "seeds"),
-        (["sweep", "--kind", "simple", "--n", "5", "--out", "never.csv"], "--q2-list"),
         (["check", "--sweep", "0"], "--sweep"),
         (["check", "--sweep", "-1"], "--sweep"),
         (["check", "--sweep", "5"], "--sweep"),
+        (["sweep", "--kind", "simple", "--n", "5", "--out", "never.csv"], "--q2-list"),
     ],
 )
 def test_malformed_flag_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, argv, key):
