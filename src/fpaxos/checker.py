@@ -267,7 +267,7 @@ class _Space:
         # chosen.  An unchecked property has empty masks.
         pairs = [(b, v) for b in range(B) for v in range(V)]
         agreement = AGREEMENT in cfg.properties
-        self.pc = pc = PROPOSAL_CONSISTENCY in cfg.properties
+        pc = PROPOSAL_CONSISTENCY in cfg.properties
         self.agreement_conflicts = [
             sum(1 << j for j, (_, v1) in enumerate(pairs) if agreement and v1 != v)
             for _, v in pairs
@@ -380,9 +380,7 @@ class _Space:
                     if promised[a] <= b + 1:
                         delta = (1 + b - promised[a] << self.prom_sh[a]) + (1 << held_sh + a)
                         accepts.append((("accept", a, b, v), delta, held_sh, 1 << a, k))
-                if self.pc:
-                    later_conflicts |= sum(1 << b1 * V + v1 for b1 in range(b)
-                                           for v1 in range(V) if v1 != v)
+                later_conflicts |= self.older_conflicts[b][v]
         return prepares, promises, unproposed, accepts, later_conflicts
 
     def _value_choices(self, b: int, row: int):

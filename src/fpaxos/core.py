@@ -1,10 +1,10 @@
 """Protocol rules shared by the simulator's replicas and the checker's replay.
 
-The acceptor has two steps.  :func:`acceptor_handle_prepare` applies the
-promise rule :func:`can_promise` and :func:`acceptor_handle_propose` the
-accept rule :func:`can_accept`.  Each changes, in place, any record with a
-``promised`` ballot and an ``accepted`` map from slot to (ballot, value),
-and returns whether it promised or accepted; the caller builds the reply.
+The acceptor's one rule is :func:`acceptor_handle_prepare`: a ballot at or
+above the promise is taken and raises it; :func:`acceptor_handle_propose`
+is that step plus recording the pair.  Each changes, in place, any record
+with a ``promised`` ballot and an ``accepted`` map from slot to (ballot,
+value), and returns whether it promised or accepted; the caller replies.
 ``multi.Replica`` takes these steps on every prepare and propose it
 receives and builds the reply; :func:`fpaxos.checker.replay` delivers its
 prepares and proposes at slot 0 to one replica per acceptor and reads
@@ -36,7 +36,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cache
 from json.encoder import JSONEncoder, encode_basestring_ascii
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 from .quorum import QuorumSystem, select_quorum  # noqa: F401 (perfbench/spans.py wraps it)
 
@@ -189,36 +189,25 @@ def check_type(key: str, value, default) -> None:
 # -- acceptor -----------------------------------------------------------
 
 
-def can_promise(promised: Optional[Ballot], ballot: Ballot) -> bool:
-    """The promise rule: a prepare is promised if its ballot beats every earlier promise."""
-    return promised is None or ballot > promised
-
-
-def can_accept(promised: Optional[Ballot], ballot: Ballot) -> bool:
-    """The accept rule: a proposal is accepted at or above the promised ballot."""
-    return promised is None or ballot >= promised
-
-
 def acceptor_handle_prepare(acc, ballot: Ballot) -> bool:
-    """The promise step: whether ``acc`` promises ``ballot``, raising its promise if so.
+    """The acceptor's one rule: whether ``acc`` takes ``ballot``, raising its promise if so.
 
-    A prepare of the ballot already promised is promised again, so a
+    A ballot at or above the promise is taken, one below it refused.  So a
     duplicated prepare gets a second promise rather than a nack.
     """
-    if ballot != acc.promised and not can_promise(acc.promised, ballot):
+    if acc.promised is not None and ballot < acc.promised:
         return False
     acc.promised = ballot
     return True
 
 
 def acceptor_handle_propose(acc, ballot: Ballot, slot: int, value: Value) -> bool:
-    """The accept step: whether ``acc`` accepts ``value`` at ``slot``.
+    """The accept step: the promise step, then ``acc`` records ``value`` at ``slot``.
 
     Re-accepting is idempotent.
     """
-    if not can_accept(acc.promised, ballot):
+    if not acceptor_handle_prepare(acc, ballot):
         return False
-    acc.promised = ballot
     acc.accepted[slot] = (ballot, value)
     return True
 

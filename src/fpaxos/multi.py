@@ -4,13 +4,16 @@ One aggregated phase 1 establishes a replica as leader for every slot at
 or above its first undecided index; phase 2 then runs per slot to commit
 client values.  Each replica combines the acceptor, proposer and learner
 roles, and its leader is the only proposer.  The rules are
-:mod:`fpaxos.core`'s: the acceptor takes core's promise step on a prepare
-(``core.acceptor_handle_prepare``) and its accept step per slot on a
-propose (``core.acceptor_handle_propose``), and nacks what they refuse;
-at recovery the leader chooses each slot's value with
+:mod:`fpaxos.core`'s: the acceptor applies core's one rule, a ballot at or
+above its promise is taken, to a prepare (``core.acceptor_handle_prepare``)
+and per slot to a propose (``core.acceptor_handle_propose``), and nacks
+what it refuses; at recovery the leader chooses each slot's value with
 ``core.choose_value``, else a no-op.  The checker's replay delivers to
 replicas of this class and reads its records off their replies.  The one
 aggregated piece of durable state is the promised ballot, for all slots.
+A replica holding a ballot is electing until it leads; only a leader
+fills ``inflight`` or moves ``next_slot``, so recovery starts at the
+``next_slot`` its prepare carried.
 
 Followers learn decisions from the leader's commit point, as with Raft's
 ``leaderCommit``: every propose carries the sender's first undecided
@@ -177,14 +180,12 @@ class Replica:
         self._unlogged: list = []  # heap of accepted slots not yet checked against a commit
         # volatile leader state
         self.leading = False
-        self.electing = False
         self.ballot: Optional[Ballot] = None
         self.seen_round = 0
         self.next_slot = 0
         self.inflight: dict = {}  # slot -> _Inflight
         self.pending: deque = deque()
         self._promises: dict = {}
-        self._from_slot = 0
         # (phase, frozenset(alive)) -> sorted targets or None, for the _REMEMBERED strategies
         self._picks: Optional[dict] = {} if strategy in _REMEMBERED else None
         self._handlers = {cls: getattr(self, "_on_" + cls.__name__) for cls in _INBOUND}
@@ -202,9 +203,13 @@ class Replica:
             self._unlogged = []
             self.seen_round = 0
 
+    @property
+    def electing(self) -> bool:
+        """Whether a phase 1 of this replica's ballot is under way."""
+        return self.ballot is not None and not self.leading
+
     def _demote(self) -> None:
         self.leading = False
-        self.electing = False
         self.ballot = None
         self.inflight.clear()
         self.pending.clear()
@@ -232,16 +237,14 @@ class Replica:
         quorum; the harness retries after restores.
         """
         self._demote()
-        self.electing = True
         self.seen_round += 1
         self.ballot = Ballot(self.seen_round, self.id)
-        self._from_slot = self.first_undecided()
-        self.next_slot = self._from_slot
+        self.next_slot = self.first_undecided()
         targets = self._pick(1, alive, tick=self.seen_round)
         if targets is None:
             return []
         return [
-            LeaderPrepare(src=self.id, dst=t, ballot=self.ballot, from_slot=self._from_slot)
+            LeaderPrepare(src=self.id, dst=t, ballot=self.ballot, from_slot=self.next_slot)
             for t in targets
         ]
 
@@ -252,7 +255,7 @@ class Replica:
         keeps retrying until restores make one available.
         """
         fl = self.inflight.get(slot)
-        if not self.leading or fl is None:
+        if fl is None:
             return []
         return self._fan_out(slot, fl.value, alive)
 
@@ -306,20 +309,19 @@ class Replica:
         return out
 
     def _finish_election(self, alive) -> list:
-        self.electing = False
         self.leading = True
-        pool = {}  # slot -> the (ballot, value) pairs the promises report
+        pool = {}  # slot -> the (ballot, value) pairs the promises report, all >= next_slot
         for pm in self._promises.values():
             for slot, b, v in pm.accepted:
                 pool.setdefault(slot, []).append((b, v))
-        horizon = max(pool, default=self._from_slot - 1)
+        horizon = max(pool, default=self.next_slot - 1)
         out = []
-        for slot in range(self._from_slot, horizon + 1):
+        for slot in range(self.next_slot, horizon + 1):
             if slot in self.log:
                 continue
             value = core.choose_value(pool.get(slot, ()), NOOP)
             out += self._propose_slot(slot, value, None, alive)
-        self.next_slot = max(self.next_slot, horizon + 1)
+        self.next_slot = horizon + 1
         out += self._drain_pending(alive)
         return out
 
@@ -355,7 +357,7 @@ class Replica:
                               from_slot=m.from_slot, accepted=pairs)]
 
     def _on_LeaderPromise(self, m: LeaderPromise, alive) -> list:
-        if not self.electing or m.ballot != self.ballot:
+        if self.leading or m.ballot != self.ballot:
             return []
         self._promises[m.src] = m
         if not self.qs.is_q1(mask_of(self._promises)):
@@ -387,7 +389,7 @@ class Replica:
                 self._learn(s, pair)
 
     def _on_SlotAccept(self, m: SlotAccept, alive) -> list:
-        if not self.leading or m.ballot != self.ballot:
+        if m.ballot != self.ballot:
             return []
         fl = self.inflight.get(m.slot)
         if fl is None:

@@ -572,7 +572,7 @@ class World:
         r, slot = key
         self.armed[r].discard(slot)
         rep = self.replicas[r]
-        if r not in self.alive or not rep.leading or slot not in rep.inflight:
+        if slot not in rep.inflight:  # decided, or emptied by a crash or a step down
             return
         msgs = rep.retransmit(slot, self.reachable(r))
         if msgs:

@@ -383,6 +383,16 @@ def test_directly_built_config_quorum_and_values_of_the_wrong_type_are_named():
             CheckConfig(**kw)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"ballots": 0}, "need at least one ballot"),
+    ({"values": ()}, "value set must be non-empty"),
+    ({"properties": ("liveness",)}, "unknown property 'liveness'"),
+], ids=["no-ballot", "no-value", "unknown-property"])
+def test_config_with_nothing_to_check_is_rejected(kw, message):
+    with pytest.raises(ValueError, match=message):
+        CheckConfig(make_majority(3), **kw)
+
+
 def test_repeated_value_names_are_rejected():
     with pytest.raises(ValueError, match="'a' is repeated"):
         CheckConfig(make_majority(3), values=("a", "b", "a"))
@@ -674,6 +684,12 @@ def test_sweep_below_one_acceptor_is_rejected():
     for n_max in (0, -3):
         with pytest.raises(ValueError, match="n_max"):
             quorum_safety_sweep(n_max)
+
+
+def test_sweep_above_the_largest_n_is_rejected_before_searching(monkeypatch):
+    monkeypatch.setattr(checker, "sweep_catalog", lambda n_max: pytest.fail("searched"))
+    with pytest.raises(ValueError, match="n_max <= 4"):
+        quorum_safety_sweep(5)
 
 
 def test_config_json_roundtrip():

@@ -45,6 +45,12 @@ def test_analyze_simple(capsys):
     assert "cross-phase intersection : OK" in out
 
 
+def test_analyze_names_the_quorum_system(capsys):
+    code, out, _ = run_cli(capsys, "quorum", "analyze", "--kind", "majority", "--n", "5")
+    assert code == 0
+    assert "quorum system            : majority(n=5)\n" in out
+
+
 def test_analyze_grid_json(capsys):
     code, out, _ = run_cli(
         capsys, "quorum", "analyze", "--kind", "grid",
@@ -492,6 +498,10 @@ SHORT_RUN_KEYS = {"duration_ms": 300, "warmup_ms": 50, "cooldown_ms": 50}
          "'n'"),
         ({"quorum": {"kind": "majority", "n": 3}, "strategy": "fastets", **SHORT_RUN_KEYS},
          "strategy must be"),
+        ([{"quorum": {"kind": "majority", "n": 3}}], "expected a JSON object"),
+        ({"quorum": {"kind": "majority", "n": 3}, "crashes": 5}, "crashes must be a list of rows"),
+        ({"quorum": {"kind": "majority", "n": 3}, "window": 0, **SHORT_RUN_KEYS},
+         "window must be an integer >= 1"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(capsys, tmp_path, entries, key):
@@ -547,6 +557,11 @@ def test_malformed_config_value_exits_2_naming_the_key(capsys, tmp_path, entries
         (["check", "--sweep", "-1"], "--sweep"),
         (["check", "--sweep", "5"], "--sweep"),
         (["sweep", "--kind", "simple", "--n", "5", "--out", "never.csv"], "--q2-list"),
+        (["quorum", "analyze", "--kind", "majority"], "--kind majority requires --n"),
+        (["check", "--kind", "grid", "--rows", "2"], "--kind grid requires --rows and --cols"),
+        (["check", "--custom-q1", "[[0]]", "--custom-q2", "[[1]]"], "require each other and --n"),
+        (["simulate", "--duration-ms", "300"], "no quorum system given"),
+        (["quorum", "analyze"], "no quorum system given"),
     ],
 )
 def test_malformed_flag_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, argv, key):

@@ -120,6 +120,28 @@ def test_election_blocked_without_q1():
     assert reps[0].electing and not reps[0].leading
 
 
+def test_retransmit_resends_only_a_leaders_undecided_proposal():
+    qs = make_majority(3)
+    reps = cluster(qs)
+    alive = {0, 1, 2}
+    leader, _ = elect(reps, 0)
+    sent = leader.on_message(Request(CLIENT, 0, "r0", "v0"), alive)
+    assert leader.retransmit(0, alive) == sent
+    pump(reps, sent)
+    assert leader.log[0][1] == "v0"
+    assert leader.retransmit(0, alive) == []  # decided
+    assert leader.retransmit(7, alive) == []  # never proposed
+    # a proposal in flight is dropped with the lead
+    sent = leader.on_message(Request(CLIENT, 0, "r1", "v1"), alive)
+    assert leader.retransmit(1, alive) == sent
+    pump(reps, reps[2].become_leader(alive))
+    assert not leader.leading and reps[2].leading
+    follower, candidate = reps[1], Replica(1, qs)
+    candidate.become_leader(alive)
+    for rep in (leader, follower, candidate):
+        assert [rep.retransmit(slot, alive) for slot in (0, 1, 7)] == [[], [], []]
+
+
 def test_reelection_outbids_previous_ballot():
     qs = make_majority(3)
     reps = cluster(qs)
@@ -354,27 +376,26 @@ def test_targets_equal_a_fresh_pick_however_alive_sets_repeat(data):
     promised_round=st.integers(0, 3) | st.none(),
     slots=st.dictionaries(st.integers(0, 6), st.tuples(st.integers(1, 3), st.sampled_from("xyz")), max_size=4),
     prepare_round=st.integers(1, 5),
+    proposer=st.sampled_from([0, 2]),
     from_slot=st.integers(0, 4),
 )
+@example(promised_round=2, slots={1: (2, "x")}, prepare_round=2, proposer=0, from_slot=0)
 def test_aggregated_prepare_matches_per_slot_core_rule(
-    promised_round, slots, prepare_round, from_slot
+    promised_round, slots, prepare_round, proposer, from_slot
 ):
     qs = make_majority(3)
     rep = Replica(1, qs)
-    rep.promised = None if promised_round is None else Ballot(promised_round, 0)
-    rep.accepted = {s: (Ballot(r, 0), v) for s, (r, v) in slots.items()}
-    b = Ballot(prepare_round, 2)
-    out = rep.on_message(LeaderPrepare(src=2, dst=1, ballot=b, from_slot=from_slot), {0, 1, 2})
-
-    # reference: the single-decree promise rule, applied to each slot alike
     promised = None if promised_round is None else Ballot(promised_round, 0)
-    if core.can_promise(promised, b):
+    rep.promised = promised
+    rep.accepted = {s: (Ballot(r, 0), v) for s, (r, v) in slots.items()}
+    b = Ballot(prepare_round, proposer)
+    out = rep.on_message(LeaderPrepare(src=proposer, dst=1, ballot=b, from_slot=from_slot),
+                         {0, 1, 2})
+
+    # reference: the acceptor's one rule, a ballot at or above the promise is
+    # taken, applied to each slot alike; a re-sent prepare is promised again
+    if promised is None or b >= promised:
         assert isinstance(out[0], LeaderPromise)
-        expect = tuple(
-            (s, br, v)
-            for s, (br, v) in sorted(slots.items())
-            if s >= from_slot
-        )
         got = tuple((s, br, v) for s, br, v in out[0].accepted)
         assert got == tuple((s, Ballot(r, 0), v) for s, (r, v) in sorted(slots.items()) if s >= from_slot)
         assert rep.promised == b

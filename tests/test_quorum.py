@@ -112,6 +112,39 @@ def test_grid_rejects_bad_params():
         make_grid(2, 2, mode="diagonal")
 
 
+# Input no constructor, decoder or selection accepts, and the error that names it.
+BAD_INPUT = [
+    ("majority-n0", lambda: make_majority(0), "n must be >= 1"),
+    ("simple-n0", lambda: make_simple(0, 1), "n must be >= 1"),
+    ("explicit-n0", lambda: make_explicit(0, [[0]], [[0]]), "n must be >= 1"),
+    ("explicit-empty-set", lambda: make_explicit(3, [[0], []], [[0]]),
+     "q1_sets contains an empty set"),
+    ("explicit-outsider", lambda: make_explicit(3, [[0]], [[1, 3]]),
+     r"q2_sets member outside \[0, 3\)"),
+    ("explicit-no-set", lambda: make_explicit(3, [], [[0]]), "q1_sets must list at least one set"),
+    ("json-not-an-object", lambda: QuorumSystem.from_json([["kind", "majority"]]),
+     "quorum must be a JSON object"),
+    ("json-unknown-kind", lambda: QuorumSystem.from_json({"kind": "ring", "n": 3}),
+     "unknown quorum kind 'ring'"),
+    ("select-unknown-strategy",
+     lambda: select_quorum(make_majority(3), 1, {0, 1}, strategy="slowest"),
+     "unknown strategy 'slowest'"),
+    ("select-random-without-rng",
+     lambda: select_quorum(make_majority(3), 1, {0, 1}, strategy="random"),
+     "strategy 'random' needs a seeded rng"),
+    ("select-fastest-without-latency",
+     lambda: select_quorum(make_majority(3), 1, {0, 1}, strategy="fastest"),
+     "strategy 'fastest' needs a latency map"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in BAD_INPUT],
+                         ids=[c[0] for c in BAD_INPUT])
+def test_bad_input_is_a_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ------------------------------------------------------------- membership
 
 
