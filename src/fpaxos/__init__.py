@@ -1,9 +1,9 @@
 """Flexible Paxos toolkit.
 
-Quorum systems generalized over the two protocol phases, pure
-single-decree state machines, a slot-replicated multi-decree layer, a
-deterministic fault-injecting simulator, and a bounded explicit-state
-safety checker.
+Quorum systems generalized over the two protocol phases, the acceptor,
+proposer and learner rules they share, a slot-replicated multi-decree
+layer, a deterministic fault-injecting simulator, and a bounded
+explicit-state safety checker.
 """
 
 from .checker import CheckConfig, explore, quorum_safety_sweep, replay

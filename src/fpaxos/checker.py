@@ -70,7 +70,6 @@ from .multi import LeaderPrepare, LeaderPromise, Replica, SlotAccept, SlotPropos
 from .quorum import (
     EXPLICIT,
     QuorumSystem,
-    _THRESHOLD_KINDS,
     make_explicit,
     make_grid,
     make_majority,
@@ -258,7 +257,7 @@ class _Space:
         self.pmask, self.vmask, self.cmask = (1 << wP) - 1, (1 << wV) - 1, (1 << wC) - 1
         self.is_q1 = qs.is_q1
         self.q2 = _Memo(qs.is_q2)  # holders mask -> is a phase-2 quorum
-        self.threshold_kind = qs.kind in _THRESHOLD_KINDS  # acceptors interchangeable
+        self.threshold_kind = qs._phases[0].threshold is not None  # acceptors interchangeable
         # Sets of pairs are masks with bit k = b*V+v for (b, v).  A checked
         # property breaks when pair k becomes chosen while a pair of
         # agreement_conflicts[k] is chosen, or while a later ballot proposes
@@ -604,8 +603,9 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
     ``("answer", a, b)``, a's accept or nack of ballot b's proposal
     reaching its proposer; and ``("crash", a, wipe)``, which crashes a's
     replica and wipes its memory if asked.  Every action must be enabled
-    under the core's rules and agree on the produced values; any mismatch
-    raises :class:`ReplayDivergenceError`.  Decisions observed along the
+    under the core's rules, a promise only after its ballot's prepare, and
+    agree on the produced values; any mismatch raises
+    :class:`ReplayDivergenceError`.  Decisions observed along the
     way accumulate: a pair is decided once a phase-2 quorum has accepted
     it, whatever its acceptors accepted or lost since, as
     :func:`fpaxos.core.decided_proposals` rules.
@@ -625,12 +625,15 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
     promises = {}  # (a, b) -> a's promise event for ballot b
     answers = {}  # (a, b) -> a's answer event to ballot b's proposal
     accepts = {}  # (ballot, value) -> mask of the acceptors that accepted it
+    prepared = set()  # the ballot indices whose prepare was sent
     result = ReplayResult(states=acc)
     proposed, log = result.proposals, result.events.append
     for act in path:
         kind = act[0]
         if kind == "promise":
             a, b = act[1], act[2]
+            if b not in prepared:
+                raise ReplayDivergenceError(f"{act} answers a prepare never sent")
             ballot = ballots[b]
             log(("prepare", a, ballot))
             [reply] = acc[a].on_message(LeaderPrepare(ballot.proposer, a, ballot, 0), ())
@@ -680,7 +683,9 @@ def replay(path, cfg: CheckConfig) -> ReplayResult:
         elif kind == "crash":
             log(act)
             acc[act[1]].crash(lose_memory=act[2])
-        elif kind != "prepare":
+        elif kind == "prepare":
+            prepared.add(act[1])
+        else:
             raise ReplayDivergenceError(f"unknown action {act!r}")
     return result
 

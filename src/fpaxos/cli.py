@@ -134,11 +134,12 @@ def only_mode_flags(args, mode: str, *reads: str) -> None:
             raise ValueError(f"{flag} cannot be combined with --{mode}")
 
 
-def merge_entries(path, args, keys) -> dict:
+def merge_entries(path, args, keys, flat_quorum=()) -> dict:
     """The JSON object at ``path`` (if any), overridden by the flags given.
 
     A flag counts when its dest is in ``keys`` and it was on the command
-    line.  A quorum from the quorum flags replaces the file's.
+    line.  A quorum from the quorum flags replaces the file's, and with it
+    the keys in ``flat_quorum``, which give a check's quorum flat.
     """
     d = {}
     if path:
@@ -151,7 +152,7 @@ def merge_entries(path, args, keys) -> dict:
     if quorum is None and not {"quorum", "q1_sets"} & d.keys():
         raise ValueError(NO_QUORUM)
     if quorum is not None:
-        d = {k: v for k, v in d.items() if k not in chk.FLAT_QUORUM_KEYS}
+        d = {k: v for k, v in d.items() if k not in flat_quorum}
         d["quorum"] = quorum.to_json()
     return d
 
@@ -210,7 +211,8 @@ def cmd_check(args) -> int:
         print("sweep:", "consistent" if ok else "INCONSISTENT")
         return 0 if ok else 1
 
-    cfg = chk.check_config_from_json(merge_entries(args.config, args, CHECK_KEYS))
+    d = merge_entries(args.config, args, CHECK_KEYS, chk.FLAT_QUORUM_KEYS)
+    cfg = chk.check_config_from_json(d)
     res = chk.explore(cfg)
     print(f"states explored : {res.states}")
     if res.verdict != chk.VIOLATION:

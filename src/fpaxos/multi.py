@@ -233,8 +233,9 @@ class Replica:
     def become_leader(self, alive) -> list:
         """Start (or restart) an aggregated phase 1 at a fresh ballot.
 
-        Returns no messages when the alive set cannot form a phase-1
-        quorum; the harness retries after restores.
+        Returns no messages when the alive set cannot form a phase-1 quorum,
+        unless ``send_to_all`` sends to all n anyway; the harness retries
+        after restores.
         """
         self._demote()
         self.seen_round += 1
@@ -251,8 +252,9 @@ class Replica:
     def retransmit(self, slot: int, alive) -> list:
         """Re-send an undecided proposal, re-picking targets among alive.
 
-        While no phase-2 quorum is formable nothing is sent; the harness
-        keeps retrying until restores make one available.
+        While no phase-2 quorum is formable nothing is sent, unless
+        ``send_to_all`` sends to all n anyway; the harness keeps retrying
+        until restores make one available.
         """
         fl = self.inflight.get(slot)
         if fl is None:
@@ -287,7 +289,8 @@ class Replica:
         return self._fan_out(slot, value, alive)
 
     def _fan_out(self, slot, value, alive) -> list:
-        """Propose ``value`` at ``slot`` to a phase-2 quorum of alive; if none is formable, nothing."""
+        """Propose ``value`` at ``slot`` to a phase-2 quorum of alive, or to all n with
+        ``send_to_all``; without it, if no quorum is formable, nothing."""
         targets = self._pick(2, alive, tick=slot)
         if targets is None:
             return []

@@ -53,7 +53,6 @@ GRID_PAXOS = "grid-paxos"
 GRID_FPAXOS = "grid-fpaxos"
 EXPLICIT = "explicit"
 
-_THRESHOLD_KINDS = (MAJORITY, IMPROVED_MAJORITY, SIMPLE)
 STRATEGIES = ("first", "rotating", "random", "fastest")
 
 
@@ -145,8 +144,13 @@ class QuorumSystem:
     @cached_property
     def _phases(self) -> tuple:
         """The compiled form of phases 1 and 2, built on first use."""
-        if self.kind in _THRESHOLD_KINDS:
-            return (_Phase(self.n, self._threshold(1)), _Phase(self.n, self._threshold(2)))
+        n = self.n
+        if self.kind == MAJORITY:
+            return (_Phase(n, n // 2 + 1), _Phase(n, n // 2 + 1))
+        if self.kind == IMPROVED_MAJORITY:
+            return (_Phase(n, n // 2 + 1), _Phase(n, (n + 1) // 2))
+        if self.kind == SIMPLE:
+            return (_Phase(n, n - self.q2_size + 1), _Phase(n, self.q2_size))
         if self.kind == GRID_FPAXOS:  # meeting every row (column) takes one acceptor in each
             rows = tuple(self.row(r) for r in range(self.rows))
             cols = tuple(self.col(c) for c in range(self.cols))
@@ -157,17 +161,6 @@ class QuorumSystem:
             ), min(self.rows, self.cols))  # a set smaller misses a row and a column
             return (both, both)
         return (_Phase(self.n, None, self.q1_sets), _Phase(self.n, None, self.q2_sets))
-
-    # -- thresholds ---------------------------------------------------
-
-    def _threshold(self, phase: int) -> int:
-        if self.kind == MAJORITY:
-            return self.n // 2 + 1
-        if self.kind == IMPROVED_MAJORITY:
-            return self.n // 2 + 1 if phase == 1 else (self.n + 1) // 2
-        if self.kind == SIMPLE:
-            return self.n - self.q2_size + 1 if phase == 1 else self.q2_size
-        raise AssertionError(self.kind)
 
     def min_q1_size(self) -> int:
         """Size of the smallest valid phase-1 quorum."""
@@ -356,15 +349,13 @@ def find_disjoint_pair(qs: QuorumSystem):
     complement of a phase-1 generator still contains a Q2.  The witness is
     the first such generator and the first phase-2 quorum inside its
     complement.  Threshold families are invariant under every permutation
-    of the acceptors, so the first phase-1 quorum ``{0, ..., t-1}`` stands
-    for all of them, and |Q1| + |Q2| > n is decided at any n without
-    enumeration.  Grids and explicit families test each listed generator.
+    of the acceptors, so the first phase-1 quorum that ``select_quorum``
+    picks stands for all of them, and |Q1| + |Q2| > n is decided at any n
+    without enumeration.  Grids and explicit families test each listed
+    generator.
     """
     phase1 = qs._phases[0]
-    if phase1.threshold is not None:
-        gens = (frozenset(range(phase1.threshold)),)
-    else:
-        gens = phase1.gens
+    gens = phase1.gens if phase1.threshold is None else (select_quorum(qs, 1, qs.universe),)
     full = (1 << qs.n) - 1
     for g1 in gens:
         if qs.is_q2(full & ~mask_of(g1)):

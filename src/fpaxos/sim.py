@@ -58,7 +58,7 @@ import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import MISSING, dataclass, fields
-from typing import Tuple
+from typing import Tuple, get_type_hints
 
 from . import core, multi
 from .core import SafetyViolationError  # noqa: F401 (re-exported)
@@ -74,11 +74,6 @@ def ms_to_us(ms: float) -> int:
     return int(round(ms * US_PER_MS))
 
 
-def _is_ms(x) -> bool:
-    """``x`` is a number of ms as JSON gives one: an int or a float, not a bool."""
-    return type(x) in (int, float)
-
-
 def _is_time(ms) -> bool:
     """``ms`` is >= 0 and stays finite in microseconds, so ``ms_to_us`` takes it."""
     return 0 <= ms * US_PER_MS < math.inf
@@ -92,9 +87,8 @@ class Latency:
     hi_ms: float = 10.0
 
     def __post_init__(self):
-        for key in ("lo_ms", "hi_ms"):
-            if not _is_ms(getattr(self, key)):
-                raise ValueError(f"latency {key} must be a time in ms, got {getattr(self, key)!r}")
+        for f in fields(self):
+            check_type(f"latency {f.name}", getattr(self, f.name), f.default)
         if not (0 <= self.lo_ms <= self.hi_ms and _is_time(self.hi_ms)):
             raise ValueError(f"latency needs 0 <= lo_ms <= hi_ms, finite in us, got {self!r}")
 
@@ -143,21 +137,17 @@ class PartitionEvent:
             object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
 
 
-# What each entry of a schedule row must be, by event field.
-_ROW_ENTRIES = {
-    "t_ms": (_is_ms, "a time in ms"),
-    "replica": (lambda x: type(x) is int, "a replica id"),
-    "lose_memory": (lambda x: type(x) is bool, "true or false"),
-    "groups": (is_id_lists, "a list of replica-id lists"),
-}
-
-
-def _check_row(key: str, row, entries) -> None:
-    """Raise a ``ValueError`` naming the first ill-typed of a row's (field, value) ``entries``."""
-    for name, x in entries:
-        valid, what = _ROW_ENTRIES[name]
-        if not valid(x):
-            raise ValueError(f"{key} row {row!r}: {name} must be {what}")
+def _check_row(key: str, ev) -> None:
+    """Raise a ``ValueError`` naming the row, as the list of its fields, and its first field
+    not of the annotated type (by ``check_type``'s rule; ``groups`` by ``is_id_lists``)."""
+    row = [getattr(ev, f.name) for f in fields(ev)]
+    types = get_type_hints(type(ev))
+    for f, x in zip(fields(ev), row):
+        what = f"{key} row {row!r}: {f.name}"
+        if f.name != "groups":
+            check_type(what, x, types[f.name]())  # a zero of the type stands for a default
+        elif not is_id_lists(x):
+            raise ValueError(f"{what} must be a list of replica-id lists, got {x!r}")
 
 
 def _schedule_decoder(key: str, event):
@@ -171,7 +161,6 @@ def _schedule_decoder(key: str, event):
         for row in rows:
             if not isinstance(row, (list, tuple)) or not required <= len(row) <= len(names):
                 raise ValueError(f"{key} row {row!r} must be [{shape}]")
-            _check_row(key, row, zip(names, row))
         return tuple(event(*row) for row in rows)
 
     return decode
@@ -233,7 +222,7 @@ class SimConfig:
                 raise ValueError(f"{key} must be a {cls.__name__}, got {getattr(self, key)!r}")
         for name in _SCHEDULES:
             for ev in getattr(self, name):
-                _check_row(name, ev, ((f.name, getattr(ev, f.name)) for f in fields(ev)))
+                _check_row(name, ev)
         for key in ("loss", "duplicate"):
             p = getattr(self, key)
             if not 0.0 <= p <= 1.0:

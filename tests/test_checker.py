@@ -33,6 +33,7 @@ from fpaxos.quorum import (
     make_grid,
     make_majority,
     make_simple,
+    mask_of,
     validate_cross_intersection,
 )
 
@@ -161,6 +162,9 @@ def test_replay_rejects_ill_formed_paths():
         replay(proposed + (("propose", 0, 1, (0, 1)),), cfg)
     with pytest.raises(ReplayDivergenceError, match="unknown action"):
         replay((("elect", 0),), cfg)
+    with pytest.raises(ReplayDivergenceError, match="prepare never sent"):
+        # once replayed to a decision of (Ballot(1, 0), "a") with no prepare sent
+        replay(proposed[1:] + (("accept", 0, 0, 0), ("accept", 1, 0, 0)), cfg)
 
 
 def test_replay_crash_wipes_only_when_asked():
@@ -633,6 +637,47 @@ def test_random_explicit_families_violate_iff_disjoint(seed):
         rr = replay(sym.violation.path, cfg)
         assert rr.conflicting if sym.violation.property == AGREEMENT else rr.contradicted
         assert len(sym.violation.path) == len(res.violation.path)
+
+
+def _antichains(n: int) -> list:
+    """Every non-empty antichain of non-empty subsets of range(n), as sorted bitmask tuples."""
+    subsets = range(1, 1 << n)
+    return [
+        family
+        for k in range(1, len(subsets) + 1)
+        for family in itertools.combinations(subsets, k)
+        if not any(a & b == a for a, b in itertools.permutations(family, 2))
+    ]
+
+
+def _canonical(n: int, q1: tuple, q2: tuple) -> tuple:
+    """The least image of a pair of families under the permutations of the acceptors."""
+
+    def image(perm, family):
+        return tuple(sorted(mask_of(perm[a] for a in range(n) if m >> a & 1) for m in family))
+
+    return min((image(p, q1), image(p, q2)) for p in itertools.permutations(range(n)))
+
+
+def test_paper_claim_both_ways_on_every_small_quorum_system():
+    # Every pair of antichains up to acceptor permutation, n <= 3: a family
+    # whose phase-1 quorums all meet its phase-2 quorums is safe, and one
+    # with a disjoint pair has a violation that replay confirms.
+    pairs = {n: {_canonical(n, q1, q2) for q1 in _antichains(n) for q2 in _antichains(n)}
+             for n in (1, 2, 3)}
+    assert [len(pairs[n]) for n in (1, 2, 3)] == [1, 10, 89]
+    for n, families in pairs.items():
+        def ids(family):
+            return [[a for a in range(n) if m >> a & 1] for m in family]
+
+        for q1, q2 in families:
+            cfg = CheckConfig(make_explicit(n, ids(q1), ids(q2)))
+            res = explore(cfg)
+            if all(m1 & m2 for m1 in q1 for m2 in q2):
+                assert res.verdict == SAFE, (n, q1, q2)
+            else:
+                v = res.violation
+                assert v is not None and replay(v.path, cfg).shows(v.property), (n, q1, q2)
 
 
 def test_safety_sweep_biconditional():

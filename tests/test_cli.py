@@ -580,6 +580,21 @@ def test_malformed_flag_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, ar
     assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]
 
 
+@pytest.mark.parametrize("key", checker.FLAT_QUORUM_KEYS)
+@pytest.mark.parametrize("argv", [["simulate", "--config"], ["sweep", "--out", "never.csv", "--spec"]],
+                         ids=["simulate", "sweep"])
+def test_flat_quorum_keys_are_unknown_outside_check(capsys, tmp_path, monkeypatch, argv, key):
+    # only a check's quorum may be given flat; next to quorum flags such a key
+    # was once dropped from simulation and sweep files, which then ran and exited 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({key: 7 if key == "n" else [[0]],
+                                                   **SHORT_RUN_KEYS}))
+    code, out, err = run_cli(capsys, *argv, "run.json", "--kind", "majority", "--n", "3")
+    assert code == 2
+    assert err.startswith("error: ") and f"unknown simulation config key(s): {key}" in err
+    assert not out and [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 # A schedule flag and a malformed row for it.
 SCHEDULE_ROW_ERRORS = [
     ("--crash", "t=1,r=inf"), ("--crash", "t=1,r=1.5"), ("--crash", "t=abc,r=1"),

@@ -889,6 +889,23 @@ def test_config_validation():
         SimConfig(quorum={"kind": "majority", "n": 3}).validate()
 
 
+@pytest.mark.parametrize("key, row, message", [
+    ("crashes", ["x", 0], "crashes row ['x', 0, False]: t_ms must be a number, got 'x'"),
+    ("crashes", [5, 0, 1], "crashes row [5, 0, 1]: lose_memory must be true or false, got 1"),
+    ("restores", [5, 0.5], "restores row [5, 0.5]: replica must be an integer, got 0.5"),
+    ("partitions", [5, [[0, "a"]]],
+     "partitions row [5, [[0, 'a']]]: groups must be a list of replica-id lists, got [[0, 'a']]"),
+], ids=["t_ms", "lose_memory", "replica", "groups"])
+def test_decoded_and_built_configs_name_a_bad_row_alike(key, row, message):
+    # JSON input once named the row as given and a built config as the event's repr
+    event = {"crashes": CrashEvent, "restores": RestoreEvent, "partitions": PartitionEvent}[key]
+    with pytest.raises(ValueError) as decoded:
+        SimConfig.from_json({"quorum": {"kind": "majority", "n": 3}, key: [row]})
+    with pytest.raises(ValueError) as built:
+        SimConfig(quorum=make_majority(3), **{key: (event(*row),)})
+    assert str(decoded.value) == str(built.value) == message
+
+
 def test_directly_built_config_is_checked_when_built():
     # it once raised only when a World was built from it
     with pytest.raises(ValueError, match="loss"):
