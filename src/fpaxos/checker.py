@@ -28,18 +28,21 @@ Checked properties:
 Search: a state is one packed int (see ``_Space``).  Every action adds
 exactly one event (a prepared bit, a promise cell, a proposal or an
 accept bit), so the state graph is layered by event count, and the
-search goes level by level: a set of the next level alone finds every
-duplicate (frontier search, Korf et al. 2005), and a finished level is
-kept only as a list of states, with no parent map.  The search stops at
-the first violating state, so every state it expands is safe, and a
-successor is checked only where it can break a property: an accept that
-makes its pair chosen, or a propose while some pair is chosen.  With
-``symmetry`` the search keeps one state per orbit under value and, for
-threshold kinds, acceptor permutations (scalarset reduction, Ip & Dill
-1996): same verdicts from fewer states, on the same layers.  Either way
-a counterexample's parents are found afterwards, a level at a time, as
-the first state of the level before whose successors include it, and its
-actions by walking that chain forward again.
+search goes level by level: the parents of a level append their
+children, bare ints, to one list, and ``dict.fromkeys`` of that list
+dedupes the next level in BFS order, since the next level alone holds
+every duplicate (frontier search, Korf et al. 2005).  A finished level is
+kept only as a list of states, with no parent map and no actions.  The
+search stops at the first violating state, so every state it expands is
+safe, and a child is checked only where it can break a property: an
+accept that makes its pair chosen, or a propose while some pair is
+chosen.  With ``symmetry`` the search keeps one state per orbit under
+value and, for threshold kinds, acceptor permutations (scalarset
+reduction, Ip & Dill 1996): same verdicts from fewer states, on the same
+layers.  Either way a counterexample's parents are found afterwards, a
+level at a time, as the first state of the level before whose children
+include it, and its actions on the walk forward again, each read off the
+one event its step adds.
 
 A search is ``safe`` only when complete, and a violation counts once its
 path, delivered to the simulator's acceptors (``multi.Replica``s, whose
@@ -233,11 +236,12 @@ class _Space:
     only at or above its promise, and each accept raises it), so it is read
     off the accept bits, not stored.
 
-    The initial state is 0, and every successor is ``s | bit`` or
+    The initial state is 0, and every child is ``s | bit`` or
     ``s + delta``.  The first three fields, the control bits, decide
     which actions are candidates; the edge templates of each control
     value are built once, and a state only tests the cells and holder
-    bits its candidates need.
+    bits its candidates need.  A template holds no action: every action
+    adds one event, and :meth:`action` reads it off the child.
     """
 
     def __init__(self, cfg: CheckConfig):
@@ -255,6 +259,8 @@ class _Space:
         self.prom_sh = [self.PROM + a * wP for a in range(n)]
         self.row_sh = [self.CELL + b * n * wC for b in range(B)]
         self.pmask, self.vmask, self.cmask = (1 << wP) - 1, (1 << wV) - 1, (1 << wC) - 1
+        self.control = (1 << self.CELL) - 1  # the control bits
+        self.row_mask, self.holders_mask = (1 << n * wC) - 1, (1 << n) - 1
         self.is_q1 = qs.is_q1
         self.q2 = _Memo(qs.is_q2)  # holders mask -> is a phase-2 quorum
         self.threshold_kind = qs._phases[0].threshold is not None  # acceptors interchangeable
@@ -289,67 +295,85 @@ class _Space:
 
     def successors(self, s: int):
         """``(action, child)`` for every action enabled in ``s``, in a fixed order."""
-        return self.expand(s)[0]
+        out = []
+        self.children(s, out)
+        return [(self.action(s, child), child) for child in out]
 
-    def expand(self, s: int):
-        """The successors of a non-violating state, and the first that violates.
+    def action(self, s: int, child: int) -> tuple:
+        """The action that takes ``s`` to its child ``child``.
 
-        Returns ``(edges, bad)``: ``edges`` as from ``successors`` and
-        ``bad`` either ``None`` or ``(i, property)`` for the first edge
-        whose child breaks a checked property.  Because ``s`` breaks none,
-        only an accept that makes its pair newly chosen, or a propose once
-        something is chosen, can break one.
+        It is read off the one event the action adds, the highest bit of
+        ``child ^ s``: an accept bit, a promise cell, a proposal or a
+        prepared bit (a promise or an accept also raises a promise, below).
         """
-        edges = []
-        add = edges.append
+        hb = (child ^ s).bit_length() - 1
+        if hb >= self.AMSG:
+            k, a = divmod(hb - self.AMSG, self.n)
+            return ("accept", a, *divmod(k, self.V))
+        if hb >= self.CELL:
+            b, a = divmod((hb - self.CELL) // self.wC, self.n)
+            return ("promise", a, b)
+        if hb >= self.PROP:
+            b = (hb - self.PROP) // self.wV
+            row = s >> self.row_sh[b] & self.row_mask
+            return next(a for d, _, a in self.choices[b][row] if d == child - s)
+        return ("prepare", hb)
+
+    def children(self, s: int, out: list):
+        """Append the children of a non-violating state ``s`` to ``out``.
+
+        Returns ``None``, or ``(i, property)`` when ``out[i]`` is the first
+        child appended that breaks a checked property.  Because ``s``
+        breaks none, only an accept that makes its pair newly chosen, or a
+        propose once something is chosen, can break one.
+        """
+        add = out.append
         bad = None
-        prepares, promises, unproposed, accepts, later_conflicts = (
-            self.templates[s & (1 << self.CELL) - 1]
-        )
-        for action, bit in prepares:
-            add((action, s | bit))
+        prepares, promises, unproposed, accepts, later_conflicts = self.templates[s & self.control]
+        for bit in prepares:
+            add(s | bit)
 
         chosen, cells = self.accepted[s >> self.AMSG]
         cmask = self.cmask
-        for action, delta, cell, own in promises:
+        for delta, cell, own in promises:
             if not s >> cell & cmask:
-                add((action, s + delta + ((cells >> own & cmask) << cell)))
+                add(s + delta + ((cells >> own & cmask) << cell))
 
-        row_mask = (1 << self.n * self.wC) - 1
-        for b, row_sh, choices in unproposed:
+        row_mask = self.row_mask
+        for row_sh, choices in unproposed:
             row = s >> row_sh & row_mask
             if row:
-                for action, delta in choices[row]:
-                    if bad is None and chosen & self.older_conflicts[b][action[2]]:
-                        bad = (len(edges), PROPOSAL_CONSISTENCY)
-                    add((action, s + delta))
+                for delta, conflicts, _ in choices[row]:
+                    if bad is None and chosen & conflicts:
+                        bad = (len(out), PROPOSAL_CONSISTENCY)
+                    add(s + delta)
 
-        q2, holders_mask = self.q2, (1 << self.n) - 1
-        for action, delta, held_sh, bit, k in accepts:
+        q2, holders_mask = self.q2, self.holders_mask
+        for delta, held_sh, bit, k in accepts:
             held = s >> held_sh & holders_mask
             if not held & bit:
-                if bad is None and q2[held | bit] and not q2[held]:  # k newly chosen
+                if bad is None and not chosen >> k & 1 and q2[held | bit]:  # k newly chosen
                     if chosen & self.agreement_conflicts[k]:
-                        bad = (len(edges), AGREEMENT)
+                        bad = (len(out), AGREEMENT)
                     elif later_conflicts >> k & 1:
-                        bad = (len(edges), PROPOSAL_CONSISTENCY)
-                add((action, s + delta))
-        return edges, bad
+                        bad = (len(out), PROPOSAL_CONSISTENCY)
+                add(s + delta)
+        return bad
 
     def _templates(self, control: int):
         """The edge templates of one value of the control bits.
 
-        * prepares: ``(action, bit)`` per ballot not yet prepared.
-        * promises: ``(action, delta, cell, own)`` per promise(a, b) with b
+        * prepares: the bit of each ballot not yet prepared.
+        * promises: ``(delta, cell, own)`` per promise(a, b) with b
           prepared and above a's promise, a-major.  It is enabled while
           its cell is empty; ``delta`` raises a's promise, and the caller
           also writes the cell: field ``own`` of the accept bits' cells
           (``_accepted``).
-        * unproposed: ``(b, row shift, value-choice memo)`` per ballot
+        * unproposed: ``(row shift, value-choice memo)`` per ballot
           without a proposal.
-        * accepts: ``(action, delta, held_sh, bit, k)`` per accept(a, b, v)
-          of the proposed pair k = b*V+v by an acceptor promised at most
-          b, b-major.  It is enabled while a does not hold the pair (bit
+        * accepts: ``(delta, held_sh, bit, k)`` per accept(a, b, v) of the
+          proposed pair k = b*V+v by an acceptor promised at most b,
+          b-major.  It is enabled while a does not hold the pair (bit
           ``bit`` of the holders at ``held_sh``); ``delta`` raises a's
           promise and sets the accept bit.
         * later_conflicts: the pairs (b, v) that a proposal at a ballot
@@ -359,15 +383,14 @@ class _Space:
         promised = [control >> sh & self.pmask for sh in self.prom_sh]
         proposed = [control >> self.PROP + b * self.wV & self.vmask for b in range(B)]
         prepared = [bool(control >> b & 1) for b in range(B)]
-        prepares = [(("prepare", b), 1 << b) for b in range(B) if not prepared[b]]
+        prepares = [1 << b for b in range(B) if not prepared[b]]
         promises = [
-            (("promise", a, b), 1 + b - promised[a] << self.prom_sh[a],
-             self.row_sh[b] + a * self.wC, a * self.wC)
+            (1 + b - promised[a] << self.prom_sh[a], self.row_sh[b] + a * self.wC, a * self.wC)
             for a in range(n)
             for b in range(promised[a], B)
             if prepared[b]
         ]
-        unproposed = [(b, self.row_sh[b], self.choices[b]) for b in range(B) if not proposed[b]]
+        unproposed = [(self.row_sh[b], self.choices[b]) for b in range(B) if not proposed[b]]
         accepts = []
         later_conflicts = 0
         for b in range(B):
@@ -378,17 +401,19 @@ class _Space:
                 for a in range(n):
                     if promised[a] <= b + 1:
                         delta = (1 + b - promised[a] << self.prom_sh[a]) + (1 << held_sh + a)
-                        accepts.append((("accept", a, b, v), delta, held_sh, 1 << a, k))
+                        accepts.append((delta, held_sh, 1 << a, k))
                 later_conflicts |= self.older_conflicts[b][v]
         return prepares, promises, unproposed, accepts, later_conflicts
 
     def _value_choices(self, b: int, row: int):
-        """``(action, delta)`` per propose of ballot b that b's promise row allows.
+        """``(delta, conflicts, action)`` per propose of ballot b that b's promise row allows.
 
         For each phase-1 quorum among the senders, v is forced to the
         highest-ballot accepted value in the quorum's promises, or free
         when none reported one; each value is listed once, justified by
-        the first quorum, in ascending mask order, that allows it.
+        the first quorum, in ascending mask order, that allows it.  The
+        action names that quorum; ``conflicts`` are the chosen pairs the
+        proposal contradicts (``older_conflicts``).
         """
         n, V, wC = self.n, self.V, self.wC
         cells = [row >> a * wC & self.cmask for a in range(n)]
@@ -406,7 +431,8 @@ class _Space:
             qm = (qm - senders) & senders
         shift = self.PROP + b * self.wV
         return [
-            (("propose", b, v, tuple(a for a in range(n) if choices[v] >> a & 1)), 1 + v << shift)
+            (1 + v << shift, self.older_conflicts[b][v],
+             ("propose", b, v, tuple(a for a in range(n) if choices[v] >> a & 1)))
             for v in sorted(choices)
         ]
 
@@ -415,7 +441,7 @@ class _Space:
         whose holders are a phase-2 quorum; field a (wC bits) of ``cells`` is
         the cell a promise by acceptor a writes: 2+k for its highest-ballot
         pair k (k = b*V+v ascends with b), or 1 if it holds none."""
-        n, q2, holders_mask = self.n, self.q2, (1 << self.n) - 1
+        n, q2, holders_mask = self.n, self.q2, self.holders_mask
         chosen, cells = 0, [1] * n
         for k in range(self.B * self.V):
             held = am >> k * n & holders_mask
@@ -495,49 +521,65 @@ class _Space:
         return regions, [_Memo(partial(place, i)) for i in range(n)]
 
 
+_MAX_PENDING = 1 << 14  # pending children folded at once at most: bounds their memory
+
+
 def explore(cfg: CheckConfig) -> CheckResult:
     """BFS over all reachable states, one level at a time; stops at the first violation.
 
     Every action adds one event to a state (a prepared bit, a promise cell,
     a proposal or an accept bit), and a canonical key has its state's
-    events, so each child lies on the level after its parent's.  A set of
-    that next level alone therefore finds every duplicate, and a finished
-    level is kept only as the list of its keys (under symmetry, one
-    canonical state per orbit) in BFS order.  There is no parent map: for
-    a counterexample, ``_path_to`` takes a key's parent to be the first key
-    of the level before whose successors include it, the one that reached
+    events, so each child lies on the level after its parent's.  The
+    level's parents append their children, bare ints, to one pending list,
+    and ``dict.fromkeys`` of that list (under symmetry, of its keys)
+    dedupes it in BFS order: the next level alone finds every duplicate.
+    The pending list is folded into the level's dict, and cleared, at the
+    level's end and whenever its length reaches the room the budget
+    leaves, or ``_MAX_PENDING``: so the search stops within a level, at
+    exactly ``max_states`` states, folds each child once and holds few
+    duplicates at a time.  A finished level is kept only as the list of
+    its keys.  There is no parent map and no action is built: for a
+    counterexample, ``_path_to`` takes a key's parent to be the first key
+    of the level before whose children include it, the one that reached
     it first.  The initial state is 0 and violates nothing.
     """
     space = _Space(cfg)
-    expand = space.expand
+    children = space.children
     key = space.canonical if cfg.symmetry else None
-    max_states = cfg.max_states
-    levels = [[space.initial()]]
+
+    def fold():
+        """Move the pending children's new keys into the level; the room left."""
+        level.update(dict.fromkeys(map(key, pending) if key else pending))
+        pending.clear()
+        return room - len(level)
+
     states = 1
+    levels = [[space.initial()]]
     while levels[-1]:
-        level, seen = [], set()
+        room = max(cfg.max_states - states, 1)  # new keys that end the search
+        left = min(room, _MAX_PENDING)
+        level, pending = {}, []
         for s in levels[-1]:
-            edges, bad = expand(s)
-            for _, child in edges if bad is None else edges[: bad[0]]:
-                if key:
-                    child = key(child)
-                if child in seen:
-                    continue
-                seen.add(child)
-                level.append(child)
-                states += 1
-                if states >= max_states:
-                    return CheckResult(states=states, complete=False)
+            bad = children(s, pending)
+            if bad is None and len(pending) < left:
+                continue
             if bad is not None:
                 i, prop = bad
-                child = edges[i][1]
-                if key:
-                    child = key(child)
-                path = _path_to(space, levels, s, child, key)
+                child = pending[i]
+                del pending[i:]
+            left = fold()
+            if left <= 0:
+                return CheckResult(states=states + room, complete=False)
+            if bad is not None:
+                path = _path_to(space, levels, s, key(child) if key else child, key)
                 # the child is new: a parent that reached it first would have stopped here
-                return CheckResult(states=states + 1, complete=False,
+                return CheckResult(states=states + len(level) + 1, complete=False,
                                    violation=Violation(prop, path))
-        levels.append(level)
+            left = min(left, _MAX_PENDING)
+        if fold() <= 0:
+            return CheckResult(states=states + room, complete=False)
+        states += len(level)
+        levels.append(list(level))
     return CheckResult(states=states, complete=True)
 
 
@@ -546,23 +588,29 @@ def _path_to(space: _Space, levels, s: int, target: int, key=None):
 
     ``target`` is a child of ``s``, a key of the last of ``levels``.  Going
     back a level at a time, a key's parent is the first key of the level
-    before, in BFS order, with it among its keyed successors: the state the
+    before, in BFS order, with it among its keyed children: the state the
     search first reached it from.  Walking forward, each step then takes
-    the first action whose child's key is the next on that chain.  Without
-    symmetry a key is its state, so the step is the edge the search reached
-    it by.  Under symmetry the group maps a key's edges onto those of every
-    state in its orbit, so the step exists, and the run is as long as a
-    plain search's.
+    the first child whose key is the next on that chain, and its action is
+    read off the two states.  Without symmetry a key is its state, so the
+    step is the edge the search reached it by.  Under symmetry the group
+    maps a key's edges onto those of every state in its orbit, so the step
+    exists, and the run is as long as a plain search's.
     """
     keyed = key or (lambda c: c)
+
+    def kids(p):
+        out = []
+        space.children(p, out)
+        return out
+
     chain = [target, s]
     for level in reversed(levels[:-1]):
-        chain.append(next(p for p in level
-                          if any(keyed(c) == chain[-1] for _, c in space.successors(p))))
+        chain.append(next(p for p in level if chain[-1] in map(keyed, kids(p))))
     s, path = chain.pop(), []
     for nxt in reversed(chain):
-        a, s = next((a, c) for a, c in space.successors(s) if keyed(c) == nxt)
-        path.append(a)
+        child = next(c for c in kids(s) if keyed(c) == nxt)
+        path.append(space.action(s, child))
+        s = child
     return tuple(path)
 
 

@@ -17,12 +17,14 @@ from fpaxos.checker import (
     CheckConfig,
     ReplayDivergenceError,
     ReplayResult,
+    Violation,
     action_json,
     check_config_from_json,
     counterexample_jsonl,
     explore,
     quorum_safety_sweep,
     replay,
+    sweep_catalog,
     value_names,
 )
 from fpaxos.cli import main
@@ -277,7 +279,7 @@ def _full_violation(space, cfg, s):
 ])
 def test_incremental_violation_check_matches_full_check(qs, ballots, properties):
     # Expand every safe reachable state (not stopping at violations) and
-    # compare the first violating edge each expansion reports with a
+    # compare the first violating child each expansion reports with a
     # from-scratch check of every child.
     from fpaxos.checker import _Space
 
@@ -288,7 +290,8 @@ def test_incremental_violation_check_matches_full_check(qs, ballots, properties)
     violations = 0
     while frontier:
         s = frontier.pop()
-        edges, bad = space.expand(s)
+        bad = space.children(s, [])
+        edges = space.successors(s)
         verdicts = [_full_violation(space, cfg, child) for _, child in edges]
         first = next(((i, p) for i, p in enumerate(verdicts) if p is not None), None)
         assert bad == first
@@ -589,6 +592,71 @@ def test_search_order_results_are_pinned():
     assert replay(res.violation.path, cfg).contradicted
     res = explore(CheckConfig(make_majority(3), ballots=3, max_states=5000))
     assert (res.verdict, res.states) == (PARTIAL, 5000)
+
+
+def _reference_explore(cfg):
+    """``(states, verdict, violation, expanded)`` of a first-discovery BFS:
+    one parent map over ``successors`` for every level, each new key
+    checked from scratch and then against the budget, and the path walked
+    forward from the initial state by the first action that reaches the
+    next key.  ``expanded`` counts the states whose successors it listed."""
+    from fpaxos.checker import _Space
+
+    space = _Space(cfg)
+    keyed = space.canonical if cfg.symmetry else (lambda s: s)
+    parent = {space.initial(): None}
+    order = [space.initial()]
+    for expanded, s in enumerate(order, 1):  # BFS: order grows while it is read
+        for _, child in space.successors(s):
+            k = keyed(child)
+            if k in parent:
+                continue
+            parent[k] = s
+            prop = _full_violation(space, cfg, k)
+            if prop is not None:
+                chain = [k]
+                while parent[chain[-1]] is not None:
+                    chain.append(parent[chain[-1]])
+                t, path = chain.pop(), []
+                for nxt in reversed(chain):
+                    action, t = next((a, c) for a, c in space.successors(t) if keyed(c) == nxt)
+                    path.append(action)
+                return len(parent), VIOLATION, Violation(prop, tuple(path)), expanded
+            if len(parent) >= cfg.max_states:
+                return len(parent), PARTIAL, None, expanded
+            order.append(k)
+    return len(parent), SAFE, None, len(order)
+
+
+@pytest.mark.parametrize("symmetry", [False, True])
+@pytest.mark.parametrize("properties", [(AGREEMENT, PROPOSAL_CONSISTENCY), (AGREEMENT,)])
+def test_explore_matches_a_reference_bfs_over_the_catalog(properties, symmetry):
+    # pins the level order that counterexample paths depend on
+    for name, qs in sweep_catalog(3):
+        cfg = CheckConfig(qs, ballots=2, properties=properties, symmetry=symmetry)
+        res = explore(cfg)
+        assert (res.states, res.verdict, res.violation) == _reference_explore(cfg)[:3], name
+
+
+@pytest.mark.parametrize("cfg", [DISJOINT, CheckConfig(make_majority(3), ballots=2)])
+def test_explore_matches_a_reference_bfs_at_every_small_budget(cfg, monkeypatch):
+    # the budget stops the search within a level, at the same state count
+    # and after expanding the same states
+    from fpaxos.checker import _Space
+
+    expanded = []
+    children = _Space.children
+    monkeypatch.setattr(_Space, "children",
+                        lambda space, s, out: expanded.append(s) or children(space, s, out))
+    for max_states in range(1, 301):
+        small = replace(cfg, max_states=max_states)
+        expanded.clear()
+        res = explore(small)
+        searched = len(expanded)  # a counterexample's path also lists children
+        states, verdict, violation, want = _reference_explore(small)
+        assert (res.states, res.verdict, res.violation) == (states, verdict, violation)
+        if violation is None:
+            assert searched == want, max_states
 
 
 def test_search_keeps_no_table_of_every_state():
